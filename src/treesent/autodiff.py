@@ -247,9 +247,14 @@ def matmul(a, b):
             _accumulate(b, _unbroadcast(gb, b.data.shape))
             return
         ga = g @ np.swapaxes(b.data, -1, -2)
-        gb = np.swapaxes(a.data, -1, -2) @ g
+        if b.data.ndim == 2 and a.data.ndim > 2:
+            # shared weight: one GEMM over the flattened leading dimensions
+            k, m = b.data.shape
+            gb = a.data.reshape(-1, k).T @ g.reshape(-1, m)
+        else:
+            gb = _unbroadcast(np.swapaxes(a.data, -1, -2) @ g, b.data.shape)
         _accumulate(a, _unbroadcast(ga, a.data.shape))
-        _accumulate(b, _unbroadcast(gb, b.data.shape))
+        _accumulate(b, gb)
 
     return _make(out_data, (a, b), bw)
 
@@ -323,12 +328,13 @@ def gelu(a):
     """Pointwise GELU, tanh approximation."""
     a = _as_tensor(a)
     x = a.data
-    inner = _GELU_C * (x + 0.044715 * x**3)
+    # x * x * x, not x**3: float32 ``**`` goes through pow, many times slower
+    inner = _GELU_C * (x + 0.044715 * (x * x * x))
     t = np.tanh(inner)
     out_data = (0.5 * x * (1.0 + t)).astype(x.dtype)
 
     def bw(g):
-        dinner = _GELU_C * (1.0 + 3 * 0.044715 * x**2)
+        dinner = _GELU_C * (1.0 + 3 * 0.044715 * (x * x))
         d = 0.5 * (1.0 + t) + 0.5 * x * (1.0 - t * t) * dinner
         _accumulate(a, g * d)
 
@@ -384,17 +390,16 @@ def layer_norm(x, gain, bias, eps=1e-12):
 
 
 def dropout(x, p, training, rng=None):
-    """Inverted dropout: train-time survivors scaled by 1/(1-p); inference identity."""
+    """Inverted dropout: train-time survivors scaled by 1/(1-p).
+
+    When inactive (inference, or ``p == 0``) it returns ``x`` itself and
+    records nothing on the tape.
+    """
     x = _as_tensor(x)
     if not (0.0 <= p < 1.0):
         raise InvalidProbabilityError(f"dropout probability {p} outside [0, 1)")
     if not training or p == 0.0:
-        out_data = x.data
-
-        def bw_id(g):
-            _accumulate(x, g)
-
-        return _make(out_data, (x,), bw_id)
+        return x
     if rng is None:
         raise ValueError("dropout in training mode requires an rng")
     keep = (rng.random(x.data.shape) >= p).astype(x.data.dtype)

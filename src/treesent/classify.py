@@ -4,6 +4,7 @@ SST-2/SST-5 × all-nodes/root-nodes accuracy grid."""
 from __future__ import annotations
 
 import json
+from contextlib import nullcontext
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -12,7 +13,7 @@ from . import autodiff as ad
 from . import encoder as enc
 from .autodiff import Tensor
 from .optim import AdamW, make_rng
-from .tokenizer import encode
+from .tokenizer import encode, stack_batch
 from .treebank import BinaryLabel, extract_phrases, to_binary
 
 __all__ = [
@@ -124,18 +125,10 @@ def head_forward(pooled, head: ClassifierHead, training=False, rng=None) -> Pred
         raise ad.ShapeMismatchError(
             f"pooled shape {pooled.data.shape} vs head hidden {head.weights.shape[0]}"
         )
-    with ad.no_grad() if not training else _nullcontext():
+    with ad.no_grad() if not training else nullcontext():
         logits = _head_logits(ad.reshape(pooled, (1, -1)), head, training, rng)
         probs = ad.softmax(logits).data[0]
     return Prediction(probs=probs, label=int(np.argmax(probs)))
-
-
-class _nullcontext:
-    def __enter__(self):
-        return self
-
-    def __exit__(self, *exc):
-        return False
 
 
 def project_label(label, task: str):
@@ -160,29 +153,24 @@ def accuracy(predictions, golds) -> float:
     return correct / len(predictions)
 
 
-def _encode_records(records, vocab, max_len):
-    seqs = [encode(r.text, vocab, max_len) for r in records]
-    ids = np.stack([s.ids for s in seqs])
-    segs = np.stack([s.segment_ids for s in seqs])
-    mask = np.stack([s.mask for s in seqs])
-    return ids, segs, mask
-
-
 def predict_texts(texts, params, config, head, vocab, max_len, batch_size=64):
-    """Deterministic inference over a list of texts -> list of Prediction."""
-    preds = []
-    for start in range(0, len(texts), batch_size):
-        chunk = texts[start:start + batch_size]
-        seqs = [encode(t, vocab, max_len) for t in chunk]
-        ids = np.stack([s.ids for s in seqs])
-        segs = np.stack([s.segment_ids for s in seqs])
-        mask = np.stack([s.mask for s in seqs])
+    """Deterministic inference over a list of texts -> list of Prediction.
+
+    Texts are batched in order of length, so rows of a batch need little
+    padding; the predictions come back in input order.
+    """
+    seqs = [encode(t, vocab, max_len) for t in texts]
+    order = sorted(range(len(seqs)), key=lambda i: seqs[i].n_real)
+    preds = [None] * len(seqs)
+    for start in range(0, len(order), batch_size):
+        sel = order[start:start + batch_size]
+        ids, segs, mask = stack_batch([seqs[i] for i in sel])
         with ad.no_grad():
             _, pooled = enc.encode_batch(ids, segs, mask, params, config, training=False)
             logits = _head_logits(pooled, head, training=False, rng=None)
             probs = ad.softmax(logits).data
-        for row in probs:
-            preds.append(Prediction(probs=row, label=int(np.argmax(row))))
+        for i, row in zip(sel, probs):
+            preds[i] = Prediction(probs=row, label=int(np.argmax(row)))
     return preds
 
 
@@ -229,7 +217,7 @@ def finetune(train_records, dev_records, params, config, vocab, task: str,
     opt = AdamW(trainable, lr=lr, weight_decay=hyper.weight_decay,
                 warmup_steps=int(total * hyper.warmup_frac), total_steps=total)
 
-    ids, segs, mask = _encode_records([r for r, _ in labeled], vocab, hyper.max_len)
+    seqs = [encode(r.text, vocab, hyper.max_len) for r, _ in labeled]
     labels = np.array([y for _, y in labeled], dtype=np.int64)
 
     best = None  # (acc, epoch, params_data, head_data)
@@ -237,13 +225,14 @@ def finetune(train_records, dev_records, params, config, vocab, task: str,
         order = rng.permutation(len(labeled))
         for start in range(0, len(labeled), hyper.batch_size):
             sel = order[start:start + hyper.batch_size]
+            ids, segs, mask = stack_batch([seqs[i] for i in sel])
             if hyper.freeze_encoder:
                 with ad.no_grad():
                     _, pooled_const = enc.encode_batch(
-                        ids[sel], segs[sel], mask[sel], params, config, training=False)
+                        ids, segs, mask, params, config, training=False)
                 pooled = Tensor(pooled_const.data)
             else:
-                _, pooled = enc.encode_batch(ids[sel], segs[sel], mask[sel],
+                _, pooled = enc.encode_batch(ids, segs, mask,
                                              params, config, training=True, rng=rng)
             logits = _head_logits(pooled, head, training=True, rng=rng)
             loss = ad.softmax_cross_entropy(logits, labels[sel])
@@ -283,8 +272,11 @@ def evaluate(params, config, head, vocab, corpora, cells, max_len=64,
 
     golds = [project_label(r.label, task_of_head) for r in records]
     usable = [(r, y) for r, y in zip(records, golds) if y is not None]
-    preds = predict_texts([r.text for r, _ in usable], params, config, head,
-                          vocab, max_len, batch_size=batch_size)
+    # phrase texts recur across node occurrences: predict each distinct one once
+    distinct = list(dict.fromkeys(r.text for r, _ in usable))
+    by_text = dict(zip(distinct, predict_texts(distinct, params, config, head,
+                                               vocab, max_len, batch_size=batch_size)))
+    preds = [by_text[r.text] for r, _ in usable]
 
     report = EvalReport()
     for task, scope in cells:

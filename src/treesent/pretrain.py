@@ -8,8 +8,7 @@ objectives jointly with the masked-word head tied to the token embedding.
 
 from __future__ import annotations
 
-import copy
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, field
 
 import numpy as np
 
@@ -17,7 +16,7 @@ from . import autodiff as ad
 from . import encoder as enc
 from .autodiff import Tensor
 from .optim import AdamW, make_rng
-from .tokenizer import TokenSequence
+from .tokenizer import TokenSequence, stack_batch
 
 __all__ = [
     "IS_NEXT",
@@ -185,9 +184,7 @@ def pretrain_step(state: PretrainState, batch, rng):
     encodings: the masked sequence carries both objectives.
     """
     params, config = state.params, state.config
-    ids = np.stack([ex.seq.ids for ex, _ in batch])
-    segs = np.stack([ex.seq.segment_ids for ex, _ in batch])
-    mask = np.stack([ex.seq.mask for ex, _ in batch])
+    ids, segs, mask = stack_batch([ex.seq for ex, _ in batch])
     nsp_labels = np.array([lbl for _, lbl in batch], dtype=np.int64)
 
     hidden, pooled = enc.encode_batch(ids, segs, mask, params, config,

@@ -18,6 +18,7 @@ __all__ = [
     "PAD", "UNK", "CLS", "SEP", "MASK", "SPECIAL_TOKENS",
     "Vocab", "TokenSequence", "TargetTooSmallError",
     "canonicalize", "wordpiece", "build_vocab", "encode", "encode_pair",
+    "stack_batch",
 ]
 
 PAD, UNK, CLS, SEP, MASK = "[PAD]", "[UNK]", "[CLS]", "[SEP]", "[MASK]"
@@ -228,3 +229,17 @@ def encode_pair(a: str, b: str, vocab: Vocab, max_len: int) -> TokenSequence:
         else:
             ids_b.pop()
     return _assemble(ids_a, ids_b, vocab, max_len)
+
+
+def stack_batch(seqs):
+    """Stack sequences into (ids, segment_ids, mask) arrays of shape (B, n).
+
+    ``n`` is the longest real row of the batch, not the sequences' padded
+    length: every column cut off holds only [PAD] (masked out of attention),
+    so each batch is padded only as far as its own rows need.
+    """
+    n = max(s.n_real for s in seqs)
+    ids = np.stack([s.ids[:n] for s in seqs])
+    segs = np.stack([s.segment_ids[:n] for s in seqs])
+    mask = np.stack([s.mask[:n] for s in seqs])
+    return ids, segs, mask

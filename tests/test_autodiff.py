@@ -42,6 +42,24 @@ class TestMatmul:
             lambda a: ad.tensor_sum(ad.tanh(ad.matmul(a, b))), a0)
         assert err < 1e-5
 
+    @pytest.mark.parametrize("lead", [(2,), (2, 3)])
+    def test_shared_weight_gradient(self, rng, lead):
+        a = t64(rng.normal(size=lead + (5, 3)))
+        b0 = t64(rng.normal(size=(3, 4)))
+        err = ad.finite_diff_check(
+            lambda b: ad.tensor_sum(ad.tanh(ad.matmul(a, b))), b0)
+        assert err < 1e-5
+
+    @pytest.mark.parametrize("lead", [(2,), (2, 3)])
+    def test_shared_weight_gradient_is_one_contraction(self, rng, lead):
+        a = t64(rng.normal(size=lead + (5, 3)), requires_grad=True)
+        b = t64(rng.normal(size=(3, 4)), requires_grad=True)
+        g = rng.normal(size=lead + (5, 4))
+        ad.backward(ad.tensor_sum(ad.mul(ad.matmul(a, b), t64(g))))
+        lead_sub = "ij"[:len(lead)]  # the '...nk,...nm->km' contraction, spelled out
+        want = np.einsum(f"{lead_sub}nk,{lead_sub}nm->km", a.data, g)
+        np.testing.assert_allclose(b.grad, want, rtol=0, atol=1e-12)
+
     def test_vector_cases(self, rng):
         m = t64(rng.normal(size=(3, 4)))
         v0 = t64(rng.normal(size=(4,)))
@@ -131,6 +149,12 @@ class TestGelu:
         err = ad.finite_diff_check(lambda x: ad.tensor_sum(ad.gelu(x)), x0)
         assert err < 1e-6
 
+    def test_matches_closed_form(self, rng):
+        x = rng.normal(scale=3.0, size=1000)
+        c = math.sqrt(2.0 / math.pi)
+        want = 0.5 * x * (1.0 + np.tanh(c * (x + 0.044715 * x**3)))
+        np.testing.assert_allclose(ad.gelu(t64(x)).data, want, rtol=1e-12, atol=0)
+
 
 class TestEmbeddingLookup:
     def test_row_gather(self):
@@ -171,6 +195,13 @@ class TestDropout:
         x = t64(rng.normal(size=100))
         out = ad.dropout(x, 0.0, training=True, rng=rng)
         np.testing.assert_array_equal(out.data, x.data)
+
+    def test_inactive_records_nothing(self, rng):
+        x = t64(rng.normal(size=10), requires_grad=True)
+        for out in (ad.dropout(x, 0.1, training=False),
+                    ad.dropout(x, 0.0, training=True, rng=rng)):
+            assert out is x
+            assert out._backward is None
 
     def test_zero_fraction_statistics(self):
         rng = make_rng(7)

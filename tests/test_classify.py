@@ -23,11 +23,11 @@ def letter_vocab():
     return tok.Vocab(list(tok.SPECIAL_TOKENS) + letters + ["##" + c for c in letters])
 
 
-def tiny_setup(seed=0):
-    vocab = letter_vocab()
+def tiny_setup(seed=0, vocab=None, max_positions=TINY.max_positions, dropout_p=0.0):
+    vocab = vocab or letter_vocab()
     cfg = enc.ModelConfig(layers=TINY.layers, hidden=TINY.hidden, heads=TINY.heads,
                           intermediate=TINY.intermediate, vocab_size=len(vocab),
-                          max_positions=TINY.max_positions, dropout_p=0.0)
+                          max_positions=max_positions, dropout_p=dropout_p)
     params = enc.init_params(cfg, make_rng(seed))
     return vocab, cfg, params
 
@@ -112,6 +112,28 @@ class TestPredictTexts:
             np.testing.assert_allclose(a.probs, b.probs, atol=1e-6)
             assert a.label == b.label
 
+    def test_independent_of_batch_composition_and_padded_length(self):
+        vocab, cfg, params = tiny_setup(max_positions=64)
+        rng = make_rng(2)
+        head = cl.ClassifierHead(
+            weights=Tensor(rng.normal(size=(cfg.hidden, 5)).astype(np.float32)),
+            bias=Tensor(np.zeros(5, dtype=np.float32)), n_classes=5)
+        texts = ["gh ij kl mn op", "ab cd", "m", "qrs tu v wx", "ef", "ab cd", "yz a"]
+        assert max(tok.encode(t, vocab, 64).n_real for t in texts) <= 32  # nothing truncated
+
+        ref = cl.predict_texts(texts, params, cfg, head, vocab, 32, batch_size=3)
+        singles = [cl.predict_texts([t], params, cfg, head, vocab, 32)[0] for t in texts]
+        perm = rng.permutation(len(texts))
+        shuffled = cl.predict_texts([texts[i] for i in perm], params, cfg, head, vocab, 32)
+        unshuffled = [None] * len(texts)
+        for pos, i in enumerate(perm):
+            unshuffled[i] = shuffled[pos]
+        longer = cl.predict_texts(texts, params, cfg, head, vocab, 64, batch_size=3)
+        for other in (singles, unshuffled, longer):
+            for a, b in zip(ref, other):
+                np.testing.assert_allclose(a.probs, b.probs, atol=1e-5)
+                assert a.label == b.label
+
     def test_inference_does_not_mutate_params(self):
         vocab, cfg, params = tiny_setup()
         head = cl.init_head(cfg.hidden, 2, make_rng(3))
@@ -160,6 +182,23 @@ class TestFinetune:
             _, head, _ = cl.finetune(train[:40], dev[:10], params, cfg, vocab,
                                      "sst5", hyper)
             results.append((head.weights.data.tobytes(),
+                            {k: p.data.tobytes() for k, p in params.items()}))
+        assert results[0] == results[1]
+
+    def test_padded_length_does_not_change_training(self, synth_corpora):
+        # batches are padded to their longest row, so when no row is
+        # truncated max_len cannot change a single bit of the result
+        vocab = tok.build_vocab(synth_corpora[:1], 200)
+        train = [r for t in synth_corpora[0].trees for r in extract_phrases(t)][:48]
+        dev = [r for t in synth_corpora[1].trees for r in extract_phrases(t)][:10]
+        assert max(tok.encode(r.text, vocab, 64).n_real for r in train + dev) <= 40
+        results = []
+        for max_len in (40, 64):
+            _, cfg, params = tiny_setup(vocab=vocab, max_positions=64, dropout_p=0.1)
+            hyper = cl.FinetuneConfig(epochs=2, batch_size=16, lr=1e-3, seed=3,
+                                      max_len=max_len)
+            _, head, summary = cl.finetune(train, dev, params, cfg, vocab, "sst5", hyper)
+            results.append((summary, head.weights.data.tobytes(), head.bias.data.tobytes(),
                             {k: p.data.tobytes() for k, p in params.items()}))
         assert results[0] == results[1]
 

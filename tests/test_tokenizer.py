@@ -18,6 +18,7 @@ from treesent.tokenizer import (
     canonicalize,
     encode,
     encode_pair,
+    stack_batch,
     wordpiece,
 )
 from treesent.treebank import Corpus, PhraseTree, SentimentLabel
@@ -247,3 +248,17 @@ class TestEncodePair:
     def test_min_len_enforced(self, small_vocab):
         with pytest.raises(ValueError):
             encode_pair("a", "b", small_vocab, 4)
+
+
+class TestStackBatch:
+    def test_width_is_longest_real_row(self, small_vocab):
+        seqs = [encode("ab", small_vocab, 16), encode("play rock", small_vocab, 16),
+                encode_pair("a", "movie", small_vocab, 16)]
+        ids, segs, mask = stack_batch(seqs)
+        width = max(s.n_real for s in seqs)
+        assert width < 16
+        assert ids.shape == segs.shape == mask.shape == (3, width)
+        for row, s in enumerate(seqs):
+            np.testing.assert_array_equal(ids[row], s.ids[:width])
+            np.testing.assert_array_equal(segs[row], s.segment_ids[:width])
+            assert int(mask[row].sum()) == s.n_real
