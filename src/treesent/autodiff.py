@@ -1,9 +1,16 @@
 """Minimal dense tensor library with reverse-mode automatic differentiation.
 
 Tensors store float32 data by default (float64 supported for high-precision
-gradient checking); reductions accumulate in float64. Operations record a
-tape of backward closures; ``backward(loss)`` walks it once in reverse
-topological order and then clears it.
+gradient checking). Every activation keeps the dtype of its tensor inputs:
+a Python scalar or array passed to ``add``, ``sub``, ``mul`` or ``matmul``
+adopts the dtype of the Tensor operand, so a float32 model computes in
+float32 throughout. Softmax, layer norm and the losses reduce in float64
+internally and return their input's dtype.
+
+Operations record backward closures on their outputs; ``backward(loss)``
+runs them once in reverse topological order and frees each interior node's
+gradient, closure and parent links as soon as its closure has run. Only
+leaf tensors keep ``grad``.
 """
 
 from __future__ import annotations
@@ -157,6 +164,19 @@ def _as_tensor(x, dtype=None):
     return Tensor(x, dtype=dtype)
 
 
+def _operands(a, b):
+    """Both operands as Tensors; a non-Tensor adopts the other's dtype.
+
+    Without this a Python float becomes a 0-d float64 array, and NumPy 2
+    promotes float32 @ float64 to float64 from that op onward.
+    """
+    if not isinstance(a, Tensor):
+        a = Tensor(a, dtype=b.dtype if isinstance(b, Tensor) else None)
+    if not isinstance(b, Tensor):
+        b = Tensor(b, dtype=a.dtype)
+    return a, b
+
+
 def _make(data, parents, backward_fn):
     """Create a result tensor, recording the backward closure if needed."""
     out = Tensor(data, dtype=data.dtype if data.dtype in (np.float32, np.float64) else None)
@@ -188,7 +208,7 @@ def _unbroadcast(grad, shape):
 
 
 def add(a, b):
-    a, b = _as_tensor(a), _as_tensor(b)
+    a, b = _operands(a, b)
     out_data = a.data + b.data
 
     def bw(g):
@@ -199,7 +219,7 @@ def add(a, b):
 
 
 def sub(a, b):
-    a, b = _as_tensor(a), _as_tensor(b)
+    a, b = _operands(a, b)
     out_data = a.data - b.data
 
     def bw(g):
@@ -210,7 +230,7 @@ def sub(a, b):
 
 
 def mul(a, b):
-    a, b = _as_tensor(a), _as_tensor(b)
+    a, b = _operands(a, b)
     out_data = a.data * b.data
 
     def bw(g):
@@ -221,13 +241,28 @@ def mul(a, b):
 
 
 def matmul(a, b):
-    """Matrix product; leading dimensions broadcast as in numpy."""
-    a, b = _as_tensor(a), _as_tensor(b)
+    """Matrix product; leading dimensions broadcast as in numpy.
+
+    ``(..., n, k) @ (k, m)`` with a shared 2-D ``b`` (every linear layer)
+    runs as one GEMM over the flattened leading dimensions, forward and
+    backward.
+    """
+    a, b = _operands(a, b)
     if a.data.ndim < 1 or b.data.ndim < 1 or a.data.shape[-1] != b.data.shape[-2 if b.data.ndim > 1 else 0]:
         raise ShapeMismatchError(f"matmul: {a.data.shape} @ {b.data.shape}")
-    out_data = a.data @ b.data
+    shared = b.data.ndim == 2 and a.data.ndim > 2
+    if shared:
+        k, m = b.data.shape
+        out_data = (a.data.reshape(-1, k) @ b.data).reshape(a.data.shape[:-1] + (m,))
+    else:
+        out_data = a.data @ b.data
 
     def bw(g):
+        if shared:
+            g2 = g.reshape(-1, m)
+            _accumulate(a, (g2 @ b.data.T).reshape(a.data.shape))
+            _accumulate(b, a.data.reshape(-1, k).T @ g2)
+            return
         if b.data.ndim == 1:
             # (..., m, k) @ (k,) -> (..., m)
             ga = g[..., None] * b.data if a.data.ndim > 1 else g * b.data
@@ -246,15 +281,8 @@ def matmul(a, b):
             _accumulate(a, ga)
             _accumulate(b, _unbroadcast(gb, b.data.shape))
             return
-        ga = g @ np.swapaxes(b.data, -1, -2)
-        if b.data.ndim == 2 and a.data.ndim > 2:
-            # shared weight: one GEMM over the flattened leading dimensions
-            k, m = b.data.shape
-            gb = a.data.reshape(-1, k).T @ g.reshape(-1, m)
-        else:
-            gb = _unbroadcast(np.swapaxes(a.data, -1, -2) @ g, b.data.shape)
-        _accumulate(a, _unbroadcast(ga, a.data.shape))
-        _accumulate(b, gb)
+        _accumulate(a, _unbroadcast(g @ np.swapaxes(b.data, -1, -2), a.data.shape))
+        _accumulate(b, _unbroadcast(np.swapaxes(a.data, -1, -2) @ g, b.data.shape))
 
     return _make(out_data, (a, b), bw)
 
@@ -325,18 +353,38 @@ _GELU_C = math.sqrt(2.0 / math.pi)
 
 
 def gelu(a):
-    """Pointwise GELU, tanh approximation."""
+    """Pointwise GELU, tanh approximation, computed in reused buffers."""
     a = _as_tensor(a)
     x = a.data
-    # x * x * x, not x**3: float32 ``**`` goes through pow, many times slower
-    inner = _GELU_C * (x + 0.044715 * (x * x * x))
-    t = np.tanh(inner)
-    out_data = (0.5 * x * (1.0 + t)).astype(x.dtype)
+    # ``out=`` keeps 0-d inputs as arrays: ``x * x`` on a 0-d array is a numpy
+    # scalar, which in-place ops cannot write into. The cube is x * x * x, not
+    # x**3: float32 ``**`` goes through pow, many times slower.
+    t = np.multiply(x, x, out=np.empty_like(x))
+    t *= x
+    t *= 0.044715
+    t += x
+    t *= _GELU_C
+    np.tanh(t, out=t)
+    out_data = np.add(t, 1.0, out=np.empty_like(x))
+    out_data *= x
+    out_data *= 0.5
 
     def bw(g):
-        dinner = _GELU_C * (1.0 + 3 * 0.044715 * (x * x))
-        d = 0.5 * (1.0 + t) + 0.5 * x * (1.0 - t * t) * dinner
-        _accumulate(a, g * d)
+        # d/dx = 0.5 (1 + t) + u (1 - t^2), with u = 0.5 C x (1 + 3 * 0.044715 x^2)
+        d = np.multiply(x, x, out=np.empty_like(x))
+        d *= 3 * 0.044715
+        d += 1.0
+        d *= 0.5 * _GELU_C
+        d *= x
+        s = np.multiply(t, t, out=np.empty_like(x))
+        np.subtract(1.0, s, out=s)
+        d *= s
+        # the closure runs once, so t's buffer is free to reuse
+        np.add(t, 1.0, out=t)
+        np.multiply(t, 0.5, out=t)
+        d += t
+        d *= g
+        _accumulate(a, d)
 
     return _make(out_data, (a,), bw)
 
@@ -495,48 +543,47 @@ def softmax_cross_entropy(logits, labels):
     return _make(out_data, (logits,), bw)
 
 
-class Tape:
-    """Topologically ordered record of the operations reaching one output."""
-
-    def __init__(self, nodes):
-        self.nodes = nodes
-
-    @classmethod
-    def from_output(cls, out):
-        order = []
-        seen = set()
-        stack = [(out, False)]
-        while stack:
-            node, processed = stack.pop()
-            if processed:
-                order.append(node)
-                continue
-            if id(node) in seen:
-                continue
-            seen.add(id(node))
-            stack.append((node, True))
-            for p in node._parents:
-                if id(p) not in seen:
-                    stack.append((p, False))
-        return cls(order)
+def _topological_order(out):
+    """Every node reaching ``out``, each listed after all of its parents."""
+    order = []
+    seen = set()
+    stack = [(out, False)]
+    while stack:
+        node, processed = stack.pop()
+        if processed:
+            order.append(node)
+            continue
+        if id(node) in seen:
+            continue
+        seen.add(id(node))
+        stack.append((node, True))
+        for p in node._parents:
+            if id(p) not in seen:
+                stack.append((p, False))
+    return order
 
 
 def backward(loss):
-    """Populate ``grad`` on every requires-grad tensor reaching ``loss``.
+    """Populate ``grad`` on every requires-grad leaf reaching ``loss``.
 
-    The tape is cleared afterwards; a second backward on the same graph is an
-    error by construction (no recorded closures remain).
+    Closures run in reverse topological order. Once an interior node's
+    closure has run, its ``grad``, closure and parent links are dropped, so
+    the temporaries they hold are freed during the pass rather than after
+    it. A second backward on the same graph finds no closures left to run.
     """
     if loss.data.size != 1:
         raise NotScalarError(f"backward needs a scalar, got shape {loss.data.shape}")
-    tape = Tape.from_output(loss)
+    order = _topological_order(loss)
     loss.grad = np.ones_like(loss.data)
-    for node in reversed(tape.nodes):
-        if node._backward is not None and node.grad is not None:
+    while order:
+        node = order.pop()
+        if node._backward is None:
+            continue  # a leaf keeps its grad
+        if node.grad is not None:
             node._backward(node.grad)
-    for node in tape.nodes:
-        node._parents = ()
+        node.grad = None
         node._backward = None
+        node._parents = ()
 
 
 def finite_diff_check(f, x, epsilon=None, indices=None):

@@ -3,7 +3,10 @@ then length-prefixed name/shape/float32 tensor records, all little-endian."""
 
 from __future__ import annotations
 
+import contextlib
 import json
+import math
+import os
 import struct
 
 import numpy as np
@@ -32,34 +35,58 @@ def _write_block(fh, payload: bytes):
     fh.write(payload)
 
 
+def _read_exact(fh, n):
+    """``n`` bytes from ``fh``, or CheckpointError if fewer are left.
+
+    The size is checked before reading, so a corrupt length field cannot
+    make ``read`` allocate that many bytes.
+    """
+    if n > os.fstat(fh.fileno()).st_size - fh.tell():
+        raise CheckpointError(f"{fh.name}: truncated checkpoint")
+    return fh.read(n)
+
+
+def _read_uint(fh, fmt):
+    return struct.unpack(fmt, _read_exact(fh, struct.calcsize(fmt)))[0]
+
+
 def _read_block(fh):
-    raw = fh.read(4)
-    if len(raw) != 4:
-        raise CheckpointError("truncated checkpoint")
-    (n,) = struct.unpack("<I", raw)
-    payload = fh.read(n)
-    if len(payload) != n:
-        raise CheckpointError("truncated checkpoint")
-    return payload
+    return _read_exact(fh, _read_uint(fh, "<I"))
 
 
 def save_checkpoint(path, config: ModelConfig, params: dict, provenance: dict):
-    """Write a name -> Tensor table; names are sorted for byte stability."""
-    with open(path, "wb") as fh:
-        fh.write(MAGIC)
-        fh.write(struct.pack("<I", VERSION))
-        _write_block(fh, json.dumps(config.to_dict(), sort_keys=True).encode("utf-8"))
-        _write_block(fh, json.dumps(provenance, sort_keys=True).encode("utf-8"))
-        names = sorted(params)
-        fh.write(struct.pack("<I", len(names)))
-        for name in names:
-            data = np.ascontiguousarray(params[name].data, dtype="<f4")
-            _write_block(fh, name.encode("utf-8"))
-            fh.write(struct.pack("<I", data.ndim))
-            fh.write(struct.pack(f"<{data.ndim}I", *data.shape))
-            payload = data.tobytes()
-            fh.write(struct.pack("<Q", len(payload)))
-            fh.write(payload)
+    """Write a name -> Tensor table; names are sorted for byte stability.
+
+    The table goes to a temporary file in the same directory, which then
+    replaces ``path``, so an interrupted save leaves the old file intact.
+    Raises ``FloatingPointError`` (and writes nothing) if any parameter is
+    not finite.
+    """
+    names = sorted(params)
+    tables = [np.ascontiguousarray(params[name].data, dtype="<f4") for name in names]
+    for name, data in zip(names, tables):
+        if not np.isfinite(data).all():
+            raise FloatingPointError(f"refusing to save {path}: {name} is not finite")
+    tmp = f"{path}.tmp"
+    try:
+        with open(tmp, "wb") as fh:
+            fh.write(MAGIC)
+            fh.write(struct.pack("<I", VERSION))
+            _write_block(fh, json.dumps(config.to_dict(), sort_keys=True).encode("utf-8"))
+            _write_block(fh, json.dumps(provenance, sort_keys=True).encode("utf-8"))
+            fh.write(struct.pack("<I", len(names)))
+            for name, data in zip(names, tables):
+                _write_block(fh, name.encode("utf-8"))
+                fh.write(struct.pack("<I", data.ndim))
+                fh.write(struct.pack(f"<{data.ndim}I", *data.shape))
+                payload = data.tobytes()
+                fh.write(struct.pack("<Q", len(payload)))
+                fh.write(payload)
+        os.replace(tmp, path)
+    except BaseException:
+        with contextlib.suppress(OSError):
+            os.unlink(tmp)
+        raise
 
 
 def load_checkpoint(path, expect_extra=()):
@@ -72,19 +99,26 @@ def load_checkpoint(path, expect_extra=()):
     with open(path, "rb") as fh:
         if fh.read(4) != MAGIC:
             raise CheckpointError(f"{path}: bad magic")
-        (version,) = struct.unpack("<I", fh.read(4))
+        version = _read_uint(fh, "<I")
         if version != VERSION:
             raise CheckpointError(f"{path}: unsupported version {version}")
-        config = ModelConfig.from_dict(json.loads(_read_block(fh).decode("utf-8")))
-        provenance = json.loads(_read_block(fh).decode("utf-8"))
-        (count,) = struct.unpack("<I", fh.read(4))
+        config_raw, provenance_raw = _read_block(fh), _read_block(fh)
+        try:
+            config = ModelConfig.from_dict(json.loads(config_raw))
+            provenance = json.loads(provenance_raw)
+        except (TypeError, ValueError) as exc:  # bad JSON, or a config of the wrong form
+            raise CheckpointError(f"{path}: corrupt header: {exc}") from exc
+        count = _read_uint(fh, "<I")
         params = {}
         for _ in range(count):
-            name = _read_block(fh).decode("utf-8")
-            (ndim,) = struct.unpack("<I", fh.read(4))
-            shape = struct.unpack(f"<{ndim}I", fh.read(4 * ndim))
-            (nbytes,) = struct.unpack("<Q", fh.read(8))
-            data = np.frombuffer(fh.read(nbytes), dtype="<f4").reshape(shape)
+            name = _read_block(fh).decode("utf-8", errors="replace")
+            ndim = _read_uint(fh, "<I")
+            shape = struct.unpack(f"<{ndim}I", _read_exact(fh, 4 * ndim))
+            nbytes = _read_uint(fh, "<Q")
+            if nbytes != 4 * math.prod(shape):
+                raise CheckpointError(f"{path}: tensor {name} holds {nbytes} bytes, "
+                                      f"shape {shape} needs {4 * math.prod(shape)}")
+            data = np.frombuffer(_read_exact(fh, nbytes), dtype="<f4").reshape(shape)
             params[name] = Tensor(data.copy(), requires_grad=True)
 
     expected = param_shapes(config)

@@ -12,7 +12,7 @@ import numpy as np
 from . import autodiff as ad
 from . import encoder as enc
 from .autodiff import Tensor
-from .optim import AdamW, make_rng
+from .optim import AdamW, check_finite_loss, make_rng
 from .tokenizer import encode, stack_batch
 from .treebank import BinaryLabel, extract_phrases, to_binary
 
@@ -190,6 +190,7 @@ def finetune(train_records, dev_records, params, config, vocab, task: str,
 
     Returns (params, head, summary). The checkpoint with the best dev root
     accuracy wins; ties keep the earlier epoch. Deterministic per seed.
+    Raises ``FloatingPointError`` as soon as a batch loss is not finite.
     """
     if task not in TASK_CLASSES:
         raise LabelSpaceMismatchError(f"unknown task {task!r}")
@@ -236,6 +237,7 @@ def finetune(train_records, dev_records, params, config, vocab, task: str,
                                              params, config, training=True, rng=rng)
             logits = _head_logits(pooled, head, training=True, rng=rng)
             loss = ad.softmax_cross_entropy(logits, labels[sel])
+            check_finite_loss(loss, opt.t + 1)
             opt.zero_grad()
             ad.backward(loss)
             opt.step()

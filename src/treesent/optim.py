@@ -10,6 +10,16 @@ def make_rng(seed: int, stream: int = 0) -> np.random.Generator:
     return np.random.Generator(np.random.Philox(key=seed, counter=stream << 64))
 
 
+def check_finite_loss(loss, step):
+    """Raise FloatingPointError when a training loss is NaN or infinite.
+
+    NumPy only warns on overflow, so without this a diverged run would go
+    on training, and saving, NaN parameters.
+    """
+    if not np.isfinite(loss.data).all():
+        raise FloatingPointError(f"training diverged: loss is {float(loss.data)} at step {step}")
+
+
 class AdamW:
     """Adam with decoupled weight decay over a name -> Tensor parameter dict.
 

@@ -15,7 +15,7 @@ import numpy as np
 from . import autodiff as ad
 from . import encoder as enc
 from .autodiff import Tensor
-from .optim import AdamW, make_rng
+from .optim import AdamW, check_finite_loss, make_rng
 from .tokenizer import TokenSequence, stack_batch
 
 __all__ = [
@@ -181,7 +181,8 @@ def pretrain_step(state: PretrainState, batch, rng):
     """One joint optimizer step; returns (mlm_loss, nsp_loss) floats.
 
     ``batch`` is a list of (MaskedExample, nsp_label) built from pair
-    encodings: the masked sequence carries both objectives.
+    encodings: the masked sequence carries both objectives. Raises
+    ``FloatingPointError`` before the update if the loss is not finite.
     """
     params, config = state.params, state.config
     ids, segs, mask = stack_batch([ex.seq for ex, _ in batch])
@@ -211,6 +212,7 @@ def pretrain_step(state: PretrainState, batch, rng):
     nsp_loss = ad.softmax_cross_entropy(nsp_logits, nsp_labels)
 
     total = mlm_loss + nsp_loss
+    check_finite_loss(total, state.step + 1)
     state.optimizer.zero_grad()
     ad.backward(total)
     state.optimizer.step()

@@ -44,10 +44,14 @@ class TestMatmul:
 
     @pytest.mark.parametrize("lead", [(2,), (2, 3)])
     def test_shared_weight_gradient(self, rng, lead):
-        a = t64(rng.normal(size=lead + (5, 3)))
+        a0 = t64(rng.normal(size=lead + (5, 3)))
         b0 = t64(rng.normal(size=(3, 4)))
         err = ad.finite_diff_check(
-            lambda b: ad.tensor_sum(ad.tanh(ad.matmul(a, b))), b0)
+            lambda b: ad.tensor_sum(ad.tanh(ad.matmul(a0, b))), b0)
+        assert err < 1e-5
+        # the input gradient of the same flattened-GEMM product
+        err = ad.finite_diff_check(
+            lambda a: ad.tensor_sum(ad.tanh(ad.matmul(a, b0))), a0)
         assert err < 1e-5
 
     @pytest.mark.parametrize("lead", [(2,), (2, 3)])
@@ -68,6 +72,22 @@ class TestMatmul:
         w0 = t64(rng.normal(size=(3,)))
         err = ad.finite_diff_check(lambda w: ad.tensor_sum(ad.matmul(w, m)), w0)
         assert err < 1e-6
+
+
+class TestDtype:
+    @pytest.mark.parametrize("dtype", [np.float32, F64])
+    @pytest.mark.parametrize("op", [
+        lambda t: t * 0.5, lambda t: 0.5 * t, lambda t: t + 0.5, lambda t: t - 0.5,
+        lambda t: ad.mul(0.5, t), lambda t: ad.add(np.float64(0.5), t),
+        lambda t: ad.sub(t, np.ones(3)), lambda t: ad.matmul(t, np.ones((3, 2))),
+    ], ids=["mul", "rmul", "add", "sub", "mul_left", "add_np_scalar", "sub_array",
+            "matmul_array"])
+    def test_scalar_operand_adopts_tensor_dtype(self, dtype, op):
+        x = Tensor(np.ones((2, 3)), requires_grad=True, dtype=dtype)
+        out = op(x)
+        assert out.dtype == dtype
+        ad.backward(ad.tensor_sum(out))
+        assert x.grad.dtype == dtype
 
 
 class TestSoftmax:
@@ -138,6 +158,19 @@ class TestLayerNorm:
 class TestGelu:
     def test_zero(self):
         assert float(ad.gelu(t64(0.0)).data) == 0.0
+
+    @pytest.mark.parametrize("dtype", [np.float32, F64])
+    def test_zero_dim(self, dtype):
+        x = Tensor(np.asarray(0.7, dtype=dtype), requires_grad=True, dtype=dtype)
+        y = ad.gelu(x)
+        ad.backward(y)
+        c = math.sqrt(2.0 / math.pi)
+        t = np.tanh(c * (0.7 + 0.044715 * 0.7**3))
+        dt = (1 - t * t) * c * (1 + 3 * 0.044715 * 0.7**2)
+        assert y.shape == () and y.dtype == dtype and x.grad.dtype == dtype
+        tol = 1e-6 if dtype == np.float32 else 1e-12
+        assert abs(float(y.data) - 0.5 * 0.7 * (1 + t)) < tol
+        assert abs(float(x.grad) - (0.5 * (1 + t) + 0.5 * 0.7 * dt)) < tol
 
     def test_asymptote(self):
         x = np.array([6.0, 10.0, 25.0])
@@ -312,6 +345,22 @@ class TestBackward:
 
             assert abs(float(a.grad) - oracle("a")) < 1e-9
             assert abs(float(b.grad) - oracle("b")) < 1e-9
+
+    def test_leaf_with_two_consumers_keeps_both_gradients(self, rng):
+        a = t64(rng.normal(size=(2, 4, 3)), requires_grad=True)
+        c = t64(rng.normal(size=(5, 3)))
+        w = t64(rng.normal(size=(3, 2)), requires_grad=True)
+        h1 = ad.matmul(a, w)
+        h2 = ad.tanh(ad.matmul(c, w))
+        ad.backward(ad.tensor_sum(ad.mul(h1, h1)) + ad.tensor_sum(h2))
+        want = (2 * np.einsum("ink,inm->km", a.data, a.data @ w.data)
+                + c.data.T @ (1 - np.tanh(c.data @ w.data) ** 2))
+        np.testing.assert_allclose(w.grad, want, rtol=1e-12, atol=1e-12)
+        np.testing.assert_allclose(a.grad, 2 * (a.data @ w.data) @ w.data.T,
+                                   rtol=1e-12, atol=1e-12)
+        # interior nodes are freed during the pass; leaves keep their grads
+        for node in (h1, h2):
+            assert node.grad is None and node._backward is None and node._parents == ()
 
     def test_tape_cleared_after_backward(self, rng):
         x = t64(rng.normal(size=3), requires_grad=True)

@@ -77,6 +77,53 @@ class TestRejection:
         with pytest.raises(ck.CheckpointError):
             ck.load_checkpoint(path)
 
+    def test_truncated_anywhere(self, tmp_path):
+        path = tmp_path / "t.ckpt"
+        ck.save_checkpoint(path, CFG, fresh_params(), {"seed": 1})
+        raw = path.read_bytes()
+        cuts = sorted(set(range(0, 256)) | set(range(256, len(raw), 97)) | {len(raw) - 1})
+        for cut in cuts:
+            path.write_bytes(raw[:cut])
+            with pytest.raises(ck.CheckpointError):
+                ck.load_checkpoint(path)
+
+    def test_corrupt_tensor_length(self, tmp_path):
+        path = tmp_path / "c.ckpt"
+        params = {"emb.ln.b": Tensor(np.zeros(16, dtype=np.float32))}
+        ck.save_checkpoint(path, CFG, params, {})
+        raw = bytearray(path.read_bytes())
+        at = len(raw) - 64 - 8  # the byte count before the last (only) tensor
+        for nbytes in (60, 2**62):
+            raw[at:at + 8] = struct.pack("<Q", nbytes)
+            path.write_bytes(bytes(raw))
+            with pytest.raises(ck.CheckpointError):
+                ck.load_checkpoint(path)
+
+    @pytest.mark.parametrize("config", [b"{not json", b"\xff\xfe", b"[1, 2]", b'{"layers": 1}'],
+                             ids=["not_json", "not_utf8", "not_a_dict", "missing_keys"])
+    def test_corrupt_config_header(self, tmp_path, config):
+        path = tmp_path / "h.ckpt"
+        ck.save_checkpoint(path, CFG, fresh_params(), {})
+        raw = path.read_bytes()
+        (n,) = struct.unpack("<I", raw[8:12])
+        path.write_bytes(raw[:8] + struct.pack("<I", len(config)) + config + raw[12 + n:])
+        with pytest.raises(ck.CheckpointError, match="corrupt header"):
+            ck.load_checkpoint(path)
+
+    def test_non_finite_parameters_not_saved(self, tmp_path):
+        path = tmp_path / "n.ckpt"
+        ck.save_checkpoint(path, CFG, fresh_params(), {})
+        before = path.read_bytes()
+        params = fresh_params()
+        params["layer.0.ffn.in.w"].data[3, 4] = np.nan
+        with pytest.raises(FloatingPointError, match="ffn.in.w"):
+            ck.save_checkpoint(path, CFG, params, {})
+        params["layer.0.ffn.in.w"].data[3, 4] = np.inf
+        with pytest.raises(FloatingPointError):
+            ck.save_checkpoint(tmp_path / "new.ckpt", CFG, params, {})
+        assert path.read_bytes() == before
+        assert sorted(p.name for p in tmp_path.iterdir()) == ["n.ckpt"]
+
     def test_shape_mismatch_against_config(self, tmp_path):
         params = fresh_params()
         params["pooler.b"] = Tensor(np.zeros(8, dtype=np.float32), requires_grad=True)

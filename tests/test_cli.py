@@ -1,5 +1,6 @@
 import json
 import os
+import shutil
 
 import numpy as np
 import pytest
@@ -163,6 +164,37 @@ class TestFinetuneEval:
                          "--checkpoint", os.path.join(out, "pretrain.ckpt")])
         assert code == 2
         assert "head" in capsys.readouterr().err
+
+
+def scratch_config(pipeline, tmp_path, **overrides):
+    """A config over the pipeline's data with a fresh out dir holding its vocab."""
+    out = tmp_path / "out"
+    out.mkdir()
+    shutil.copy(os.path.join(pipeline["out"], "vocab.txt"), out)
+    return write_config(tmp_path / "run.ini", pipeline["data"], out, **overrides), out
+
+
+class TestFailureExitCodes:
+    def test_divergence_exits_3_without_checkpoint(self, pipeline, tmp_path, capsys):
+        cfg, out = scratch_config(pipeline, tmp_path, pre_lr=1e12, ft_lr=1e12)
+        with np.errstate(all="ignore"):
+            assert cli.main(["pretrain", "--config", cfg]) == 3
+            assert cli.main(["finetune", "--config", cfg, "--init",
+                             os.path.join(pipeline["out"], "pretrain.ckpt")]) == 3
+        assert "diverged" in capsys.readouterr().err
+        assert sorted(os.listdir(out)) == ["vocab.txt"]
+
+    def test_truncated_checkpoint_exits_2(self, pipeline, tmp_path, capsys):
+        cfg, out = scratch_config(pipeline, tmp_path)
+        raw = open(os.path.join(pipeline["out"], "finetune_sst5.ckpt"), "rb").read()
+        cut_path = str(tmp_path / "cut.ckpt")
+        for cut in (6, 10, 40, len(raw) // 3, len(raw) // 2, len(raw) - 1):
+            with open(cut_path, "wb") as fh:
+                fh.write(raw[:cut])
+            assert cli.main(["eval", "--config", cfg, "--checkpoint", cut_path]) == 2
+            assert cli.main(["finetune", "--config", cfg, "--init", cut_path]) == 2
+        assert "truncated" in capsys.readouterr().err
+        assert sorted(os.listdir(out)) == ["vocab.txt"]
 
 
 class TestPredict:

@@ -224,3 +224,24 @@ class TestEndToEndGradients:
 
         idx = rng.choice(target.data.size, size=8, replace=False)
         assert ad.finite_diff_check(f, target, indices=idx) < 1e-3
+
+
+class TestFloat32:
+    def test_training_step_stays_float32(self, monkeypatch):
+        params = tiny_params()
+        ids = np.array([[2, 5, 6, 7, 3, 0], [2, 8, 9, 3, 0, 0]])
+        mask = (ids != 0).astype(np.int64)
+        dtypes = []
+        make = ad._make
+
+        def record(data, parents, backward_fn):
+            dtypes.append(data.dtype)
+            return make(data, parents, backward_fn)
+
+        monkeypatch.setattr(ad, "_make", record)
+        hidden, pooled = enc.encode_batch(ids, np.zeros_like(ids), mask, params, TINY,
+                                          training=True, rng=make_rng(1))
+        monkeypatch.setattr(ad, "_make", make)
+        assert dtypes and set(dtypes) == {np.dtype(np.float32)}
+        ad.backward(ad.tensor_sum(hidden) + ad.tensor_sum(ad.mul(pooled, pooled)))
+        assert {p.grad.dtype for p in params.values()} == {np.dtype(np.float32)}
