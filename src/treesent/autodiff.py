@@ -4,9 +4,13 @@ Tensors store float32 data by default (float64 supported for high-precision
 gradient checking). Every activation keeps the dtype of its tensor inputs:
 a Python scalar or array passed to ``add``, ``sub``, ``mul`` or ``matmul``
 adopts the dtype of the Tensor operand, so a float32 model computes in
-float32 throughout. Softmax, layer norm and the losses reduce in float64
-internally and return their input's dtype.
+float32 throughout. Sums, softmax, layer norm and the fused loss accumulate
+their reductions in float64 (``dtype=np.float64``) but make no full-size
+float64 copies: every full-size array stays in the input's dtype. Dropout
+draws float32 uniforms.
 
+An op's result array becomes its output tensor's data without a copy, and
+an interior node keeps the first gradient it receives without a copy too.
 Operations record backward closures on their outputs; ``backward(loss)``
 runs them once in reverse topological order and frees each interior node's
 gradient, closure and parent links as soon as its closure has run. Only
@@ -178,8 +182,8 @@ def _operands(a, b):
 
 
 def _make(data, parents, backward_fn):
-    """Create a result tensor, recording the backward closure if needed."""
-    out = Tensor(data, dtype=data.dtype if data.dtype in (np.float32, np.float64) else None)
+    """Wrap ``data``, uncopied, as the result tensor; record the closure if needed."""
+    out = Tensor(data)
     if _grad_enabled and any(p.requires_grad for p in parents):
         out.requires_grad = True
         out._parents = tuple(parents)
@@ -188,9 +192,18 @@ def _make(data, parents, backward_fn):
 
 
 def _accumulate(t, g):
+    """Add ``g`` to ``t.grad``.
+
+    Closures only read the gradient they are given, so an interior node
+    keeps its first gradient uncopied (it may be a view of another node's)
+    and adds later ones out of place. A leaf gets its own writable array.
+    """
     if not t.requires_grad:
         return
     g = np.asarray(g, dtype=t.data.dtype)
+    if t._backward is not None:
+        t.grad = g if t.grad is None else t.grad + g
+        return
     if t.grad is None:
         t.grad = np.zeros_like(t.data)
     t.grad += g
@@ -390,49 +403,66 @@ def gelu(a):
 
 
 def softmax(z):
-    """Row softmax over the last axis, computed with max-subtraction."""
+    """Row softmax over the last axis, computed with max-subtraction.
+
+    The shift, ``exp`` and normalisation run in one buffer of the input's
+    dtype; only the row sums accumulate in float64.
+    """
     z = _as_tensor(z)
-    x = z.data.astype(np.float64)
-    x = x - x.max(axis=-1, keepdims=True)
-    e = np.exp(x)
-    y64 = e / e.sum(axis=-1, keepdims=True)
-    out_data = y64.astype(z.data.dtype)
+    x = z.data
+    y = x - x.max(axis=-1, keepdims=True)
+    np.exp(y, out=y)
+    y /= y.sum(axis=-1, keepdims=True, dtype=np.float64).astype(x.dtype)
 
     def bw(g):
-        g = g.astype(np.float64)
-        dz = y64 * (g - (g * y64).sum(axis=-1, keepdims=True))
+        # dz = y * (g - sum(g * y)), in one buffer
+        dz = g * y
+        s = dz.sum(axis=-1, keepdims=True, dtype=np.float64).astype(y.dtype)
+        np.subtract(g, s, out=dz)
+        dz *= y
         _accumulate(z, dz)
 
-    return _make(out_data, (z,), bw)
+    return _make(y, (z,), bw)
+
+
+def _row_mean(a):
+    """Mean over the last axis, accumulated in float64, in ``a``'s dtype."""
+    return a.mean(axis=-1, keepdims=True, dtype=np.float64).astype(a.dtype)
 
 
 def layer_norm(x, gain, bias, eps=1e-12):
-    """Zero-mean unit-variance normalization over the last axis, then affine."""
+    """Zero-mean unit-variance normalization over the last axis, then affine.
+
+    Row means and variances accumulate in float64; the full-size arrays stay
+    in the input's dtype.
+    """
     x, gain, bias = _as_tensor(x), _as_tensor(gain), _as_tensor(bias)
     h = x.data.shape[-1]
     if gain.data.shape != (h,) or bias.data.shape != (h,):
         raise ShapeMismatchError(
             f"layer_norm: x last dim {h}, gain {gain.data.shape}, bias {bias.data.shape}"
         )
-    xd = x.data.astype(np.float64)
-    mu = xd.mean(axis=-1, keepdims=True)
-    var = ((xd - mu) ** 2).mean(axis=-1, keepdims=True)
-    inv = 1.0 / np.sqrt(var + eps)
-    xhat = (xd - mu) * inv
-    out_data = (xhat * gain.data + bias.data).astype(x.data.dtype)
+    xhat = x.data - _row_mean(x.data)
+    out_data = np.square(xhat)  # the squares first, then the output
+    var = out_data.mean(axis=-1, keepdims=True, dtype=np.float64)
+    inv = (1.0 / np.sqrt(var + eps)).astype(xhat.dtype)
+    xhat *= inv
+    np.multiply(xhat, gain.data, out=out_data)
+    out_data += bias.data
 
     def bw(g):
-        g64 = g.astype(np.float64)
-        dxhat = g64 * gain.data
-        dx = inv * (
-            dxhat
-            - dxhat.mean(axis=-1, keepdims=True)
-            - xhat * (dxhat * xhat).mean(axis=-1, keepdims=True)
-        )
+        t = g * xhat
+        _accumulate(gain, t.reshape(-1, h).sum(axis=0, dtype=np.float64))
+        _accumulate(bias, g.reshape(-1, h).sum(axis=0, dtype=np.float64))
+        # dx = inv * (dxhat - mean(dxhat) - xhat * mean(dxhat * xhat));
+        # the closure runs once, so xhat's buffer is free to reuse
+        dx = g * gain.data
+        np.multiply(dx, xhat, out=t)
+        np.multiply(xhat, _row_mean(t), out=xhat)
+        dx -= _row_mean(dx)
+        dx -= xhat
+        dx *= inv
         _accumulate(x, dx)
-        reduce_axes = tuple(range(g.ndim - 1))
-        _accumulate(gain, (g64 * xhat).sum(axis=reduce_axes))
-        _accumulate(bias, g64.sum(axis=reduce_axes))
 
     return _make(out_data, (x, gain, bias), bw)
 
@@ -440,6 +470,8 @@ def layer_norm(x, gain, bias, eps=1e-12):
 def dropout(x, p, training, rng=None):
     """Inverted dropout: train-time survivors scaled by 1/(1-p).
 
+    The keep decision compares float32 uniforms with ``p``; forward and
+    backward each multiply by one mask, already scaled, in ``x``'s dtype.
     When inactive (inference, or ``p == 0``) it returns ``x`` itself and
     records nothing on the tape.
     """
@@ -450,14 +482,13 @@ def dropout(x, p, training, rng=None):
         return x
     if rng is None:
         raise ValueError("dropout in training mode requires an rng")
-    keep = (rng.random(x.data.shape) >= p).astype(x.data.dtype)
-    scale = 1.0 / (1.0 - p)
-    out_data = x.data * keep * scale
+    keep = rng.random(x.data.shape, dtype=np.float32) >= p
+    mask = np.multiply(keep, 1.0 / (1.0 - p), dtype=x.data.dtype)
 
     def bw(g):
-        _accumulate(x, g * keep * scale)
+        _accumulate(x, g * mask)
 
-    return _make(out_data, (x,), bw)
+    return _make(x.data * mask, (x,), bw)
 
 
 def embedding_lookup(table, ids):
@@ -522,23 +553,31 @@ def cross_entropy(probs, labels):
 
 
 def softmax_cross_entropy(logits, labels):
-    """Fused softmax + cross-entropy; gradient is (probs - onehot) / n."""
+    """Fused softmax + cross-entropy; gradient is (probs - onehot) / n.
+
+    One ``exp`` of the max-shifted logits serves both the loss, taken in
+    float64 from the float64 row sums, and the probabilities the gradient
+    needs.
+    """
     logits = _as_tensor(logits)
     labels = np.asarray(labels)
     n, k = logits.data.shape
     if labels.size and (labels.min() < 0 or labels.max() >= k):
         raise LabelOutOfRangeError(f"labels outside [0, {k})")
-    x = logits.data.astype(np.float64)
-    m = x.max(axis=-1, keepdims=True)
-    lse = m + np.log(np.exp(x - m).sum(axis=-1, keepdims=True))
-    logp = x - lse
-    out_data = np.asarray(-logp[np.arange(n), labels].mean(), dtype=logits.data.dtype)
-    probs = np.exp(logp)
+    rows = np.arange(n)
+    x = logits.data
+    probs = x - x.max(axis=-1, keepdims=True)
+    picked = probs[rows, labels].astype(np.float64)
+    np.exp(probs, out=probs)
+    total = probs.sum(axis=-1, dtype=np.float64)
+    out_data = np.asarray((np.log(total) - picked).mean(), dtype=x.dtype)
+    probs /= total.astype(x.dtype)[:, None]
 
     def bw(g):
-        gl = probs.copy()
-        gl[np.arange(n), labels] -= 1.0
-        _accumulate(logits, g * gl / n)
+        # the closure runs once, so probs becomes the gradient in place
+        probs[rows, labels] -= 1.0
+        np.multiply(probs, g / n, out=probs)
+        _accumulate(logits, probs)
 
     return _make(out_data, (logits,), bw)
 

@@ -118,17 +118,21 @@ def _head_logits(pooled, head, training, rng):
     return ad.matmul(dropped, head.weights) + head.bias
 
 
+def _head_predictions(pooled, head, training=False, rng=None):
+    """One Prediction per pooled row; argmax with lowest-index tie-break."""
+    probs = ad.softmax(_head_logits(pooled, head, training, rng)).data
+    return [Prediction(probs=row, label=int(np.argmax(row))) for row in probs]
+
+
 def head_forward(pooled, head: ClassifierHead, training=False, rng=None) -> Prediction:
-    """Softmax probabilities over classes; argmax with lowest-index tie-break."""
+    """Prediction for one pooled vector, through the batch head path."""
     pooled = pooled if isinstance(pooled, Tensor) else Tensor(pooled)
     if pooled.data.shape != (head.weights.shape[0],):
         raise ad.ShapeMismatchError(
             f"pooled shape {pooled.data.shape} vs head hidden {head.weights.shape[0]}"
         )
     with ad.no_grad() if not training else nullcontext():
-        logits = _head_logits(ad.reshape(pooled, (1, -1)), head, training, rng)
-        probs = ad.softmax(logits).data[0]
-    return Prediction(probs=probs, label=int(np.argmax(probs)))
+        return _head_predictions(ad.reshape(pooled, (1, -1)), head, training, rng)[0]
 
 
 def project_label(label, task: str):
@@ -167,10 +171,8 @@ def predict_texts(texts, params, config, head, vocab, max_len, batch_size=64):
         ids, segs, mask = stack_batch([seqs[i] for i in sel])
         with ad.no_grad():
             _, pooled = enc.encode_batch(ids, segs, mask, params, config, training=False)
-            logits = _head_logits(pooled, head, training=False, rng=None)
-            probs = ad.softmax(logits).data
-        for i, row in zip(sel, probs):
-            preds[i] = Prediction(probs=row, label=int(np.argmax(row)))
+            for i, pred in zip(sel, _head_predictions(pooled, head)):
+                preds[i] = pred
     return preds
 
 

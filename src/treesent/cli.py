@@ -10,6 +10,7 @@ from __future__ import annotations
 
 import argparse
 import configparser
+import hashlib
 import os
 import sys
 from dataclasses import dataclass, field
@@ -234,8 +235,26 @@ def _load_vocab(cfg):
     return tokenizer.Vocab.load(cfg.vocab_path)
 
 
-def _provenance(cfg, step):
-    return {"seed": cfg.seed, "step": step, "command": " ".join(sys.argv[1:])}
+def _vocab_sha256(vocab):
+    return hashlib.sha256("\n".join(vocab.tokens).encode("utf-8")).hexdigest()
+
+
+def _provenance(cfg, step, vocab):
+    return {"seed": cfg.seed, "step": step, "command": " ".join(sys.argv[1:]),
+            "vocab_sha256": _vocab_sha256(vocab)}
+
+
+def _load_checkpoint(cfg, path, vocab):
+    """``load_checkpoint``, refusing a checkpoint trained on another vocab.
+
+    A checkpoint without a stored fingerprint (written before they were
+    recorded) is accepted as it stands.
+    """
+    model_cfg, params, prov = load_checkpoint(path, expect_extra=HEAD_EXTRAS)
+    stored = prov.get("vocab_sha256")
+    if stored is not None and stored != _vocab_sha256(vocab):
+        raise DataError(f"{path} was trained with a different vocab than {cfg.vocab_path}")
+    return model_cfg, params, prov
 
 
 def cmd_pretrain(cfg, force, resume=None):
@@ -249,7 +268,7 @@ def cmd_pretrain(cfg, force, resume=None):
     )
     state = None
     if resume is not None:
-        model_cfg, params, prov = load_checkpoint(resume, expect_extra=HEAD_EXTRAS)
+        model_cfg, params, prov = _load_checkpoint(cfg, resume, vocab)
         state = pt.init_pretrain_state(model_cfg, len(vocab), cfg.seed, hyper)
         for name, tensor in params.items():
             state.params[name].data = tensor.data
@@ -261,11 +280,12 @@ def cmd_pretrain(cfg, force, resume=None):
     os.makedirs(cfg.out_dir, exist_ok=True)
 
     def checkpoint_fn(st, epoch):
-        save_checkpoint(ckpt_path, st.config, st.params, _provenance(cfg, st.step))
+        save_checkpoint(ckpt_path, st.config, st.params, _provenance(cfg, st.step, vocab))
 
     state = pt.pretrain(train, vocab, model_cfg, hyper, state=state,
                         checkpoint_fn=checkpoint_fn)
-    save_checkpoint(ckpt_path, state.config, state.params, _provenance(cfg, state.step))
+    save_checkpoint(ckpt_path, state.config, state.params,
+                    _provenance(cfg, state.step, vocab))
     with open(csv_path, "w", encoding="utf-8") as fh:
         fh.write(pt.loss_history_csv(state))
     _write_config_copy(cfg, force, "pretrain")
@@ -278,7 +298,7 @@ def cmd_pretrain(cfg, force, resume=None):
 
 def cmd_finetune(cfg, force, init_ckpt):
     vocab = _load_vocab(cfg)
-    model_cfg, params, _ = load_checkpoint(init_ckpt, expect_extra=HEAD_EXTRAS)
+    model_cfg, params, _ = _load_checkpoint(cfg, init_ckpt, vocab)
     expected = _model_config(cfg, vocab)
     if (model_cfg.layers, model_cfg.hidden, model_cfg.heads) != (
             expected.layers, expected.hidden, expected.heads):
@@ -302,7 +322,7 @@ def cmd_finetune(cfg, force, init_ckpt):
     ckpt_path = os.path.join(cfg.out_dir, f"finetune_{cfg.task}.ckpt")
     _check_output(ckpt_path, force)
     os.makedirs(cfg.out_dir, exist_ok=True)
-    prov = _provenance(cfg, 0)
+    prov = _provenance(cfg, 0, vocab)
     prov["task"] = cfg.task
     save_checkpoint(ckpt_path, model_cfg, out, prov)
     _write_config_copy(cfg, force, "finetune")
@@ -314,7 +334,7 @@ def cmd_finetune(cfg, force, init_ckpt):
 
 def _load_model(cfg, ckpt_path):
     vocab = _load_vocab(cfg)
-    model_cfg, params, prov = load_checkpoint(ckpt_path, expect_extra=HEAD_EXTRAS)
+    model_cfg, params, prov = _load_checkpoint(cfg, ckpt_path, vocab)
     task = prov.get("task", cfg.task)
     if "head.w" not in params:
         raise DataError(f"{ckpt_path} has no classifier head; fine-tune first")

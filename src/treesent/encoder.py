@@ -179,9 +179,8 @@ def attention_block(x, params, layer: int, config: ModelConfig, mask,
     scores = ad.matmul(q, ad.transpose(k, tuple(range(q.data.ndim - 2)) + (q.data.ndim - 1, q.data.ndim - 2)))
     scores = ad.mul(scores, 1.0 / math.sqrt(d))
     # additive mask broadcast over heads and query positions
-    key_bias = (1.0 - mask.astype(np.float64)) * NEG_INF
-    key_bias = key_bias.reshape(lead + (1, 1, n) if lead else (1, 1, n))
-    scores = scores + Tensor(key_bias.astype(np.float32))
+    key_bias = np.where(mask, np.float32(0.0), np.float32(NEG_INF))
+    scores = scores + Tensor(key_bias.reshape(lead + (1, 1, n)))
     attn = ad.softmax(scores)
     attn = ad.dropout(attn, config.dropout_p, training, rng)
 

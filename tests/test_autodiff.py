@@ -291,6 +291,84 @@ class TestCrossEntropy:
         np.testing.assert_allclose(z.grad, (probs - onehot) / 2, atol=1e-9)
 
 
+LABELS = np.array([0, 3, 19, 7, 7, 12, 1, 5])
+
+
+def _ln(x):
+    h = x.shape[-1]
+    gain = Tensor(np.linspace(0.5, 1.5, h), requires_grad=True, dtype=x.dtype)
+    bias = Tensor(np.linspace(-1.0, 1.0, h), requires_grad=True, dtype=x.dtype)
+    return ad.layer_norm(x, gain, bias), (gain, bias)
+
+
+FLOAT32_OPS = {
+    "layer_norm": (_ln, (4, 6, 32)),
+    "softmax": (lambda x: (ad.softmax(x), ()), (4, 6, 32)),
+    "softmax_cross_entropy": (lambda x: (ad.softmax_cross_entropy(x, LABELS), ()), (8, 20)),
+}
+
+
+def run_op(op, data):
+    """Output, input gradient and extra-leaf gradients of ``op`` on ``data``.
+
+    A non-scalar output is reduced against fixed random weights, so every
+    output element reaches the gradient.
+    """
+    x = Tensor(data, requires_grad=True, dtype=data.dtype)
+    out, leaves = op(x)
+    loss = out
+    if out.data.ndim:
+        w = make_rng(5).normal(size=out.shape)
+        loss = ad.tensor_sum(ad.mul(out, Tensor(w, dtype=data.dtype)))
+    ad.backward(loss)
+    return out.data, x.grad, [leaf.grad for leaf in leaves]
+
+
+def assert_close_to_scale(got, want, atol=1e-5):
+    scale = max(1.0, float(np.abs(want).max()))
+    np.testing.assert_allclose(got, want, rtol=0, atol=atol * scale)
+
+
+class TestFloat32Oracle:
+    """Float32 ops against the same op on a float64 copy of the input."""
+
+    @pytest.mark.parametrize("name", sorted(FLOAT32_OPS))
+    def test_matches_float64_and_stays_float32(self, name):
+        op, shape = FLOAT32_OPS[name]
+        x = (3.0 * make_rng(11).normal(size=shape) + 5.0).astype(np.float32)
+        out, grad, leaf_grads = run_op(op, x)
+        out64, grad64, leaf_grads64 = run_op(op, x.astype(F64))
+        assert out.dtype == np.float32 and grad.dtype == np.float32
+        assert all(g.dtype == np.float32 for g in leaf_grads)
+        assert out64.dtype == F64 and grad64.dtype == F64
+        assert_close_to_scale(out, out64)
+        assert_close_to_scale(grad, grad64)
+        for g, g64 in zip(leaf_grads, leaf_grads64):
+            assert_close_to_scale(g, g64)
+
+    def test_cross_entropy_wide_logits(self):
+        x = make_rng(12).uniform(-1e4, 1e4, size=(8, 20)).astype(np.float32)
+        op = FLOAT32_OPS["softmax_cross_entropy"][0]
+        loss, grad, _ = run_op(op, x)
+        loss64, grad64, _ = run_op(op, x.astype(F64))
+        assert np.isfinite(loss) and np.isfinite(grad).all()
+        assert_close_to_scale(loss, loss64)
+        assert_close_to_scale(grad, grad64)
+
+    def test_dropout_float32_mask(self):
+        p, n = 0.3, 200_000
+        x = Tensor(make_rng(13).normal(size=n).astype(np.float32), requires_grad=True)
+        out = ad.dropout(x, p, training=True, rng=make_rng(14))
+        assert out.dtype == np.float32
+        kept = float((out.data != 0).mean())
+        assert abs(kept - (1 - p)) < 6 * math.sqrt(p * (1 - p) / n)
+        g = make_rng(15).normal(size=n).astype(np.float32)
+        ad.backward(ad.tensor_sum(ad.mul(out, Tensor(g))))
+        assert x.grad.dtype == np.float32
+        nz = x.data != 0
+        np.testing.assert_allclose(x.grad[nz], (g * out.data / x.data)[nz], rtol=1e-6)
+
+
 class DualNumber:
     """Forward-mode scalar oracle for checking reverse-mode accumulation."""
 
@@ -361,6 +439,18 @@ class TestBackward:
         # interior nodes are freed during the pass; leaves keep their grads
         for node in (h1, h2):
             assert node.grad is None and node._backward is None and node._parents == ()
+
+    @pytest.mark.parametrize("q_first", [False, True])
+    def test_shared_first_gradient_is_not_written_through(self, rng, q_first):
+        # add hands one gradient array to both of its operands; a later
+        # contribution to one of them must not change the other's
+        x = t64(rng.normal(size=4), requires_grad=True)
+        y = t64(rng.normal(size=4), requires_grad=True)
+        a, b = ad.tanh(x), ad.tanh(y)
+        p, q = ad.add(a, b), ad.mul(a, 3.0)
+        ad.backward(ad.tensor_sum(ad.add(q, p) if q_first else ad.add(p, q)))
+        np.testing.assert_allclose(x.grad, 4 * (1 - np.tanh(x.data) ** 2), rtol=1e-12)
+        np.testing.assert_allclose(y.grad, 1 - np.tanh(y.data) ** 2, rtol=1e-12)
 
     def test_tape_cleared_after_backward(self, rng):
         x = t64(rng.normal(size=3), requires_grad=True)

@@ -6,7 +6,7 @@ import numpy as np
 import pytest
 
 from treesent import cli, synth
-from treesent.checkpoint import load_checkpoint
+from treesent.checkpoint import load_checkpoint, save_checkpoint
 from treesent.tokenizer import SPECIAL_TOKENS
 
 
@@ -195,6 +195,34 @@ class TestFailureExitCodes:
             assert cli.main(["finetune", "--config", cfg, "--init", cut_path]) == 2
         assert "truncated" in capsys.readouterr().err
         assert sorted(os.listdir(out)) == ["vocab.txt"]
+
+    def test_vocab_mismatch_exits_2(self, pipeline, tmp_path, capsys):
+        cfg, out = scratch_config(pipeline, tmp_path)
+        vocab_path = os.path.join(out, "vocab.txt")
+        tokens = open(vocab_path, encoding="utf-8").read().splitlines()
+        # same size and the same tokens, in another order: ids now mean other words
+        n_special = len(SPECIAL_TOKENS)
+        tokens[n_special:] = tokens[:n_special - 1:-1]
+        with open(vocab_path, "w", encoding="utf-8") as fh:
+            fh.write("\n".join(tokens) + "\n")
+        pre = os.path.join(pipeline["out"], "pretrain.ckpt")
+        fine = os.path.join(pipeline["out"], "finetune_sst5.ckpt")
+        assert cli.main(["finetune", "--config", cfg, "--init", pre]) == 2
+        assert cli.main(["pretrain", "--config", cfg, "--resume", pre]) == 2
+        assert cli.main(["eval", "--config", cfg, "--checkpoint", fine]) == 2
+        assert cli.main(["predict", "--config", cfg, "--checkpoint", fine,
+                         "--text", "a movie"]) == 2
+        assert "different vocab" in capsys.readouterr().err
+        assert sorted(os.listdir(out)) == ["vocab.txt"]
+
+    def test_checkpoint_without_vocab_fingerprint_loads(self, pipeline, tmp_path):
+        cfg, out = scratch_config(pipeline, tmp_path)
+        config, params, prov = load_checkpoint(
+            os.path.join(pipeline["out"], "finetune_sst5.ckpt"), expect_extra=cli.HEAD_EXTRAS)
+        del prov["vocab_sha256"]
+        older = str(tmp_path / "older.ckpt")
+        save_checkpoint(older, config, params, prov)
+        assert cli.main(["eval", "--config", cfg, "--checkpoint", older]) == 0
 
 
 class TestPredict:
