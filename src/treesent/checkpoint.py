@@ -93,8 +93,8 @@ def load_checkpoint(path, expect_extra=()):
     """Read (config, params, provenance), validating shapes against config.
 
     Names outside the encoder scheme must be listed in ``expect_extra``
-    (e.g. ``head.w``, ``mlm.b``); their shapes are checked loosely (first
-    dim against hidden/vocab where applicable).
+    (e.g. ``head.w``, ``mlm.b``); only their byte counts are checked here,
+    so their shapes are the caller's to check.
     """
     with open(path, "rb") as fh:
         if fh.read(4) != MAGIC:

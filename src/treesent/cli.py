@@ -1,9 +1,13 @@
 """Command-line surface: prepare / vocab / pretrain / finetune / eval / predict.
 
 Exit codes: 0 success, 1 usage error, 2 data error, 3 numeric failure.
-Configuration is a line-oriented ``key = value`` file with ``[section]``
-headers; a resolved copy is written next to the artifacts each command
-produces. Existing outputs are never overwritten without ``--force``.
+The run config is an INI file. ``RunConfig``'s fields are its one table of
+``[section] key`` entries, each with the parser that range-checks its value;
+``--seed``, ``--preset``, ``--task`` and ``--scope`` set their keys through
+the same parsers, so a bad value from either exits 1. A resolved copy is
+written next to the artifacts each command produces. Existing outputs are
+never overwritten without ``--force``. A checkpoint whose head tensors do
+not fit its config and task exits 2.
 """
 
 from __future__ import annotations
@@ -11,9 +15,10 @@ from __future__ import annotations
 import argparse
 import configparser
 import hashlib
+import math
 import os
 import sys
-from dataclasses import dataclass, field
+from dataclasses import MISSING, dataclass, field, fields
 
 import numpy as np
 
@@ -28,6 +33,7 @@ EXIT_NUMERIC = 3
 
 SPLITS = ("train", "dev", "test")
 HEAD_EXTRAS = ("head.w", "head.b", "mlm.b", "nsp.w", "nsp.b")
+OVERRIDES = (("run", "seed"), ("model", "preset"), ("run", "task"), ("run", "scope"))
 
 
 class UsageError(ValueError):
@@ -38,123 +44,104 @@ class DataError(ValueError):
     pass
 
 
+def _number(cast, lo, hi=math.inf):
+    """A parser of ``cast`` numbers strictly between ``lo`` and ``hi``."""
+    def parse(text):
+        value = cast(text)
+        if not lo < value < hi:
+            raise ValueError(f"{value} is outside ({lo}, {hi})")
+        return value
+    return parse
+
+
+def _choice(*names):
+    def parse(text):
+        if text not in names:
+            raise ValueError(f"{text!r} is not one of {', '.join(names)}")
+        return text
+    return parse
+
+
+def _bool(text):
+    states = configparser.ConfigParser.BOOLEAN_STATES
+    if text.lower() not in states:
+        raise ValueError(f"{text!r} is not a boolean")
+    return states[text.lower()]
+
+
+def _scope(text):
+    return tuple(_choice("all", "root")(s.strip()) for s in text.split(",") if s.strip())
+
+
+def _key(section, key, parse, **default):
+    """A RunConfig field read from, and dumped as, ``[section] key``."""
+    return field(metadata={"ini": (section, key, parse)}, **default)
+
+
 @dataclass
 class RunConfig:
-    data_dir: str
-    out_dir: str
-    vocab_path: str
-    preset: str = "toy"
-    vocab_size: int = 2000
-    max_len: int = 32
-    seed: int = 0
-    task: str = "sst5"
-    scope: tuple = ("all", "root")
-    pretrain_epochs: int = 3
-    pretrain_batch_size: int = 16
-    pretrain_lr: float = 1e-4
-    mask_rate: float = 0.15
-    pretrain_max_steps: int | None = None
-    finetune_epochs: int = 3
-    finetune_batch_size: int = 32
-    finetune_lr: float = 2e-5
-    head_lr: float = 1e-3
-    freeze_encoder: bool = False
-    raw: dict = field(default_factory=dict)
+    """The run config; each field is one ``[section] key``, in dump order."""
+
+    data_dir: str = _key("paths", "data_dir", str)
+    out_dir: str = _key("paths", "out_dir", str)
+    vocab_path: str = _key("paths", "vocab", str, default="")  # "" = <out_dir>/vocab.txt
+    preset: str = _key("model", "preset", _choice("base", "large", "toy"), default="toy")
+    vocab_size: int = _key("model", "vocab_size", _number(int, 0), default=2000)
+    max_len: int = _key("model", "max_len", _number(int, 2), default=32)  # [CLS] w [SEP]
+    pretrain_epochs: int = _key("pretrain", "epochs", _number(int, -1), default=3)
+    pretrain_batch_size: int = _key("pretrain", "batch_size", _number(int, 0), default=16)
+    pretrain_lr: float = _key("pretrain", "lr", float, default=1e-4)
+    mask_rate: float = _key("pretrain", "mask_rate", _number(float, 0, 1), default=0.15)
+    pretrain_max_steps: int | None = _key("pretrain", "max_steps", _number(int, -1), default=None)
+    finetune_epochs: int = _key("finetune", "epochs", _number(int, -1), default=3)
+    finetune_batch_size: int = _key("finetune", "batch_size", _number(int, 0), default=32)
+    finetune_lr: float = _key("finetune", "lr", float, default=2e-5)
+    head_lr: float = _key("finetune", "head_lr", float, default=1e-3)
+    freeze_encoder: bool = _key("finetune", "freeze_encoder", _bool, default=False)
+    seed: int = _key("run", "seed", _number(int, -1, 2**128), default=0)  # a Philox key
+    task: str = _key("run", "task", _choice(*classify.TASK_CLASSES), default="sst5")
+    scope: tuple = _key("run", "scope", _scope, default=("all", "root"))
 
     @classmethod
-    def load(cls, path):
+    def load(cls, path, overrides=()):
+        """Read ``path`` and ``(section, key, text)`` overrides through the
+        field parsers; a missing or rejected value is a UsageError."""
         if not os.path.exists(path):
             raise UsageError(f"config file not found: {path}")
         parser = configparser.ConfigParser(inline_comment_prefixes=("#",))
-        parser.read(path)
-
-        def get(section, key, default=None, cast=str):
-            if parser.has_option(section, key):
-                return cast(parser.get(section, key))
-            if default is None:
-                raise UsageError(f"config missing [{section}] {key}")
-            return default
-
-        def get_bool(section, key, default):
-            if parser.has_option(section, key):
-                return parser.getboolean(section, key)
-            return default
-
-        scope = tuple(
-            s.strip() for s in get("run", "scope", "all,root").split(",") if s.strip()
-        )
-        for s in scope:
-            if s not in ("all", "root"):
-                raise UsageError(f"bad scope entry {s!r} (use all,root)")
-        task = get("run", "task", "sst5")
-        if task not in classify.TASK_CLASSES:
-            raise UsageError(f"bad task {task!r} (use sst2 or sst5)")
-        preset_name = get("model", "preset", "toy")
-        if preset_name not in ("base", "large", "toy"):
-            raise UsageError(f"bad preset {preset_name!r}")
-        cfg = cls(
-            data_dir=get("paths", "data_dir"),
-            out_dir=get("paths", "out_dir"),
-            vocab_path=get("paths", "vocab", ""),
-            preset=preset_name,
-            vocab_size=get("model", "vocab_size", 2000, int),
-            max_len=get("model", "max_len", 32, int),
-            seed=get("run", "seed", 0, int),
-            task=task,
-            scope=scope,
-            pretrain_epochs=get("pretrain", "epochs", 3, int),
-            pretrain_batch_size=get("pretrain", "batch_size", 16, int),
-            pretrain_lr=get("pretrain", "lr", 1e-4, float),
-            mask_rate=get("pretrain", "mask_rate", 0.15, float),
-            pretrain_max_steps=(
-                int(parser.get("pretrain", "max_steps"))
-                if parser.has_option("pretrain", "max_steps") else None
-            ),
-            finetune_epochs=get("finetune", "epochs", 3, int),
-            finetune_batch_size=get("finetune", "batch_size", 32, int),
-            finetune_lr=get("finetune", "lr", 2e-5, float),
-            head_lr=get("finetune", "head_lr", 1e-3, float),
-            freeze_encoder=get_bool("finetune", "freeze_encoder", False),
-        )
+        try:
+            parser.read(path)
+            for section, key, text in overrides:
+                parser.read_dict({section: {key: text}})
+        except (ValueError, configparser.Error) as exc:
+            raise UsageError(f"cannot read {path}: {exc}") from exc
+        values = {}
+        for f in fields(cls):
+            section, key, parse = f.metadata["ini"]
+            if not parser.has_option(section, key):
+                if f.default is MISSING:
+                    raise UsageError(f"config missing [{section}] {key}")
+                continue
+            try:
+                values[f.name] = parse(parser.get(section, key))
+            except (ValueError, configparser.Error) as exc:
+                raise UsageError(f"bad config value [{section}] {key}: {exc}") from exc
+        cfg = cls(**values)
         if not cfg.vocab_path:
             cfg.vocab_path = os.path.join(cfg.out_dir, "vocab.txt")
-        cfg.raw = {s: dict(parser.items(s)) for s in parser.sections()}
         return cfg
 
     def dump(self) -> str:
-        lines = [
-            "[paths]",
-            f"data_dir = {self.data_dir}",
-            f"out_dir = {self.out_dir}",
-            f"vocab = {self.vocab_path}",
-            "",
-            "[model]",
-            f"preset = {self.preset}",
-            f"vocab_size = {self.vocab_size}",
-            f"max_len = {self.max_len}",
-            "",
-            "[pretrain]",
-            f"epochs = {self.pretrain_epochs}",
-            f"batch_size = {self.pretrain_batch_size}",
-            f"lr = {self.pretrain_lr}",
-            f"mask_rate = {self.mask_rate}",
-            "",
-            "[finetune]",
-            f"epochs = {self.finetune_epochs}",
-            f"batch_size = {self.finetune_batch_size}",
-            f"lr = {self.finetune_lr}",
-            f"head_lr = {self.head_lr}",
-            f"freeze_encoder = {self.freeze_encoder}",
-            "",
-            "[run]",
-            f"seed = {self.seed}",
-            f"task = {self.task}",
-            f"scope = {','.join(self.scope)}",
-        ]
-        if self.pretrain_max_steps is not None:
-            idx = lines.index("[finetune]") - 1
-            lines.insert(idx, f"max_steps = {self.pretrain_max_steps}")
-        return "\n".join(lines) + "\n"
+        """The config as ``load`` reads it; unset optional keys are left out."""
+        sections = {}
+        for f in fields(self):
+            section, key, _ = f.metadata["ini"]
+            value = getattr(self, f.name)
+            if value is not None:
+                text = ",".join(value) if isinstance(value, tuple) else str(value)
+                text = text.replace("%", "%%")  # load reads "%%" as "%"
+                sections.setdefault(section, [f"[{section}]"]).append(f"{key} = {text}")
+        return "\n\n".join("\n".join(lines) for lines in sections.values()) + "\n"
 
 
 def _check_output(path, force):
@@ -169,7 +156,7 @@ def _write_text(path, text, force):
         fh.write(text)
 
 
-def _write_config_copy(cfg, force, name):
+def _write_config_copy(cfg, name):
     path = os.path.join(cfg.out_dir, f"config.{name}.ini")
     os.makedirs(cfg.out_dir, exist_ok=True)
     with open(path, "w", encoding="utf-8") as fh:
@@ -205,7 +192,7 @@ def cmd_prepare(cfg, force):
                     "\n".join(lines) + ("\n" if lines else ""), force)
     _write_text(os.path.join(cfg.out_dir, "stats.txt"), stats.to_text(), force)
     _write_text(os.path.join(cfg.out_dir, "stats.json"), stats.to_json(), force)
-    _write_config_copy(cfg, force, "prepare")
+    _write_config_copy(cfg, "prepare")
     if stats.sentence_count == 0:
         print("warning: prepared an empty corpus", file=sys.stderr)
     print(f"sentences: {stats.sentence_count}")
@@ -224,7 +211,7 @@ def cmd_vocab(cfg, force):
     _check_output(cfg.vocab_path, force)
     os.makedirs(os.path.dirname(os.path.abspath(cfg.vocab_path)), exist_ok=True)
     vocab.save(cfg.vocab_path)
-    _write_config_copy(cfg, force, "vocab")
+    _write_config_copy(cfg, "vocab")
     print(f"vocab size: {len(vocab)} -> {cfg.vocab_path}")
     return EXIT_OK
 
@@ -245,7 +232,8 @@ def _provenance(cfg, step, vocab):
 
 
 def _load_checkpoint(cfg, path, vocab):
-    """``load_checkpoint``, refusing a checkpoint trained on another vocab.
+    """``load_checkpoint``, refusing a checkpoint trained on another vocab,
+    for an unknown task, or with head tensors of the wrong shape.
 
     A checkpoint without a stored fingerprint (written before they were
     recorded) is accepted as it stands.
@@ -254,10 +242,22 @@ def _load_checkpoint(cfg, path, vocab):
     stored = prov.get("vocab_sha256")
     if stored is not None and stored != _vocab_sha256(vocab):
         raise DataError(f"{path} was trained with a different vocab than {cfg.vocab_path}")
+    task = prov.get("task", cfg.task)
+    if task not in classify.TASK_CLASSES:
+        raise DataError(f"{path} was fine-tuned for an unknown task {task!r}")
+    h, k = model_cfg.hidden, classify.TASK_CLASSES[task]
+    shapes = {"head.w": (h, k), "head.b": (k,), "mlm.b": (model_cfg.vocab_size,),
+              "nsp.w": (h, 2), "nsp.b": (2,)}
+    for name, shape in shapes.items():
+        if name in params and params[name].shape != shape:
+            raise DataError(f"{path}: tensor {name} has shape {params[name].shape}, "
+                            f"its config and task {task} need {shape}")
     return model_cfg, params, prov
 
 
 def cmd_pretrain(cfg, force, resume=None):
+    if cfg.max_len < 5:
+        raise UsageError("[model] max_len must be at least 5 to pretrain on sentence pairs")
     vocab = _load_vocab(cfg)
     train = _load_split(cfg, "train")
     model_cfg = _model_config(cfg, vocab)
@@ -270,6 +270,9 @@ def cmd_pretrain(cfg, force, resume=None):
     if resume is not None:
         model_cfg, params, prov = _load_checkpoint(cfg, resume, vocab)
         state = pt.init_pretrain_state(model_cfg, len(vocab), cfg.seed, hyper)
+        unknown = sorted(set(params) - set(state.params))
+        if unknown:
+            raise DataError(f"{resume} holds {unknown}, which pretraining does not train")
         for name, tensor in params.items():
             state.params[name].data = tensor.data
         state.step = int(prov.get("step", 0))
@@ -288,7 +291,7 @@ def cmd_pretrain(cfg, force, resume=None):
                     _provenance(cfg, state.step, vocab))
     with open(csv_path, "w", encoding="utf-8") as fh:
         fh.write(pt.loss_history_csv(state))
-    _write_config_copy(cfg, force, "pretrain")
+    _write_config_copy(cfg, "pretrain")
     if state.loss_history:
         print(f"steps: {state.step}  final mlm loss: {state.loss_history[-1][1]:.4f}  "
               f"final nsp loss: {state.loss_history[-1][2]:.4f}")
@@ -325,7 +328,7 @@ def cmd_finetune(cfg, force, init_ckpt):
     prov = _provenance(cfg, 0, vocab)
     prov["task"] = cfg.task
     save_checkpoint(ckpt_path, model_cfg, out, prov)
-    _write_config_copy(cfg, force, "finetune")
+    _write_config_copy(cfg, "finetune")
     print(f"best dev root accuracy: {summary['best_dev_root_acc']}"
           f" (epoch {summary['best_epoch']})")
     print(f"checkpoint: {ckpt_path}")
@@ -336,7 +339,7 @@ def _load_model(cfg, ckpt_path):
     vocab = _load_vocab(cfg)
     model_cfg, params, prov = _load_checkpoint(cfg, ckpt_path, vocab)
     task = prov.get("task", cfg.task)
-    if "head.w" not in params:
+    if not {"head.w", "head.b"} <= params.keys():
         raise DataError(f"{ckpt_path} has no classifier head; fine-tune first")
     head = classify.ClassifierHead(
         weights=params.pop("head.w"), bias=params.pop("head.b"),
@@ -358,7 +361,7 @@ def cmd_eval(cfg, force, ckpt_path):
     json_path = os.path.join(cfg.out_dir, f"report_{task}.json")
     _write_text(tsv_path, report.to_tsv(), force)
     _write_text(json_path, report.to_json(), force)
-    _write_config_copy(cfg, force, "eval")
+    _write_config_copy(cfg, "eval")
     sys.stdout.write(report.to_tsv())
     return EXIT_OK
 
@@ -389,13 +392,11 @@ def build_parser():
 
     def common(p, need_force=True):
         p.add_argument("--config", required=True, help="run config file")
-        p.add_argument("--seed", type=int, default=None, help="override [run] seed")
         if need_force:
             p.add_argument("--force", action="store_true",
                            help="overwrite existing outputs")
-        p.add_argument("--preset", choices=["base", "large", "toy"], default=None)
-        p.add_argument("--task", choices=["sst2", "sst5"], default=None)
-        p.add_argument("--scope", default=None, help="comma list of all,root")
+        for section, key in OVERRIDES:
+            p.add_argument(f"--{key}", help=f"override [{section}] {key}")
 
     common(sub.add_parser("prepare", help="parse treebank files, export sentences and stats"))
     common(sub.add_parser("vocab", help="build the WordPiece vocabulary"))
@@ -422,15 +423,9 @@ def main(argv=None):
     except SystemExit as exc:
         return EXIT_USAGE if exc.code not in (0, None) else EXIT_OK
     try:
-        cfg = RunConfig.load(args.config)
-        if args.seed is not None:
-            cfg.seed = args.seed
-        if getattr(args, "preset", None):
-            cfg.preset = args.preset
-        if getattr(args, "task", None):
-            cfg.task = args.task
-        if getattr(args, "scope", None):
-            cfg.scope = tuple(s.strip() for s in args.scope.split(",") if s.strip())
+        cfg = RunConfig.load(args.config, [
+            (section, key, getattr(args, key)) for section, key in OVERRIDES
+            if getattr(args, key) is not None])
         force = getattr(args, "force", False)
         if args.command == "prepare":
             return cmd_prepare(cfg, force)

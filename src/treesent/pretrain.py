@@ -83,7 +83,6 @@ class PretrainConfig:
     warmup_frac: float = 0.1
     weight_decay: float = 0.01
     max_steps: int | None = None
-    checkpoint_dir: str | None = None
 
 
 def _maskable_positions(seq, vocab):

@@ -1,3 +1,4 @@
+import configparser
 import json
 import os
 import shutil
@@ -6,6 +7,7 @@ import numpy as np
 import pytest
 
 from treesent import cli, synth
+from treesent.autodiff import Tensor
 from treesent.checkpoint import load_checkpoint, save_checkpoint
 from treesent.tokenizer import SPECIAL_TOKENS
 
@@ -275,3 +277,155 @@ class TestDeterminism:
                 "report": open(os.path.join(out, "report_sst5.tsv")).read(),
             })
         assert results[0] == results[1]
+
+
+def set_key(path, section, key, value):
+    """Rewrite the config file at ``path`` with ``[section] key = value``."""
+    parser = configparser.ConfigParser()
+    parser.read(path)
+    parser.set(section, key, value)
+    with open(path, "w", encoding="utf-8") as fh:
+        parser.write(fh)
+
+
+WRITE_CONFIG_DUMP = """\
+[paths]
+data_dir = data
+out_dir = out
+vocab = out/vocab.txt
+
+[model]
+preset = toy
+vocab_size = 120
+max_len = 16
+
+[pretrain]
+epochs = 1
+batch_size = 16
+lr = 0.001
+mask_rate = 0.15
+max_steps = 3
+
+[finetune]
+epochs = 1
+batch_size = 32
+lr = 0.001
+head_lr = 0.001
+freeze_encoder = False
+
+[run]
+seed = 3
+task = sst5
+scope = all,root
+"""
+
+
+class TestConfigTable:
+    @pytest.mark.parametrize("command, section, key, value", [
+        ("pretrain", "model", "max_len", "abc"),
+        ("pretrain", "pretrain", "lr", "fast"),
+        ("pretrain", "pretrain", "batch_size", "0"),
+        ("finetune", "finetune", "batch_size", "0"),
+        ("pretrain", "model", "max_len", "2"),
+        ("pretrain", "model", "max_len", "4"),  # a sentence pair needs 5
+        ("pretrain", "pretrain", "mask_rate", "0"),
+    ])
+    def test_bad_value_exits_1_naming_the_key(self, pipeline, tmp_path, capsys,
+                                              command, section, key, value):
+        cfg, out = scratch_config(pipeline, tmp_path)
+        set_key(cfg, section, key, value)
+        init = ["--init", os.path.join(pipeline["out"], "pretrain.ckpt")]
+        assert cli.main([command, "--config", cfg, *(init if command == "finetune" else [])]) == 1
+        assert f"[{section}] {key}" in capsys.readouterr().err
+        assert sorted(os.listdir(out)) == ["vocab.txt"]
+
+    def test_bad_scope_override_exits_1(self, pipeline, tmp_path, capsys):
+        cfg, out = scratch_config(pipeline, tmp_path)
+        fine = os.path.join(pipeline["out"], "finetune_sst5.ckpt")
+        assert cli.main(["eval", "--config", cfg, "--scope", "bogus",
+                         "--checkpoint", fine]) == 1
+        assert "[run] scope" in capsys.readouterr().err
+        assert sorted(os.listdir(out)) == ["vocab.txt"]
+
+    @pytest.mark.parametrize("section, key, value", [
+        ("run", "seed", "7"), ("model", "preset", "base"),
+        ("run", "task", "sst2"), ("run", "scope", "root"),
+    ])
+    def test_override_reaches_config_copy(self, pipeline, tmp_path, section, key, value):
+        cfg, out = scratch_config(pipeline, tmp_path)
+        assert cli.main(["prepare", "--config", cfg, f"--{key}", value]) == 0
+        copy = configparser.ConfigParser()
+        copy.read(out / "config.prepare.ini")
+        assert copy.get(section, key) == value
+
+    def test_dump_load_dump_is_identical(self, tmp_path):
+        path = write_config(tmp_path / "c.ini", "data%%", "out")
+        set_key(path, "finetune", "freeze_encoder", "yes")
+        set_key(path, "run", "scope", "root")
+        cfg = cli.RunConfig.load(path)
+        dumped = tmp_path / "dumped.ini"
+        dumped.write_text(cfg.dump(), encoding="utf-8")
+        again = cli.RunConfig.load(str(dumped))
+        assert again == cfg
+        assert again.dump() == cfg.dump()
+
+    def test_write_config_dump_is_pinned(self, tmp_path):
+        path = write_config(tmp_path / "c.ini", "data", "out")
+        assert cli.RunConfig.load(path).dump() == WRITE_CONFIG_DUMP
+
+
+def rewrite_checkpoint(src, dst, shapes=None, **provenance):
+    """Copy checkpoint ``src`` to ``dst`` with zeroed tensors of the given
+    shapes and the given provenance entries."""
+    config, params, prov = load_checkpoint(src, expect_extra=cli.HEAD_EXTRAS)
+    for name, shape in (shapes or {}).items():
+        params[name] = Tensor(np.zeros(shape, dtype=np.float32))
+    prov.update(provenance)
+    save_checkpoint(str(dst), config, params, prov)
+    return str(dst)
+
+
+class TestCheckpointHeads:
+    def test_resume_from_finetuned_checkpoint_exits_2(self, pipeline, tmp_path, capsys):
+        cfg, out = scratch_config(pipeline, tmp_path)
+        fine = os.path.join(pipeline["out"], "finetune_sst5.ckpt")
+        assert cli.main(["pretrain", "--config", cfg, "--resume", fine]) == 2
+        assert "head.b" in capsys.readouterr().err
+        assert sorted(os.listdir(out)) == ["vocab.txt"]
+
+    def test_wrong_shaped_head_exits_2(self, pipeline, tmp_path, capsys):
+        cfg, out = scratch_config(pipeline, tmp_path)
+        bad = rewrite_checkpoint(os.path.join(pipeline["out"], "finetune_sst5.ckpt"),
+                                 tmp_path / "bad.ckpt", {"head.w": (8, 5)})
+        assert cli.main(["eval", "--config", cfg, "--checkpoint", bad]) == 2
+        assert cli.main(["predict", "--config", cfg, "--checkpoint", bad,
+                         "--text", "a movie"]) == 2
+        assert "head.w" in capsys.readouterr().err
+        assert sorted(os.listdir(out)) == ["vocab.txt"]
+
+    def test_resume_with_wrong_shaped_mlm_bias_exits_2(self, pipeline, tmp_path, capsys):
+        cfg, out = scratch_config(pipeline, tmp_path)
+        # step 3 already equals max_steps, so a resume would only save again
+        bad = rewrite_checkpoint(os.path.join(pipeline["out"], "pretrain.ckpt"),
+                                 tmp_path / "bad.ckpt", {"mlm.b": (7,)})
+        assert cli.main(["pretrain", "--config", cfg, "--resume", bad]) == 2
+        assert "mlm.b" in capsys.readouterr().err
+        assert sorted(os.listdir(out)) == ["vocab.txt"]
+
+    def test_unknown_task_exits_2(self, pipeline, tmp_path, capsys):
+        cfg, out = scratch_config(pipeline, tmp_path)
+        bad = rewrite_checkpoint(os.path.join(pipeline["out"], "finetune_sst5.ckpt"),
+                                 tmp_path / "bad.ckpt", task="sst9")
+        assert cli.main(["eval", "--config", cfg, "--checkpoint", bad]) == 2
+        assert "sst9" in capsys.readouterr().err
+        assert sorted(os.listdir(out)) == ["vocab.txt"]
+
+    def test_head_width_must_match_task(self, pipeline, tmp_path, capsys):
+        cfg, out = scratch_config(pipeline, tmp_path)
+        bad = rewrite_checkpoint(os.path.join(pipeline["out"], "finetune_sst5.ckpt"),
+                                 tmp_path / "bad.ckpt", task="sst2")
+        assert cli.main(["eval", "--config", cfg, "--checkpoint", bad]) == 2
+        assert cli.main(["predict", "--config", cfg, "--checkpoint", bad,
+                         "--text", "a movie"]) == 2
+        assert "sst2" in capsys.readouterr().err
+        assert sorted(os.listdir(out)) == ["vocab.txt"]
