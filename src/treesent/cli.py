@@ -24,7 +24,6 @@ import numpy as np
 
 from . import classify, encoder, pretrain as pt, tokenizer, treebank
 from .checkpoint import CheckpointError, load_checkpoint, save_checkpoint
-from .optim import make_rng
 
 EXIT_OK = 0
 EXIT_USAGE = 1
