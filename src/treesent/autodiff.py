@@ -491,6 +491,12 @@ def dropout(x, p, training, rng=None):
     return _make(x.data * mask, (x,), bw)
 
 
+# Tables up to this many rows take the embedding gradient as one dense
+# one-hot (V, N) @ (N, H) product; larger ones scatter with np.add.at, whose
+# cost grows with N alone. The two meet near 550 rows on 1-thread BLAS.
+_ONE_HOT_MAX_ROWS = 512
+
+
 def embedding_lookup(table, ids):
     """Gather rows of a (V, H) table by an integer id array of any shape."""
     table = _as_tensor(table)
@@ -503,9 +509,20 @@ def embedding_lookup(table, ids):
     def bw(g):
         if not table.requires_grad:
             return
-        gt = np.zeros_like(table.data)
-        np.add.at(gt, ids.reshape(-1), g.reshape(-1, table.data.shape[1]))
-        _accumulate(table, gt)
+        flat = ids.reshape(-1)
+        g2 = g.reshape(flat.size, table.data.shape[1])
+        if v <= _ONE_HOT_MAX_ROWS:
+            one_hot = np.zeros((v, flat.size), dtype=g2.dtype)
+            one_hot[flat, np.arange(flat.size)] = 1
+            _accumulate(table, one_hot @ g2)
+        elif table._backward is None:  # a leaf owns its grad array: scatter into it
+            if table.grad is None:
+                table.grad = np.zeros_like(table.data)
+            np.add.at(table.grad, flat, g2)
+        else:
+            gt = np.zeros_like(table.data)
+            np.add.at(gt, flat, g2)
+            _accumulate(table, gt)
 
     return _make(out_data, (table,), bw)
 

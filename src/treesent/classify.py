@@ -35,6 +35,9 @@ __all__ = [
 
 TASK_CLASSES = {"sst2": 2, "sst5": 5}
 
+# training batches are length-sorted within chunks of this many batches
+BUCKET_CHUNK = 4
+
 
 class EmptyTrainingSetError(ValueError):
     pass
@@ -186,9 +189,33 @@ def _dev_root_accuracy(dev_records, params, config, head, vocab, max_len, task):
     return accuracy([p.label for p in preds], [y for _, y in pairs])
 
 
+def _bucketed_batches(lengths, batch_size, rng):
+    """One epoch of training batches, as arrays of example indices.
+
+    A "sortish" sampler: permute the examples, cut the permutation into
+    chunks of ``BUCKET_CHUNK`` batches, stable-sort each chunk by length,
+    split it into batches and shuffle the batch order. Only the last chunk
+    can be partial, so there are ``ceil(n / batch_size)`` batches and at
+    most one is short.
+    """
+    order = rng.permutation(len(lengths))
+    batches = []
+    for start in range(0, len(order), BUCKET_CHUNK * batch_size):
+        chunk = order[start:start + BUCKET_CHUNK * batch_size]
+        chunk = chunk[np.argsort(lengths[chunk], kind="stable")]
+        batches.extend(chunk[i:i + batch_size] for i in range(0, len(chunk), batch_size))
+    return [batches[i] for i in rng.permutation(len(batches))]
+
+
 def finetune(train_records, dev_records, params, config, vocab, task: str,
              hyper: FinetuneConfig, head: ClassifierHead | None = None):
     """Fine-tune encoder + head (or head only) with cross-entropy.
+
+    Each epoch's batches come from ``_bucketed_batches``: rows of similar
+    length share a batch, so little of it is ``[PAD]``. The batches are
+    drawn from their own random stream (3), apart from the head init and
+    dropout (stream 2), so the dropout rate never changes which examples
+    share a batch.
 
     Returns (params, head, summary). The checkpoint with the best dev root
     accuracy wins; ties keep the earlier epoch. Deterministic per seed.
@@ -222,12 +249,12 @@ def finetune(train_records, dev_records, params, config, vocab, task: str,
 
     seqs = [encode(r.text, vocab, hyper.max_len) for r, _ in labeled]
     labels = np.array([y for _, y in labeled], dtype=np.int64)
+    lengths = np.array([s.n_real for s in seqs])
+    shuffle_rng = make_rng(hyper.seed, stream=3)
 
     best = None  # (acc, epoch, params_data, head_data)
     for epoch in range(hyper.epochs):
-        order = rng.permutation(len(labeled))
-        for start in range(0, len(labeled), hyper.batch_size):
-            sel = order[start:start + hyper.batch_size]
+        for sel in _bucketed_batches(lengths, hyper.batch_size, shuffle_rng):
             ids, segs, mask = stack_batch([seqs[i] for i in sel])
             if hyper.freeze_encoder:
                 with ad.no_grad():

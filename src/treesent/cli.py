@@ -232,7 +232,8 @@ def _provenance(cfg, step, vocab):
 
 def _load_checkpoint(cfg, path, vocab):
     """``load_checkpoint``, refusing a checkpoint trained on another vocab,
-    for an unknown task, or with head tensors of the wrong shape.
+    for an unknown task, with head tensors of the wrong shape, or with
+    fewer position embeddings than ``[model] max_len`` needs.
 
     A checkpoint without a stored fingerprint (written before they were
     recorded) is accepted as it stands.
@@ -241,6 +242,9 @@ def _load_checkpoint(cfg, path, vocab):
     stored = prov.get("vocab_sha256")
     if stored is not None and stored != _vocab_sha256(vocab):
         raise DataError(f"{path} was trained with a different vocab than {cfg.vocab_path}")
+    if cfg.max_len > model_cfg.max_positions:
+        raise DataError(f"{path} has max_positions {model_cfg.max_positions}, "
+                        f"below [model] max_len = {cfg.max_len}")
     task = prov.get("task", cfg.task)
     if task not in classify.TASK_CLASSES:
         raise DataError(f"{path} was fine-tuned for an unknown task {task!r}")

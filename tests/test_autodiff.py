@@ -208,6 +208,27 @@ class TestEmbeddingLookup:
             lambda t: ad.tensor_sum(ad.tanh(ad.embedding_lookup(t, ids))), t0)
         assert err < 1e-6
 
+    @pytest.mark.parametrize("rows", [2, ad._ONE_HOT_MAX_ROWS + 1])
+    @pytest.mark.parametrize("form", ["leaf", "interior", "tied"])
+    def test_gradient_vs_finite_differences(self, rows, form):
+        # repeated ids on both backward paths (dense one-hot and scatter);
+        # "tied" also feeds the table to a matmul on its transpose, as the
+        # MLM head does, so both contributions accumulate into one grad
+        rng = np.random.default_rng(rows)
+        ids = np.array([[1, 0, 1], [rows - 1, 1, 1]])
+        t0 = t64(rng.normal(size=(rows, 3)))
+
+        def f(t):
+            table = t * 2.0 if form == "interior" else t
+            out = ad.embedding_lookup(table, ids)
+            if form == "tied":
+                out = ad.matmul(out, ad.transpose(table))
+            return ad.tensor_sum(ad.tanh(out))
+
+        hit = sorted({0, 1, rows // 2, rows - 1})
+        coords = [r * 3 + c for r in hit for c in range(3)]
+        assert ad.finite_diff_check(f, t0, indices=coords) < 1e-6
+
     def test_single_row_table(self):
         table = t64(np.ones((1, 4)))
         out = ad.embedding_lookup(table, np.zeros(5, dtype=int))

@@ -144,6 +144,47 @@ class TestPredictTexts:
         assert all(p.grad is None for p in params.values())
 
 
+def phrase_lengths(seed=0, n=360):
+    """Piece counts shaped like SST phrase nodes: most one word, a long tail."""
+    rng = make_rng(seed)
+    return rng.permutation(np.concatenate([np.full(n * 5 // 9, 3),
+                                           rng.integers(4, 10, n - n * 5 // 9)]))
+
+
+def pad_fraction(batches, lengths):
+    slots = sum(len(b) * lengths[b].max() for b in batches)
+    return 1.0 - sum(lengths[b].sum() for b in batches) / slots
+
+
+class TestBucketedBatches:
+    def test_every_index_once_per_epoch(self):
+        lengths = phrase_lengths()
+        rng = make_rng(1)
+        epochs = [cl._bucketed_batches(lengths, 32, rng) for _ in range(3)]
+        for batches in epochs:
+            np.testing.assert_array_equal(np.sort(np.concatenate(batches)),
+                                          np.arange(len(lengths)))
+        assert not np.array_equal(np.concatenate(epochs[0]), np.concatenate(epochs[1]))
+
+    @pytest.mark.parametrize("n", [1, 31, 32, 33, 127, 128, 129, 360])
+    @pytest.mark.parametrize("batch_size", [1, 7, 32])
+    def test_step_count_and_one_short_batch(self, n, batch_size):
+        batches = cl._bucketed_batches(phrase_lengths(n=n), batch_size, make_rng(n))
+        assert len(batches) == -(-n // batch_size)
+        assert all(1 <= len(b) <= batch_size for b in batches)
+        assert sum(len(b) < batch_size for b in batches) <= 1
+
+    def test_less_padding_than_a_plain_permutation(self):
+        lengths = phrase_lengths()
+        rng, plain_rng = make_rng(2), make_rng(2)
+        sortish, plain = [], []
+        for _ in range(20):
+            sortish += cl._bucketed_batches(lengths, 32, rng)
+            order = plain_rng.permutation(len(lengths))
+            plain += [order[i:i + 32] for i in range(0, len(order), 32)]
+        assert pad_fraction(sortish, lengths) < pad_fraction(plain, lengths)
+
+
 class TestFinetune:
     def test_zero_epochs_returns_inputs_unchanged(self, synth_corpora):
         vocab, cfg, params = tiny_setup()
@@ -184,6 +225,27 @@ class TestFinetune:
             results.append((head.weights.data.tobytes(),
                             {k: p.data.tobytes() for k, p in params.items()}))
         assert results[0] == results[1]
+
+    def test_dropout_does_not_move_batches(self, synth_corpora, monkeypatch):
+        # the batches come from their own stream, so dropout draws leave them be
+        train = [r for t in synth_corpora[0].trees for r in extract_phrases(t)][:48]
+        dev = [r for t in synth_corpora[1].trees for r in extract_phrases(t)][:10]
+        encode_batch = enc.encode_batch
+        seen = []
+
+        def recording(ids, segs, mask, params, config, training=False, rng=None):
+            if training:
+                seen[-1].append(ids.tolist())
+            return encode_batch(ids, segs, mask, params, config, training=training, rng=rng)
+
+        monkeypatch.setattr(enc, "encode_batch", recording)
+        for dropout_p in (0.0, 0.1):
+            seen.append([])
+            vocab, cfg, params = tiny_setup(dropout_p=dropout_p)
+            hyper = cl.FinetuneConfig(epochs=3, batch_size=16, seed=5, max_len=16)
+            cl.finetune(train, dev, params, cfg, vocab, "sst5", hyper)
+        assert len(seen[0]) == 3 * 3
+        assert seen[0] == seen[1]
 
     def test_padded_length_does_not_change_training(self, synth_corpora):
         # batches are padded to their longest row, so when no row is

@@ -217,6 +217,20 @@ class TestFailureExitCodes:
         assert "different vocab" in capsys.readouterr().err
         assert sorted(os.listdir(out)) == ["vocab.txt"]
 
+    def test_max_len_beyond_checkpoint_positions_exits_2(self, pipeline, tmp_path, capsys):
+        # the toy checkpoints hold max(16, 64) = 64 position embeddings
+        cfg, out = scratch_config(pipeline, tmp_path, max_len=100)
+        pre = os.path.join(pipeline["out"], "pretrain.ckpt")
+        fine = os.path.join(pipeline["out"], "finetune_sst5.ckpt")
+        assert cli.main(["finetune", "--config", cfg, "--init", pre]) == 2
+        assert cli.main(["pretrain", "--config", cfg, "--resume", pre]) == 2
+        assert cli.main(["eval", "--config", cfg, "--checkpoint", fine]) == 2
+        assert cli.main(["predict", "--config", cfg, "--checkpoint", fine,
+                         "--text", " ".join(["movie"] * 90)]) == 2
+        err = capsys.readouterr().err
+        assert "max_positions 64" in err and "[model] max_len = 100" in err
+        assert sorted(os.listdir(out)) == ["vocab.txt"]
+
     def test_checkpoint_without_vocab_fingerprint_loads(self, pipeline, tmp_path):
         cfg, out = scratch_config(pipeline, tmp_path)
         config, params, prov = load_checkpoint(
