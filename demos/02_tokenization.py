@@ -9,6 +9,7 @@ from treesent.tokenizer import (
     canonicalize,
     encode,
     encode_pair,
+    stack_batch,
     wordpiece,
 )
 
@@ -26,15 +27,22 @@ print("\ngreedy longest-match segmentation:")
 for word in ("playing", "played", "plays", "great", "greatest"):
     print(f"  {word:10} -> {wordpiece(word, vocab)}")
 
-# encode produces the fixed-length frame the encoder consumes:
-# [CLS] pieces [SEP] padding, with a mask marking real positions.
+# encode produces the frame the encoder consumes, [CLS] pieces [SEP],
+# truncated to max_len but never padded.
 seq = encode("a great playing", vocab, max_len=10)
 print("\nsingle sentence frame:")
 print("  tokens :", [vocab.tokens[i] for i in seq.ids])
-print("  mask   :", seq.mask.tolist())
 
 # Sentence pairs get segment ids (0 for A and its [SEP], 1 for B).
 pair = encode_pair("playing", "great", vocab, max_len=10)
 print("\nsentence pair frame:")
 print("  tokens  :", [vocab.tokens[i] for i in pair.ids])
 print("  segments:", pair.segment_ids.tolist())
+
+# Batching pads: stack_batch fills each row to the longest one with [PAD]
+# and builds the mask that keeps attention off the padded slots.
+ids, segs, mask = stack_batch([encode("great", vocab, max_len=10), seq])
+print("\nbatch of two texts:")
+for row_ids, row_mask in zip(ids, mask):
+    print("  tokens :", [vocab.tokens[i] for i in row_ids])
+    print("  mask   :", row_mask.astype(int).tolist())

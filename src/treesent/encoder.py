@@ -27,7 +27,6 @@ __all__ = [
     "param_shapes",
     "init_params",
     "attention_block",
-    "encode",
     "encode_batch",
 ]
 
@@ -221,12 +220,3 @@ def encode_batch(ids, segment_ids, mask, params, config: ModelConfig,
     pooled = ad.tanh(ad.matmul(first, params["pooler.w"]) + params["pooler.b"])
     return x, pooled
 
-
-def encode(seq, params, config: ModelConfig, training=False, rng=None):
-    """Encode one TokenSequence -> (hidden (max_len, H), pooled (H,))."""
-    hidden, pooled = encode_batch(
-        seq.ids[None, :], seq.segment_ids[None, :], seq.mask[None, :],
-        params, config, training=training, rng=rng,
-    )
-    n = seq.ids.shape[0]
-    return ad.reshape(hidden, (n, config.hidden)), ad.reshape(pooled, (config.hidden,))

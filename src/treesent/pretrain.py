@@ -86,7 +86,7 @@ class PretrainConfig:
 
 
 def _maskable_positions(seq, vocab):
-    special = {vocab.cls_id, vocab.sep_id, vocab.pad_id}
+    special = {vocab.cls_id, vocab.sep_id}
     return [i for i in range(seq.n_real) if int(seq.ids[i]) not in special]
 
 
@@ -130,9 +130,8 @@ def mask_tokens(seq: TokenSequence, rate: float, rng, vocab) -> MaskedExample:
             elif r < 0.9:
                 ids[i] = int(rng.integers(n_special, len(vocab)))
             # else: keep the original token
-    new_seq = TokenSequence(ids=ids, segment_ids=seq.segment_ids,
-                            mask=seq.mask, n_real=seq.n_real)
-    return MaskedExample(seq=new_seq, targets=targets,
+    return MaskedExample(seq=TokenSequence(ids=ids, segment_ids=seq.segment_ids),
+                         targets=targets,
                          mask_positions=np.array(sorted(mask_positions), dtype=np.int64))
 
 

@@ -77,16 +77,17 @@ class Vocab:
 
 @dataclass(frozen=True)
 class TokenSequence:
-    """Padded id sequence with segment ids and a real-token mask."""
+    """Unpadded id sequence with its segment ids; ``stack_batch`` pads."""
 
     ids: np.ndarray
     segment_ids: np.ndarray
-    mask: np.ndarray
-    n_real: int
 
     def __post_init__(self):
-        assert self.ids.shape == self.segment_ids.shape == self.mask.shape
-        assert int(self.mask.sum()) == self.n_real
+        assert self.ids.shape == self.segment_ids.shape
+
+    @property
+    def n_real(self):
+        return len(self.ids)
 
 
 def canonicalize(text: str) -> str:
@@ -192,28 +193,23 @@ def _pieces_of(text, vocab):
     return pieces
 
 
-def _assemble(piece_ids_a, piece_ids_b, vocab, max_len):
+def _assemble(piece_ids_a, piece_ids_b, vocab):
     ids = [vocab.cls_id] + piece_ids_a + [vocab.sep_id]
     segs = [0] * len(ids)
     if piece_ids_b is not None:
         ids += piece_ids_b + [vocab.sep_id]
         segs += [1] * (len(piece_ids_b) + 1)
-    n_real = len(ids)
-    pad = max_len - n_real
-    ids = np.array(ids + [vocab.pad_id] * pad, dtype=np.int64)
-    segs = np.array(segs + [0] * pad, dtype=np.int64)
-    mask = np.zeros(max_len, dtype=np.int64)
-    mask[:n_real] = 1
-    return TokenSequence(ids=ids, segment_ids=segs, mask=mask, n_real=n_real)
+    return TokenSequence(ids=np.array(ids, dtype=np.int64),
+                         segment_ids=np.array(segs, dtype=np.int64))
 
 
 def encode(text: str, vocab: Vocab, max_len: int) -> TokenSequence:
-    """[CLS] pieces [SEP], truncated from the right, then padded."""
+    """[CLS] pieces [SEP], truncated from the right to ``max_len``."""
     if max_len < 3:
         raise ValueError("max_len must be at least 3")
     piece_ids = [vocab.id_of(p) for p in _pieces_of(text, vocab)]
     piece_ids = piece_ids[: max_len - 2]
-    return _assemble(piece_ids, None, vocab, max_len)
+    return _assemble(piece_ids, None, vocab)
 
 
 def encode_pair(a: str, b: str, vocab: Vocab, max_len: int) -> TokenSequence:
@@ -228,18 +224,21 @@ def encode_pair(a: str, b: str, vocab: Vocab, max_len: int) -> TokenSequence:
             ids_a.pop()
         else:
             ids_b.pop()
-    return _assemble(ids_a, ids_b, vocab, max_len)
+    return _assemble(ids_a, ids_b, vocab)
 
 
 def stack_batch(seqs):
-    """Stack sequences into (ids, segment_ids, mask) arrays of shape (B, n).
+    """Pad sequences into (ids, segment_ids, mask) arrays of shape (B, n).
 
-    ``n`` is the longest real row of the batch, not the sequences' padded
-    length: every column cut off holds only [PAD] (masked out of attention),
-    so each batch is padded only as far as its own rows need.
+    ``n`` is the longest row of the batch. Shorter rows are filled with id
+    0, which is [PAD] in every Vocab, and segment 0; ``mask`` is True on
+    each row's real positions. This is the only place sequences are padded.
     """
-    n = max(s.n_real for s in seqs)
-    ids = np.stack([s.ids[:n] for s in seqs])
-    segs = np.stack([s.segment_ids[:n] for s in seqs])
-    mask = np.stack([s.mask[:n] for s in seqs])
+    lengths = np.array([s.n_real for s in seqs])
+    n = int(lengths.max())
+    mask = np.arange(n) < lengths[:, None]
+    ids = np.zeros(mask.shape, dtype=np.int64)
+    segs = np.zeros(mask.shape, dtype=np.int64)
+    ids[mask] = np.concatenate([s.ids for s in seqs])
+    segs[mask] = np.concatenate([s.segment_ids for s in seqs])
     return ids, segs, mask

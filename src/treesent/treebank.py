@@ -25,6 +25,7 @@ __all__ = [
     "InvalidLabelError",
     "EmptyNodeError",
     "TrailingGarbageError",
+    "TreeTooDeepError",
     "CorpusLoadError",
     "parse_tree",
     "serialize_tree",
@@ -35,6 +36,10 @@ __all__ = [
 ]
 
 LABEL_NAMES = ("very negative", "negative", "neutral", "positive", "very positive")
+
+# deepest nesting a tree line may have: far above real treebank trees, far
+# below the few hundred levels at which the recursive tree code overflows
+MAX_TREE_DEPTH = 128
 
 
 class TreeParseError(ValueError):
@@ -58,6 +63,10 @@ class EmptyNodeError(TreeParseError):
 
 
 class TrailingGarbageError(TreeParseError):
+    pass
+
+
+class TreeTooDeepError(TreeParseError):
     pass
 
 
@@ -151,10 +160,12 @@ def parse_tree(line: str) -> PhraseTree:
             p += 1
         return p
 
-    def parse_node(p):
+    def parse_node(p, depth):
         p = skip_ws(p)
         if p >= n or s[p] != "(":
             raise UnbalancedParensError("expected '('", p)
+        if depth > MAX_TREE_DEPTH:
+            raise TreeTooDeepError(f"nodes nested deeper than {MAX_TREE_DEPTH}", p)
         open_at = p
         p = skip_ws(p + 1)
         start = p
@@ -174,7 +185,7 @@ def parse_tree(line: str) -> PhraseTree:
                 p += 1
                 break
             if s[p] == "(":
-                child, p = parse_node(p)
+                child, p = parse_node(p, depth + 1)
                 children.append(child)
             else:
                 start = p
@@ -189,7 +200,7 @@ def parse_tree(line: str) -> PhraseTree:
             raise EmptyNodeError("token mixed with other children", open_at)
         return PhraseTree(label, token=token, children=tuple(children)), p
 
-    tree, pos = parse_node(pos)
+    tree, pos = parse_node(pos, 1)
     pos = skip_ws(pos)
     if pos != n:
         raise TrailingGarbageError(f"trailing input {s[pos:pos + 20]!r}", pos)

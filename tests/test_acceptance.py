@@ -138,8 +138,8 @@ def test_3_gradient_oracle(capsys):
             saved = params[_name]
             params[_name] = t
             try:
-                _, pooled = enc.encode(seq, params, cfg)
-                logits = ad.matmul(ad.reshape(pooled, (1, -1)), head.weights) + head.bias
+                _, pooled = enc.encode_batch(*tok.stack_batch([seq]), params, cfg)
+                logits = ad.matmul(pooled, head.weights) + head.bias
                 return ad.softmax_cross_entropy(logits, np.array([3]))
             finally:
                 params[_name] = saved
@@ -172,13 +172,17 @@ def test_4_tokenizer_fidelity(capsys):
         text = "".join(rng.choice(pool, size=length))
         max_len = int(rng.integers(3, 24))
         seq = tok.encode(text, vocab, max_len)
+        full = tok.TokenSequence(ids=np.full(max_len, vocab.cls_id),
+                                 segment_ids=np.zeros(max_len, dtype=np.int64))
+        ids, segs, mask = tok.stack_batch([seq, full])
         try:
-            assert len(seq.ids) == max_len
+            assert len(seq.ids) == seq.n_real <= max_len
             assert seq.ids[0] == vocab.cls_id
             assert seq.ids[seq.n_real - 1] == vocab.sep_id
             assert int((seq.ids == vocab.sep_id).sum()) == 1
-            assert ((seq.mask == 0) == (seq.ids == vocab.pad_id)).all()
-            assert (seq.segment_ids == 0).all()
+            assert ids.shape == (2, max_len)
+            assert ((mask[0] == 0) == (ids[0] == vocab.pad_id)).all()
+            assert (segs[0] == 0).all()
         except AssertionError:
             failures += 1
     ok = split_ok and failures == 0

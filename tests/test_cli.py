@@ -10,6 +10,7 @@ from treesent import cli, synth
 from treesent.autodiff import Tensor
 from treesent.checkpoint import load_checkpoint, save_checkpoint
 from treesent.tokenizer import SPECIAL_TOKENS
+from treesent.treebank import MAX_TREE_DEPTH
 
 
 def write_config(path, data_dir, out_dir, **overrides):
@@ -109,6 +110,21 @@ class TestPrepare:
         cfg = write_config(tmp_path / "c.ini", data, tmp_path / "out")
         assert cli.main(["prepare", "--config", cfg]) == 2
         assert "dev.txt" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("depth, code", [(MAX_TREE_DEPTH, 0), (MAX_TREE_DEPTH + 1, 2)])
+    def test_tree_depth_cap(self, tmp_path, capsys, depth, code):
+        # a chain of `depth` nested nodes; a few hundred levels would
+        # overflow the recursive tree code, so past the cap it exits 2
+        data = tmp_path / "data"
+        data.mkdir()
+        synth.write_dataset(data, n_train=5, n_dev=2, n_test=2, seed=1)
+        with open(data / "train.txt", "a", encoding="utf-8") as fh:
+            fh.write("(2 " * (depth - 1) + "(3 deep)" + ")" * (depth - 1) + "\n")
+        cfg = write_config(tmp_path / "c.ini", data, tmp_path / "out")
+        assert cli.main(["prepare", "--config", cfg]) == code
+        if code:
+            err = capsys.readouterr().err
+            assert "train.txt:6" in err and f"deeper than {MAX_TREE_DEPTH}" in err
 
 
 class TestVocab:

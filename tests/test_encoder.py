@@ -128,6 +128,12 @@ class TestAttentionBlock:
         np.testing.assert_allclose(attn[:, mask == 1].sum(axis=1), 1.0, atol=1e-6)
 
 
+def encode_one(seq, params, config=TINY, training=False, rng=None):
+    """Encode one TokenSequence as a one-row batch."""
+    return enc.encode_batch(*tok.stack_batch([seq]), params, config,
+                            training=training, rng=rng)
+
+
 class TestEncode:
     def setup_method(self):
         self.vocab = letter_vocab()
@@ -135,46 +141,49 @@ class TestEncode:
 
     def test_shape_contract(self):
         seq = tok.encode("abc de", self.vocab, 12)
-        hidden, pooled = enc.encode(seq, self.params, TINY)
-        assert hidden.data.shape == (12, 16)
-        assert pooled.data.shape == (16,)
+        hidden, pooled = encode_one(seq, self.params)
+        assert hidden.data.shape == (1, seq.n_real, 16)
+        assert pooled.data.shape == (1, 16)
 
     def test_pad_region_cannot_influence_pooled(self):
-        seq = tok.encode("ab", self.vocab, 10)
-        _, pooled = enc.encode(seq, self.params, TINY)
-        ids2 = seq.ids.copy()
-        ids2[seq.n_real:] = 7  # arbitrary non-pad id in the illegal region
-        seq2 = tok.TokenSequence(ids=ids2, segment_ids=seq.segment_ids,
-                                 mask=seq.mask, n_real=seq.n_real)
-        _, pooled2 = enc.encode(seq2, self.params, TINY)
-        np.testing.assert_allclose(pooled.data, pooled2.data, atol=1e-6)
+        short = tok.encode("ab", self.vocab, 10)
+        longer = tok.encode("abc de fg", self.vocab, 10)
+        ids, segs, mask = tok.stack_batch([short, longer])
+        assert ids.shape[1] > short.n_real
+        _, pooled = enc.encode_batch(ids, segs, mask, self.params, TINY)
+        ids2 = ids.copy()
+        ids2[0, short.n_real:] = 7  # arbitrary non-pad id in the masked columns
+        _, pooled2 = enc.encode_batch(ids2, segs, mask, self.params, TINY)
+        np.testing.assert_allclose(pooled.data[0], pooled2.data[0], atol=1e-6)
 
     def test_inference_bitwise_deterministic(self):
         seq = tok.encode("abc", self.vocab, 8)
-        _, p1 = enc.encode(seq, self.params, TINY, training=False)
-        _, p2 = enc.encode(seq, self.params, TINY, training=False)
+        _, p1 = encode_one(seq, self.params, training=False)
+        _, p2 = encode_one(seq, self.params, training=False)
         np.testing.assert_array_equal(p1.data, p2.data)
 
     def test_pooled_invariant_to_padding_length(self):
-        s16 = tok.encode("abc de f", self.vocab, 16)
-        s8 = tok.encode("abc de f", self.vocab, 8)
-        assert s16.n_real == s8.n_real  # same real tokens, different padding
-        _, p16 = enc.encode(s16, self.params, TINY)
-        _, p8 = enc.encode(s8, self.params, TINY)
-        np.testing.assert_allclose(p16.data, p8.data, atol=1e-5)
+        seq = tok.encode("abc de f", self.vocab, 16)
+        longer = tok.encode("abc de fg hi", self.vocab, 16)
+        _, alone = encode_one(seq, self.params)
+        ids, segs, mask = tok.stack_batch([seq, longer])
+        assert ids.shape[1] > seq.n_real  # same real tokens, more padding
+        _, batched = enc.encode_batch(ids, segs, mask, self.params, TINY)
+        np.testing.assert_allclose(alone.data[0], batched.data[0], atol=1e-5)
 
     def test_id_out_of_range(self):
         seq = tok.encode("abc", self.vocab, 8)
         bad = tok.TokenSequence(ids=np.full_like(seq.ids, 4000),
-                                segment_ids=seq.segment_ids, mask=seq.mask,
-                                n_real=seq.n_real)
+                                segment_ids=seq.segment_ids)
         with pytest.raises(ad.IndexOutOfRangeError):
-            enc.encode(bad, self.params, TINY)
+            encode_one(bad, self.params)
 
     def test_sequence_longer_than_positions(self):
-        long_cfg_seq = tok.encode("a b c", self.vocab, TINY.max_positions + 4)
+        max_len = TINY.max_positions + 4
+        seq = tok.encode(" ".join(["a"] * max_len), self.vocab, max_len)
+        assert seq.n_real == max_len
         with pytest.raises(ad.IndexOutOfRangeError):
-            enc.encode(long_cfg_seq, self.params, TINY)
+            encode_one(seq, self.params)
 
 
 class TestEndToEndGradients:
@@ -194,7 +203,7 @@ class TestEndToEndGradients:
                 saved = params[name]
                 params[name] = t
                 try:
-                    _, pooled = enc.encode(seq, params, TINY)
+                    _, pooled = encode_one(seq, params)
                     return ad.tensor_sum(ad.mul(pooled, w))
                 finally:
                     params[name] = saved
@@ -217,7 +226,7 @@ class TestEndToEndGradients:
             saved = params["layer.0.attn.v.w"]
             params["layer.0.attn.v.w"] = t
             try:
-                _, pooled = enc.encode(seq, params, TINY)
+                _, pooled = encode_one(seq, params)
                 return ad.tensor_sum(ad.mul(pooled, w))
             finally:
                 params["layer.0.attn.v.w"] = saved

@@ -235,9 +235,7 @@ class TestPretrainStep:
 
         correct = total = 0
         for batch in batches[:10]:
-            ids = np.stack([ex.seq.ids for ex, _ in batch])
-            segs = np.stack([ex.seq.segment_ids for ex, _ in batch])
-            mask = np.stack([ex.seq.mask for ex, _ in batch])
+            ids, segs, mask = tok.stack_batch([ex.seq for ex, _ in batch])
             with ad.no_grad():
                 _, pooled = te.encode_batch(ids, segs, mask, state.params,
                                             state.config, training=False)

@@ -13,6 +13,7 @@ from treesent.tokenizer import (
     SPECIAL_TOKENS,
     UNK,
     TargetTooSmallError,
+    TokenSequence,
     Vocab,
     build_vocab,
     canonicalize,
@@ -164,33 +165,43 @@ class TestBuildVocab:
 
 
 def check_sequence_invariants(seq, vocab, max_len, pair=False):
-    assert len(seq.ids) == max_len
+    assert len(seq.ids) == len(seq.segment_ids) == seq.n_real <= max_len
     assert seq.ids[0] == vocab.cls_id
-    assert seq.ids[seq.n_real - 1] == vocab.sep_id
+    assert seq.ids[-1] == vocab.sep_id
+    assert vocab.pad_id not in seq.ids
     n_sep = int((seq.ids == vocab.sep_id).sum())
     assert n_sep == (2 if pair else 1)
-    for i in range(max_len):
-        assert (seq.mask[i] == 0) == (seq.ids[i] == vocab.pad_id)
     first_sep = int(np.argmax(seq.ids == vocab.sep_id))
     assert (seq.segment_ids[: first_sep + 1] == 0).all()
     if pair:
-        assert (seq.segment_ids[first_sep + 1: seq.n_real] == 1).all()
-    assert (seq.segment_ids[seq.n_real:] == 0).all()
+        assert (seq.segment_ids[first_sep + 1:] == 1).all()
+    check_padded_invariants(seq, vocab, max_len)
+
+
+def check_padded_invariants(seq, vocab, max_len):
+    """Stacked beside a max_len row, the padded slots hold [PAD], segment 0."""
+    full = TokenSequence(ids=np.full(max_len, vocab.cls_id),
+                         segment_ids=np.zeros(max_len, dtype=np.int64))
+    ids, segs, mask = stack_batch([seq, full])
+    assert ids.shape[1] == max_len
+    assert ((mask[0] == 0) == (ids[0] == vocab.pad_id)).all()
+    assert (segs[0][mask[0] == 0] == 0).all()
+    assert int(mask[0].sum()) == seq.n_real
 
 
 class TestEncode:
     def test_playing_frame(self, small_vocab):
         seq = encode("playing", small_vocab, 8)
         want = [small_vocab.cls_id, small_vocab.id_of("play"),
-                small_vocab.id_of("##ing"), small_vocab.sep_id] + [small_vocab.pad_id] * 4
+                small_vocab.id_of("##ing"), small_vocab.sep_id]
         assert seq.ids.tolist() == want
         assert seq.n_real == 4
-        assert (seq.segment_ids == 0).all()
+        assert seq.segment_ids.tolist() == [0] * 4
 
     def test_empty_text(self, small_vocab):
         seq = encode("", small_vocab, 4)
-        assert seq.ids.tolist() == [small_vocab.cls_id, small_vocab.sep_id,
-                                    small_vocab.pad_id, small_vocab.pad_id]
+        assert seq.ids.tolist() == [small_vocab.cls_id, small_vocab.sep_id]
+        assert seq.n_real == 2
 
     def test_truncation_keeps_sep(self, small_vocab):
         text = " ".join(["playing"] * 50)  # 100 pieces
@@ -222,8 +233,8 @@ class TestEncodePair:
         seq = encode_pair("play", "play", small_vocab, 8)
         v = small_vocab
         assert seq.ids.tolist() == [v.cls_id, v.id_of("play"), v.sep_id,
-                                    v.id_of("play"), v.sep_id, v.pad_id, v.pad_id, v.pad_id]
-        assert seq.segment_ids.tolist() == [0, 0, 0, 1, 1, 0, 0, 0]
+                                    v.id_of("play"), v.sep_id]
+        assert seq.segment_ids.tolist() == [0, 0, 0, 1, 1]
         check_sequence_invariants(seq, small_vocab, 8, pair=True)
 
     def test_empty_second_sentence(self, small_vocab):
@@ -259,6 +270,25 @@ class TestStackBatch:
         assert width < 16
         assert ids.shape == segs.shape == mask.shape == (3, width)
         for row, s in enumerate(seqs):
-            np.testing.assert_array_equal(ids[row], s.ids[:width])
-            np.testing.assert_array_equal(segs[row], s.segment_ids[:width])
+            np.testing.assert_array_equal(ids[row, :s.n_real], s.ids)
+            np.testing.assert_array_equal(segs[row, :s.n_real], s.segment_ids)
+            assert (ids[row, s.n_real:] == small_vocab.pad_id).all()
+            assert (segs[row, s.n_real:] == 0).all()
+            assert int(mask[row].sum()) == s.n_real
+
+    @given(st.lists(st.lists(st.tuples(st.integers(1, 99), st.integers(0, 1)),
+                             min_size=1, max_size=12), min_size=1, max_size=6))
+    @settings(max_examples=200, deadline=None)
+    def test_rows_are_sequence_then_zeros(self, rows):
+        seqs = [TokenSequence(ids=np.array([i for i, _ in r], dtype=np.int64),
+                              segment_ids=np.array([g for _, g in r], dtype=np.int64))
+                for r in rows]
+        ids, segs, mask = stack_batch(seqs)
+        width = max(len(r) for r in rows)
+        assert ids.shape == segs.shape == mask.shape == (len(seqs), width)
+        for row, s in enumerate(seqs):
+            pad = [0] * (width - s.n_real)
+            assert ids[row].tolist() == s.ids.tolist() + pad
+            assert segs[row].tolist() == s.segment_ids.tolist() + pad
+            assert mask[row].tolist() == [True] * s.n_real + [False] * len(pad)
             assert int(mask[row].sum()) == s.n_real
