@@ -37,8 +37,9 @@ __all__ = [
 
 LABEL_NAMES = ("very negative", "negative", "neutral", "positive", "very positive")
 
-# deepest nesting a tree line may have: far above real treebank trees, far
-# below the few hundred levels at which the recursive tree code overflows
+# deepest nesting a tree line may have. A binary tree over n tokens nests at
+# most n nodes deep, so this admits every sentence of up to 128 tokens; the
+# recursive tree code overflows from a few hundred levels on
 MAX_TREE_DEPTH = 128
 
 

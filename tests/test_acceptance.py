@@ -130,6 +130,11 @@ def test_3_gradient_oracle(capsys):
     params = enc.init_params(cfg, make_rng(31))
     head = cl.init_head(cfg.hidden, 5, make_rng(32), dropout_p=0.0)
     seq = tok.encode("ab cde", vocab, 10)
+    # batched beside a 10-long row, so seq's last columns are masked padding
+    filler = tok.TokenSequence(ids=np.full(10, vocab.cls_id),
+                               segment_ids=np.zeros(10, dtype=np.int64))
+    batch = tok.stack_batch([seq, filler])
+    assert batch[2].shape[1] == 10 > seq.n_real
     for name in ("emb.tok", "layer.0.attn.q.w", "layer.1.ffn.out.w",
                  "layer.0.ln2.g", "pooler.w"):
         target = params[name]
@@ -138,7 +143,8 @@ def test_3_gradient_oracle(capsys):
             saved = params[_name]
             params[_name] = t
             try:
-                _, pooled = enc.encode_batch(*tok.stack_batch([seq]), params, cfg)
+                _, pooled = enc.encode_batch(*batch, params, cfg)
+                pooled = ad.index_select(pooled, 0, np.array([0]))
                 logits = ad.matmul(pooled, head.weights) + head.bias
                 return ad.softmax_cross_entropy(logits, np.array([3]))
             finally:

@@ -134,6 +134,17 @@ def encode_one(seq, params, config=TINY, training=False, rng=None):
                             training=training, rng=rng)
 
 
+def pooled_padded(seq, width, vocab, params, config=TINY):
+    """Pooled row of ``seq`` batched beside a ``width``-long row, so its
+    columns from ``n_real`` on are masked padding."""
+    filler = tok.TokenSequence(ids=np.full(width, vocab.cls_id),
+                               segment_ids=np.zeros(width, dtype=np.int64))
+    ids, segs, mask = tok.stack_batch([seq, filler])
+    assert mask.shape[1] == width > seq.n_real
+    _, pooled = enc.encode_batch(ids, segs, mask, params, config)
+    return ad.index_select(pooled, 0, np.array([0]))
+
+
 class TestEncode:
     def setup_method(self):
         self.vocab = letter_vocab()
@@ -203,7 +214,7 @@ class TestEndToEndGradients:
                 saved = params[name]
                 params[name] = t
                 try:
-                    _, pooled = encode_one(seq, params)
+                    pooled = pooled_padded(seq, 8, vocab, params)
                     return ad.tensor_sum(ad.mul(pooled, w))
                 finally:
                     params[name] = saved
@@ -226,7 +237,7 @@ class TestEndToEndGradients:
             saved = params["layer.0.attn.v.w"]
             params["layer.0.attn.v.w"] = t
             try:
-                _, pooled = encode_one(seq, params)
+                pooled = pooled_padded(seq, 8, vocab, params)
                 return ad.tensor_sum(ad.mul(pooled, w))
             finally:
                 params["layer.0.attn.v.w"] = saved
