@@ -37,9 +37,8 @@ __all__ = [
 
 LABEL_NAMES = ("very negative", "negative", "neutral", "positive", "very positive")
 
-# deepest nesting a tree line may have. A binary tree over n tokens nests at
-# most n nodes deep, so this admits every sentence of up to 128 tokens; the
-# recursive tree code overflows from a few hundred levels on
+# a binary tree over n tokens nests at most n deep, so this admits any sentence
+# of up to 128 tokens; the recursive tree code overflows at a few hundred levels
 MAX_TREE_DEPTH = 128
 
 
