@@ -21,27 +21,28 @@ state = pretrain.pretrain(splits["train"], vocab, cfg, hyper)
 params = {k: v for k, v in state.params.items()
           if not k.startswith(("mlm.", "nsp."))}
 
-# Fine-tuning trains on every labeled phrase, not just whole sentences,
-# and keeps the epoch with the best dev root accuracy.
+# Fine-tuning adds a fresh head (head.w, head.b) to the parameters, trains
+# on every labeled phrase, not just whole sentences, and keeps the epoch
+# with the best dev root accuracy.
 train_recs = [r for t in splits["train"].trees for r in extract_phrases(t)]
 dev_recs = [r for t in splits["dev"].trees for r in extract_phrases(t)]
 ft = classify.FinetuneConfig(epochs=10, batch_size=32, lr=2e-3, head_lr=1e-3,
                              max_len=24, seed=1)
 print("fine-tuning the five-way head...")
-params, head, summary = classify.finetune(train_recs, dev_recs, params, cfg,
-                                          vocab, "sst5", ft)
+params, summary = classify.finetune(train_recs, dev_recs, params, cfg,
+                                    vocab, "sst5", ft)
 print("best dev root accuracy:", summary["best_dev_root_acc"],
       "at epoch", summary["best_epoch"])
 
 # The evaluation grid scores every node occurrence and root nodes alone.
-report = classify.evaluate(params, cfg, head, vocab, [splits["test"]],
+report = classify.evaluate(params, cfg, vocab, [splits["test"]],
                            [("sst5", "all"), ("sst5", "root")], max_len=24)
 print("\ntest grid:")
 print(report.to_tsv())
 
 # Single-text prediction with class probabilities.
 text = "a great movie worth seeing"
-pred = classify.predict_texts([text], params, cfg, head, vocab, 24)[0]
+pred = classify.predict_texts([text], params, cfg, vocab, 24)[0]
 print(f"prediction for {text!r}:")
 for name, p in zip(LABEL_NAMES, pred.probs):
     print(f"  {name:14} {p:.3f}")

@@ -119,15 +119,6 @@ class Tensor:
     def __repr__(self):
         return f"Tensor(shape={self.data.shape}, dtype={self.data.dtype}, requires_grad={self.requires_grad})"
 
-    def zero_grad(self):
-        self.grad = None
-
-    def item(self):
-        return float(self.data)
-
-    def detach(self):
-        return Tensor(self.data.copy(), requires_grad=False, dtype=self.data.dtype)
-
     # operator sugar
     def __add__(self, other):
         return add(self, other)

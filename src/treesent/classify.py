@@ -1,10 +1,13 @@
 """Dropout + softmax classification head, fine-tuning loop, and the
-SST-2/SST-5 × all-nodes/root-nodes accuracy grid."""
+SST-2/SST-5 × all-nodes/root-nodes accuracy grid.
+
+The head is the ``head.w`` (H, K) and ``head.b`` (K,) tensors of the
+parameter dict, the names a fine-tuned checkpoint stores them under.
+"""
 
 from __future__ import annotations
 
 import json
-from contextlib import nullcontext
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -12,19 +15,17 @@ import numpy as np
 from . import autodiff as ad
 from . import encoder as enc
 from .autodiff import Tensor
-from .optim import AdamW, check_finite_loss, make_rng
+from .optim import WARMUP_FRAC, AdamW, check_finite_loss, make_rng
 from .tokenizer import encode, stack_batch
 from .treebank import BinaryLabel, extract_phrases, to_binary
 
 __all__ = [
     "TASK_CLASSES",
-    "ClassifierHead",
     "Prediction",
     "EvalReport",
     "FinetuneConfig",
     "EmptyTrainingSetError",
     "LabelSpaceMismatchError",
-    "init_head",
     "head_forward",
     "project_label",
     "finetune",
@@ -45,20 +46,6 @@ class EmptyTrainingSetError(ValueError):
 
 class LabelSpaceMismatchError(ValueError):
     pass
-
-
-@dataclass
-class ClassifierHead:
-    weights: Tensor  # (H, K)
-    bias: Tensor     # (K,)
-    n_classes: int
-    dropout_p: float = 0.1
-
-    def __post_init__(self):
-        if self.n_classes not in (2, 5):
-            raise LabelSpaceMismatchError(f"class count must be 2 or 5, got {self.n_classes}")
-        if self.weights.shape[1] != self.n_classes or self.bias.shape != (self.n_classes,):
-            raise ad.ShapeMismatchError("head weight shapes do not match class count")
 
 
 @dataclass(frozen=True)
@@ -102,40 +89,26 @@ class FinetuneConfig:
     max_len: int = 64
     seed: int = 0
     freeze_encoder: bool = False
-    weight_decay: float = 0.01
-    warmup_frac: float = 0.1
 
 
-def init_head(hidden: int, n_classes: int, rng, dropout_p=0.1) -> ClassifierHead:
-    w = enc._truncated_normal(rng, (hidden, n_classes), 0.02)
-    return ClassifierHead(
-        weights=Tensor(w, requires_grad=True),
-        bias=Tensor(np.zeros(n_classes, dtype=np.float32), requires_grad=True),
-        n_classes=n_classes,
-        dropout_p=dropout_p,
-    )
+def _head_logits(pooled, params):
+    return ad.matmul(pooled, params["head.w"]) + params["head.b"]
 
 
-def _head_logits(pooled, head, training, rng):
-    dropped = ad.dropout(pooled, head.dropout_p, training, rng)
-    return ad.matmul(dropped, head.weights) + head.bias
-
-
-def _head_predictions(pooled, head, training=False, rng=None):
+def _head_predictions(pooled, params):
     """One Prediction per pooled row; argmax with lowest-index tie-break."""
-    probs = ad.softmax(_head_logits(pooled, head, training, rng)).data
+    probs = ad.softmax(_head_logits(pooled, params)).data
     return [Prediction(probs=row, label=int(np.argmax(row))) for row in probs]
 
 
-def head_forward(pooled, head: ClassifierHead, training=False, rng=None) -> Prediction:
+def head_forward(pooled, params) -> Prediction:
     """Prediction for one pooled vector, through the batch head path."""
     pooled = pooled if isinstance(pooled, Tensor) else Tensor(pooled)
-    if pooled.data.shape != (head.weights.shape[0],):
-        raise ad.ShapeMismatchError(
-            f"pooled shape {pooled.data.shape} vs head hidden {head.weights.shape[0]}"
-        )
-    with ad.no_grad() if not training else nullcontext():
-        return _head_predictions(ad.reshape(pooled, (1, -1)), head, training, rng)[0]
+    hidden = params["head.w"].shape[0]
+    if pooled.data.shape != (hidden,):
+        raise ad.ShapeMismatchError(f"pooled shape {pooled.data.shape} vs head hidden {hidden}")
+    with ad.no_grad():
+        return _head_predictions(ad.reshape(pooled, (1, -1)), params)[0]
 
 
 def project_label(label, task: str):
@@ -160,7 +133,7 @@ def accuracy(predictions, golds) -> float:
     return correct / len(predictions)
 
 
-def predict_texts(texts, params, config, head, vocab, max_len, batch_size=64):
+def predict_texts(texts, params, config, vocab, max_len, batch_size=64):
     """Deterministic inference over a list of texts -> list of Prediction.
 
     Texts are batched in order of length, so rows of a batch need little
@@ -174,18 +147,18 @@ def predict_texts(texts, params, config, head, vocab, max_len, batch_size=64):
         ids, segs, mask = stack_batch([seqs[i] for i in sel])
         with ad.no_grad():
             _, pooled = enc.encode_batch(ids, segs, mask, params, config, training=False)
-            for i, pred in zip(sel, _head_predictions(pooled, head)):
+            for i, pred in zip(sel, _head_predictions(pooled, params)):
                 preds[i] = pred
     return preds
 
 
-def _dev_root_accuracy(dev_records, params, config, head, vocab, max_len, task):
+def _dev_root_accuracy(dev_records, params, config, vocab, max_len, task):
     roots = [r for r in dev_records if r.is_root]
     pairs = [(r, project_label(r.label, task)) for r in roots]
     pairs = [(r, y) for r, y in pairs if y is not None]
     if not pairs:
         return 0.0
-    preds = predict_texts([r.text for r, _ in pairs], params, config, head, vocab, max_len)
+    preds = predict_texts([r.text for r, _ in pairs], params, config, vocab, max_len)
     return accuracy([p.label for p in preds], [y for _, y in pairs])
 
 
@@ -208,18 +181,20 @@ def _bucketed_batches(lengths, batch_size, rng):
 
 
 def finetune(train_records, dev_records, params, config, vocab, task: str,
-             hyper: FinetuneConfig, head: ClassifierHead | None = None):
+             hyper: FinetuneConfig):
     """Fine-tune encoder + head (or head only) with cross-entropy.
 
-    Each epoch's batches come from ``_bucketed_batches``: rows of similar
-    length share a batch, so little of it is ``[PAD]``. The batches are
-    drawn from their own random stream (3), apart from the head init and
-    dropout (stream 2), so the dropout rate never changes which examples
-    share a batch.
+    ``params`` without ``head.w`` gains a fresh head for ``task``; one with a
+    head goes on training it. Each epoch's batches come from
+    ``_bucketed_batches``: rows of similar length share a batch, so little
+    of it is ``[PAD]``. The batches are drawn from their own random stream
+    (3), apart from the head init and dropout (stream 2), so the dropout
+    rate never changes which examples share a batch.
 
-    Returns (params, head, summary). The checkpoint with the best dev root
-    accuracy wins; ties keep the earlier epoch. Deterministic per seed.
-    Raises ``FloatingPointError`` as soon as a batch loss is not finite.
+    Returns (params, summary); ``params`` is the dict given, head included.
+    The checkpoint with the best dev root accuracy wins; ties keep the
+    earlier epoch. Deterministic per seed. Raises ``FloatingPointError`` as
+    soon as a batch loss is not finite.
     """
     if task not in TASK_CLASSES:
         raise LabelSpaceMismatchError(f"unknown task {task!r}")
@@ -230,29 +205,31 @@ def finetune(train_records, dev_records, params, config, vocab, task: str,
         raise EmptyTrainingSetError("no usable training samples after label projection")
 
     rng = make_rng(hyper.seed, stream=2)
-    if head is None:
-        head = init_head(config.hidden, k, rng)
-    elif head.n_classes != k:
-        raise LabelSpaceMismatchError(f"head has {head.n_classes} classes, task needs {k}")
+    if "head.w" not in params:
+        w = enc._truncated_normal(rng, (config.hidden, k), 0.02)
+        params["head.w"] = Tensor(w, requires_grad=True)
+        params["head.b"] = Tensor(np.zeros(k, dtype=np.float32), requires_grad=True)
+    elif params["head.b"].shape[0] != k:
+        raise LabelSpaceMismatchError(
+            f"head has {params['head.b'].shape[0]} classes, task needs {k}")
 
     if hyper.epochs == 0:
-        return params, head, {"best_epoch": None, "best_dev_root_acc": None}
+        return params, {"best_epoch": None, "best_dev_root_acc": None}
 
-    trainable = {"head.w": head.weights, "head.b": head.bias}
-    lr = hyper.head_lr if hyper.freeze_encoder else hyper.lr
-    if not hyper.freeze_encoder:
-        trainable.update(params)
+    if hyper.freeze_encoder:
+        trainable, lr = {n: params[n] for n in ("head.w", "head.b")}, hyper.head_lr
+    else:
+        trainable, lr = params, hyper.lr
     steps_per_epoch = max(1, (len(labeled) + hyper.batch_size - 1) // hyper.batch_size)
     total = steps_per_epoch * hyper.epochs
-    opt = AdamW(trainable, lr=lr, weight_decay=hyper.weight_decay,
-                warmup_steps=int(total * hyper.warmup_frac), total_steps=total)
+    opt = AdamW(trainable, lr=lr, warmup_steps=int(total * WARMUP_FRAC), total_steps=total)
 
     seqs = [encode(r.text, vocab, hyper.max_len) for r, _ in labeled]
     labels = np.array([y for _, y in labeled], dtype=np.int64)
     lengths = np.array([s.n_real for s in seqs])
     shuffle_rng = make_rng(hyper.seed, stream=3)
 
-    best = None  # (acc, epoch, params_data, head_data)
+    best = None  # (acc, epoch, params_data)
     for epoch in range(hyper.epochs):
         for sel in _bucketed_batches(lengths, hyper.batch_size, shuffle_rng):
             ids, segs, mask = stack_batch([seqs[i] for i in sel])
@@ -264,52 +241,51 @@ def finetune(train_records, dev_records, params, config, vocab, task: str,
             else:
                 _, pooled = enc.encode_batch(ids, segs, mask,
                                              params, config, training=True, rng=rng)
-            logits = _head_logits(pooled, head, training=True, rng=rng)
-            loss = ad.softmax_cross_entropy(logits, labels[sel])
+            pooled = ad.dropout(pooled, config.dropout_p, True, rng)
+            loss = ad.softmax_cross_entropy(_head_logits(pooled, params), labels[sel])
             check_finite_loss(loss, opt.t + 1)
             opt.zero_grad()
             ad.backward(loss)
             opt.step()
-        dev_acc = _dev_root_accuracy(dev_records, params, config, head, vocab,
-                                     hyper.max_len, task)
+        dev_acc = _dev_root_accuracy(dev_records, params, config, vocab, hyper.max_len, task)
         if best is None or dev_acc > best[0]:
-            best = (dev_acc, epoch,
-                    {k_: p.data.copy() for k_, p in params.items()},
-                    (head.weights.data.copy(), head.bias.data.copy()))
+            best = (dev_acc, epoch, {k_: p.data.copy() for k_, p in params.items()})
 
     for name, data in best[2].items():
         params[name].data = data
-    head.weights.data, head.bias.data = best[3]
-    return params, head, {"best_epoch": best[1], "best_dev_root_acc": best[0]}
+    return params, {"best_epoch": best[1], "best_dev_root_acc": best[0]}
 
 
-def evaluate(params, config, head, vocab, corpora, cells, max_len=64,
+def evaluate(params, config, vocab, corpora, cells, max_len=64,
              batch_size=64) -> EvalReport:
     """Score the requested (task, scope) cells over every node occurrence.
 
+    Every cell's task must fit the class count of the head in ``params``.
     Empty cells (e.g. sst2 root on all-neutral roots) report n=0 and are
     flagged rather than raising.
     """
-    task_of_head = "sst2" if head.n_classes == 2 else "sst5"
+    k = params["head.b"].shape[0]
     for task, _ in cells:
-        if task != task_of_head:
-            raise LabelSpaceMismatchError(
-                f"cell task {task} does not match head label space {task_of_head}")
+        if TASK_CLASSES.get(task) != k:
+            raise LabelSpaceMismatchError(f"cell task {task} does not fit a {k}-class head")
+    report = EvalReport()
+    if not cells:
+        return report
+    task = cells[0][0]
 
     records = []
     for corpus in corpora:
         for tree in corpus.trees:
             records.extend(extract_phrases(tree))
 
-    golds = [project_label(r.label, task_of_head) for r in records]
+    golds = [project_label(r.label, task) for r in records]
     usable = [(r, y) for r, y in zip(records, golds) if y is not None]
     # phrase texts recur across node occurrences: predict each distinct one once
     distinct = list(dict.fromkeys(r.text for r, _ in usable))
-    by_text = dict(zip(distinct, predict_texts(distinct, params, config, head,
-                                               vocab, max_len, batch_size=batch_size)))
+    by_text = dict(zip(distinct, predict_texts(distinct, params, config, vocab, max_len,
+                                               batch_size=batch_size)))
     preds = [by_text[r.text] for r, _ in usable]
 
-    report = EvalReport()
     for task, scope in cells:
         if scope == "root":
             triple = [(p, y) for p, (r, y) in zip(preds, usable) if r.is_root]

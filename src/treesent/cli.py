@@ -7,7 +7,8 @@ The run config is an INI file. ``RunConfig``'s fields are its one table of
 the same parsers, so a bad value from either exits 1. A resolved copy is
 written next to the artifacts each command produces. Existing outputs are
 never overwritten without ``--force``. A checkpoint whose head tensors do
-not fit its config and task exits 2.
+not fit its config and task exits 2, and so does ``finetune --init`` from a
+checkpoint fine-tuned for another task.
 """
 
 from __future__ import annotations
@@ -69,7 +70,10 @@ def _bool(text):
 
 
 def _scope(text):
-    return tuple(_choice("all", "root")(s.strip()) for s in text.split(",") if s.strip())
+    scope = tuple(_choice("all", "root")(s.strip()) for s in text.split(",") if s.strip())
+    if not scope:
+        raise ValueError("no scope given; use all, root or both")
+    return scope
 
 
 def _key(section, key, parse, **default):
@@ -248,6 +252,8 @@ def _load_checkpoint(cfg, path, vocab):
     task = prov.get("task", cfg.task)
     if task not in classify.TASK_CLASSES:
         raise DataError(f"{path} was fine-tuned for an unknown task {task!r}")
+    if ("head.w" in params) != ("head.b" in params):
+        raise DataError(f"{path} holds only one of head.w and head.b")
     h, k = model_cfg.hidden, classify.TASK_CLASSES[task]
     shapes = {"head.w": (h, k), "head.b": (k,), "mlm.b": (model_cfg.vocab_size,),
               "nsp.w": (h, 2), "nsp.b": (2,)}
@@ -304,7 +310,10 @@ def cmd_pretrain(cfg, force, resume=None):
 
 def cmd_finetune(cfg, force, init_ckpt):
     vocab = _load_vocab(cfg)
-    model_cfg, params, _ = _load_checkpoint(cfg, init_ckpt, vocab)
+    model_cfg, params, prov = _load_checkpoint(cfg, init_ckpt, vocab)
+    if prov.get("task", cfg.task) != cfg.task:
+        raise DataError(f"{init_ckpt} was fine-tuned for {prov['task']}, "
+                        f"but [run] task = {cfg.task}")
     expected = _model_config(cfg, vocab)
     if (model_cfg.layers, model_cfg.hidden, model_cfg.heads) != (
             expected.layers, expected.hidden, expected.heads):
@@ -320,17 +329,14 @@ def cmd_finetune(cfg, force, init_ckpt):
         lr=cfg.finetune_lr, head_lr=cfg.head_lr, max_len=cfg.max_len,
         seed=cfg.seed, freeze_encoder=cfg.freeze_encoder,
     )
-    params, head, summary = classify.finetune(
+    params, summary = classify.finetune(
         train_records, dev_records, params, model_cfg, vocab, cfg.task, hyper)
-    out = dict(params)
-    out["head.w"] = head.weights
-    out["head.b"] = head.bias
     ckpt_path = os.path.join(cfg.out_dir, f"finetune_{cfg.task}.ckpt")
     _check_output(ckpt_path, force)
     os.makedirs(cfg.out_dir, exist_ok=True)
     prov = _provenance(cfg, 0, vocab)
     prov["task"] = cfg.task
-    save_checkpoint(ckpt_path, model_cfg, out, prov)
+    save_checkpoint(ckpt_path, model_cfg, params, prov)
     _write_config_copy(cfg, "finetune")
     print(f"best dev root accuracy: {summary['best_dev_root_acc']}"
           f" (epoch {summary['best_epoch']})")
@@ -341,24 +347,16 @@ def cmd_finetune(cfg, force, init_ckpt):
 def _load_model(cfg, ckpt_path):
     vocab = _load_vocab(cfg)
     model_cfg, params, prov = _load_checkpoint(cfg, ckpt_path, vocab)
-    task = prov.get("task", cfg.task)
-    if not {"head.w", "head.b"} <= params.keys():
+    if "head.w" not in params:
         raise DataError(f"{ckpt_path} has no classifier head; fine-tune first")
-    head = classify.ClassifierHead(
-        weights=params.pop("head.w"), bias=params.pop("head.b"),
-        n_classes=classify.TASK_CLASSES[task],
-    )
-    params.pop("mlm.b", None)
-    params.pop("nsp.w", None)
-    params.pop("nsp.b", None)
-    return vocab, model_cfg, params, head, task
+    return vocab, model_cfg, params, prov.get("task", cfg.task)
 
 
 def cmd_eval(cfg, force, ckpt_path):
-    vocab, model_cfg, params, head, task = _load_model(cfg, ckpt_path)
+    vocab, model_cfg, params, task = _load_model(cfg, ckpt_path)
     test = _load_split(cfg, "test")
     cells = [(task, scope) for scope in cfg.scope]
-    report = classify.evaluate(params, model_cfg, head, vocab, [test], cells,
+    report = classify.evaluate(params, model_cfg, vocab, [test], cells,
                                max_len=cfg.max_len)
     tsv_path = os.path.join(cfg.out_dir, f"report_{task}.tsv")
     json_path = os.path.join(cfg.out_dir, f"report_{task}.json")
@@ -370,11 +368,11 @@ def cmd_eval(cfg, force, ckpt_path):
 
 
 def cmd_predict(cfg, ckpt_path, text):
-    vocab, model_cfg, params, head, task = _load_model(cfg, ckpt_path)
+    vocab, model_cfg, params, task = _load_model(cfg, ckpt_path)
     if not text.strip():
         print("warning: empty text; predicting on the bare [CLS][SEP] frame",
               file=sys.stderr)
-    preds = classify.predict_texts([text], params, model_cfg, head, vocab, cfg.max_len)
+    preds = classify.predict_texts([text], params, model_cfg, vocab, cfg.max_len)
     pred = preds[0]
     if task == "sst5":
         names = treebank.LABEL_NAMES

@@ -12,7 +12,7 @@ flat name -> Tensor dict using the checkpoint naming scheme:
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, replace
+from dataclasses import asdict, dataclass, replace
 
 import numpy as np
 
@@ -57,16 +57,7 @@ class ModelConfig:
         return self.hidden // self.heads
 
     def to_dict(self):
-        return {
-            "layers": self.layers,
-            "hidden": self.hidden,
-            "heads": self.heads,
-            "intermediate": self.intermediate,
-            "vocab_size": self.vocab_size,
-            "max_positions": self.max_positions,
-            "segment_types": self.segment_types,
-            "dropout_p": self.dropout_p,
-        }
+        return asdict(self)
 
     @classmethod
     def from_dict(cls, d):

@@ -4,6 +4,9 @@ from __future__ import annotations
 
 import numpy as np
 
+# share of the scheduled steps spent warming the learning rate up
+WARMUP_FRAC = 0.1
+
 
 def make_rng(seed: int, stream: int = 0) -> np.random.Generator:
     """Seeded counter-based generator; distinct streams never overlap."""

@@ -15,7 +15,7 @@ import numpy as np
 from . import autodiff as ad
 from . import encoder as enc
 from .autodiff import Tensor
-from .optim import AdamW, check_finite_loss, make_rng
+from .optim import WARMUP_FRAC, AdamW, check_finite_loss, make_rng
 from .tokenizer import TokenSequence, stack_batch
 
 __all__ = [
@@ -80,8 +80,6 @@ class PretrainConfig:
     mask_rate: float = 0.15
     max_len: int = 32
     seed: int = 0
-    warmup_frac: float = 0.1
-    weight_decay: float = 0.01
     max_steps: int | None = None
 
 
@@ -169,9 +167,8 @@ def init_pretrain_state(config, vocab_size, seed, hyper: PretrainConfig,
     params["mlm.b"] = Tensor(np.zeros(vocab_size, dtype=np.float32), requires_grad=True)
     params["nsp.w"] = Tensor(enc._truncated_normal(rng, (h, 2), 0.02), requires_grad=True)
     params["nsp.b"] = Tensor(np.zeros(2, dtype=np.float32), requires_grad=True)
-    warmup = int((total_steps or 0) * hyper.warmup_frac)
-    opt = AdamW(params, lr=hyper.lr, weight_decay=hyper.weight_decay,
-                warmup_steps=warmup, total_steps=total_steps)
+    warmup = int((total_steps or 0) * WARMUP_FRAC)
+    opt = AdamW(params, lr=hyper.lr, warmup_steps=warmup, total_steps=total_steps)
     return PretrainState(params=params, config=config, optimizer=opt)
 
 

@@ -128,7 +128,8 @@ def test_3_gradient_oracle(capsys):
                           vocab_size=57, max_positions=16, dropout_p=0.0)
     vocab = letter_vocab()
     params = enc.init_params(cfg, make_rng(31))
-    head = cl.init_head(cfg.hidden, 5, make_rng(32), dropout_p=0.0)
+    head_w = Tensor(enc._truncated_normal(make_rng(32), (cfg.hidden, 5), 0.02))
+    head_b = Tensor(np.zeros(5, dtype=np.float32))
     seq = tok.encode("ab cde", vocab, 10)
     # batched beside a 10-long row, so seq's last columns are masked padding
     filler = tok.TokenSequence(ids=np.full(10, vocab.cls_id),
@@ -145,7 +146,7 @@ def test_3_gradient_oracle(capsys):
             try:
                 _, pooled = enc.encode_batch(*batch, params, cfg)
                 pooled = ad.index_select(pooled, 0, np.array([0]))
-                logits = ad.matmul(pooled, head.weights) + head.bias
+                logits = ad.matmul(pooled, head_w) + head_b
                 return ad.softmax_cross_entropy(logits, np.array([3]))
             finally:
                 params[_name] = saved
@@ -286,8 +287,8 @@ def test_6_learning_sanity(capsys, tmp_path_factory):
     subset = [tb.extract_phrases(t)[0] for t in train.trees[:64]]
     hyper = cl.FinetuneConfig(epochs=50, batch_size=16, lr=2e-3, head_lr=2e-3,
                               max_len=24, seed=1)
-    params, head, _ = cl.finetune(subset, subset, params, cfg, vocab, "sst5", hyper)
-    preds = cl.predict_texts([r.text for r in subset], params, cfg, head, vocab, 24)
+    params, _ = cl.finetune(subset, subset, params, cfg, vocab, "sst5", hyper)
+    preds = cl.predict_texts([r.text for r in subset], params, cfg, vocab, 24)
     golds = [cl.project_label(r.label, "sst5") for r in subset]
     acc = cl.accuracy([p.label for p in preds], golds)
     elapsed = time.time() - t0
@@ -313,10 +314,8 @@ def test_7_generalization_direction(capsys, tmp_path_factory):
         params = _copy_params(base_params)
         hyper = cl.FinetuneConfig(epochs=10, batch_size=32, lr=2e-3, head_lr=1e-3,
                                   max_len=24, seed=1, freeze_encoder=freeze)
-        params, head, _ = cl.finetune(train_recs, dev_recs, params, cfg, vocab,
-                                      "sst5", hyper)
-        preds = cl.predict_texts([r.text for r in dev_roots], params, cfg, head,
-                                 vocab, 24)
+        params, _ = cl.finetune(train_recs, dev_recs, params, cfg, vocab, "sst5", hyper)
+        preds = cl.predict_texts([r.text for r in dev_roots], params, cfg, vocab, 24)
         accs[freeze] = cl.accuracy([p.label for p in preds], golds)
 
     ok = accs[False] > max(0.2, majority) and accs[False] >= accs[True]

@@ -35,8 +35,14 @@ def tiny_setup(seed=0, vocab=None, max_positions=TINY.max_positions, dropout_p=0
 def zero_head(n_classes, hidden=16, bias=None):
     w = Tensor(np.zeros((hidden, n_classes), dtype=np.float32), requires_grad=True)
     b = np.zeros(n_classes, dtype=np.float32) if bias is None else np.asarray(bias, dtype=np.float32)
-    return cl.ClassifierHead(weights=w, bias=Tensor(b, requires_grad=True),
-                             n_classes=n_classes, dropout_p=0.0)
+    return {"head.w": w, "head.b": Tensor(b, requires_grad=True)}
+
+
+def drawn_head(n_classes, rng, hidden=16):
+    """A head drawn as fine-tuning draws a fresh one: truncated normal, zero bias."""
+    w = enc._truncated_normal(rng, (hidden, n_classes), 0.02)
+    return {"head.w": Tensor(w, requires_grad=True),
+            "head.b": Tensor(np.zeros(n_classes, dtype=np.float32), requires_grad=True)}
 
 
 class TestHeadForward:
@@ -48,7 +54,7 @@ class TestHeadForward:
 
     def test_probs_sum_to_one(self):
         rng = make_rng(1)
-        head = cl.init_head(16, 5, rng)
+        head = drawn_head(5, rng)
         pred = cl.head_forward(rng.normal(size=16).astype(np.float32), head)
         assert pred.probs.shape == (5,)
         assert abs(pred.probs.sum() - 1.0) < 1e-6
@@ -65,9 +71,16 @@ class TestHeadForward:
         with pytest.raises(ad.ShapeMismatchError):
             cl.head_forward(np.zeros(8, dtype=np.float32), head)
 
-    def test_bad_class_count(self):
-        with pytest.raises(cl.LabelSpaceMismatchError):
-            zero_head(3)
+    def test_bad_class_count(self, synth_corpora):
+        vocab, cfg, params = tiny_setup()
+        params.update(zero_head(3))
+        records = extract_phrases(parse_tree("(3 ab)"))
+        for task in cl.TASK_CLASSES:
+            with pytest.raises(cl.LabelSpaceMismatchError):
+                cl.evaluate(params, cfg, vocab, synth_corpora[2:], [(task, "all")])
+            with pytest.raises(cl.LabelSpaceMismatchError):
+                cl.finetune(records, records, params, cfg, vocab, task,
+                            cl.FinetuneConfig(epochs=1))
 
 
 class TestProjectLabel:
@@ -104,10 +117,10 @@ class TestAccuracy:
 class TestPredictTexts:
     def test_batching_matches_single(self):
         vocab, cfg, params = tiny_setup()
-        head = cl.init_head(cfg.hidden, 5, make_rng(2))
+        params.update(drawn_head(5, make_rng(2), cfg.hidden))
         texts = ["ab cd", "ef", "gh ij kl", "m"]
-        one = cl.predict_texts(texts, params, cfg, head, vocab, 12, batch_size=1)
-        many = cl.predict_texts(texts, params, cfg, head, vocab, 12, batch_size=64)
+        one = cl.predict_texts(texts, params, cfg, vocab, 12, batch_size=1)
+        many = cl.predict_texts(texts, params, cfg, vocab, 12, batch_size=64)
         for a, b in zip(one, many):
             np.testing.assert_allclose(a.probs, b.probs, atol=1e-6)
             assert a.label == b.label
@@ -115,20 +128,19 @@ class TestPredictTexts:
     def test_independent_of_batch_composition_and_padded_length(self):
         vocab, cfg, params = tiny_setup(max_positions=64)
         rng = make_rng(2)
-        head = cl.ClassifierHead(
-            weights=Tensor(rng.normal(size=(cfg.hidden, 5)).astype(np.float32)),
-            bias=Tensor(np.zeros(5, dtype=np.float32)), n_classes=5)
+        params["head.w"] = Tensor(rng.normal(size=(cfg.hidden, 5)).astype(np.float32))
+        params["head.b"] = Tensor(np.zeros(5, dtype=np.float32))
         texts = ["gh ij kl mn op", "ab cd", "m", "qrs tu v wx", "ef", "ab cd", "yz a"]
         assert max(tok.encode(t, vocab, 64).n_real for t in texts) <= 32  # nothing truncated
 
-        ref = cl.predict_texts(texts, params, cfg, head, vocab, 32, batch_size=3)
-        singles = [cl.predict_texts([t], params, cfg, head, vocab, 32)[0] for t in texts]
+        ref = cl.predict_texts(texts, params, cfg, vocab, 32, batch_size=3)
+        singles = [cl.predict_texts([t], params, cfg, vocab, 32)[0] for t in texts]
         perm = rng.permutation(len(texts))
-        shuffled = cl.predict_texts([texts[i] for i in perm], params, cfg, head, vocab, 32)
+        shuffled = cl.predict_texts([texts[i] for i in perm], params, cfg, vocab, 32)
         unshuffled = [None] * len(texts)
         for pos, i in enumerate(perm):
             unshuffled[i] = shuffled[pos]
-        longer = cl.predict_texts(texts, params, cfg, head, vocab, 64, batch_size=3)
+        longer = cl.predict_texts(texts, params, cfg, vocab, 64, batch_size=3)
         for other in (singles, unshuffled, longer):
             for a, b in zip(ref, other):
                 np.testing.assert_allclose(a.probs, b.probs, atol=1e-5)
@@ -136,9 +148,9 @@ class TestPredictTexts:
 
     def test_inference_does_not_mutate_params(self):
         vocab, cfg, params = tiny_setup()
-        head = cl.init_head(cfg.hidden, 2, make_rng(3))
+        params.update(drawn_head(2, make_rng(3), cfg.hidden))
         before = {k: p.data.tobytes() for k, p in params.items()}
-        cl.predict_texts(["ab", "cd ef"], params, cfg, head, vocab, 8)
+        cl.predict_texts(["ab", "cd ef"], params, cfg, vocab, 8)
         after = {k: p.data.tobytes() for k, p in params.items()}
         assert before == after
         assert all(p.grad is None for p in params.values())
@@ -192,25 +204,30 @@ class TestFinetune:
         dev = [r for t in synth_corpora[1].trees for r in extract_phrases(t)]
         snapshot = {k: p.data.copy() for k, p in params.items()}
         hyper = cl.FinetuneConfig(epochs=0, seed=1)
-        out_params, head, summary = cl.finetune(train[:20], dev[:10], params, cfg,
-                                                vocab, "sst5", hyper)
+        out_params, summary = cl.finetune(train[:20], dev[:10], params, cfg,
+                                          vocab, "sst5", hyper)
         assert out_params is params
         assert summary == {"best_epoch": None, "best_dev_root_acc": None}
         for k in snapshot:
             np.testing.assert_array_equal(params[k].data, snapshot[k])
+        # the fresh head is the first draw of the seed's stream 2
+        fresh = drawn_head(5, make_rng(1, stream=2), cfg.hidden)
+        assert set(params) == set(snapshot) | {"head.w", "head.b"}
+        for name in ("head.w", "head.b"):
+            assert params[name].data.tobytes() == fresh[name].data.tobytes()
 
     def test_frozen_encoder_only_trains_head(self, synth_corpora):
         vocab, cfg, params = tiny_setup()
         train = [r for t in synth_corpora[0].trees for r in extract_phrases(t)]
         dev = [r for t in synth_corpora[1].trees for r in extract_phrases(t)]
         snapshot = {k: p.data.tobytes() for k, p in params.items()}
-        head = cl.init_head(cfg.hidden, 5, make_rng(4))
-        w0 = head.weights.data.copy()
+        params.update(drawn_head(5, make_rng(4), cfg.hidden))
+        w0 = params["head.w"].data.copy()
         hyper = cl.FinetuneConfig(epochs=2, batch_size=16, seed=1, max_len=16,
                                   freeze_encoder=True)
-        cl.finetune(train[:40], dev[:10], params, cfg, vocab, "sst5", hyper, head=head)
-        assert {k: p.data.tobytes() for k, p in params.items()} == snapshot
-        assert (head.weights.data != w0).any()
+        cl.finetune(train[:40], dev[:10], params, cfg, vocab, "sst5", hyper)
+        assert {k: params[k].data.tobytes() for k in snapshot} == snapshot
+        assert (params["head.w"].data != w0).any()
 
     def test_deterministic_per_seed(self, synth_corpora):
         vocab = letter_vocab()
@@ -220,9 +237,8 @@ class TestFinetune:
         for _ in range(2):
             _, cfg, params = tiny_setup()
             hyper = cl.FinetuneConfig(epochs=1, batch_size=16, seed=7, max_len=16)
-            _, head, _ = cl.finetune(train[:40], dev[:10], params, cfg, vocab,
-                                     "sst5", hyper)
-            results.append((head.weights.data.tobytes(),
+            cl.finetune(train[:40], dev[:10], params, cfg, vocab, "sst5", hyper)
+            results.append((params["head.w"].data.tobytes(),
                             {k: p.data.tobytes() for k, p in params.items()}))
         assert results[0] == results[1]
 
@@ -259,8 +275,9 @@ class TestFinetune:
             _, cfg, params = tiny_setup(vocab=vocab, max_positions=64, dropout_p=0.1)
             hyper = cl.FinetuneConfig(epochs=2, batch_size=16, lr=1e-3, seed=3,
                                       max_len=max_len)
-            _, head, summary = cl.finetune(train, dev, params, cfg, vocab, "sst5", hyper)
-            results.append((summary, head.weights.data.tobytes(), head.bias.data.tobytes(),
+            _, summary = cl.finetune(train, dev, params, cfg, vocab, "sst5", hyper)
+            results.append((summary, params["head.w"].data.tobytes(),
+                            params["head.b"].data.tobytes(),
                             {k: p.data.tobytes() for k, p in params.items()}))
         assert results[0] == results[1]
 
@@ -281,10 +298,10 @@ class TestFinetune:
     def test_head_class_mismatch(self):
         vocab, cfg, params = tiny_setup()
         records = extract_phrases(parse_tree("(3 ab)"))
-        head = cl.init_head(cfg.hidden, 5, make_rng(0))
+        params.update(drawn_head(5, make_rng(0), cfg.hidden))
         with pytest.raises(cl.LabelSpaceMismatchError):
             cl.finetune(records, records, params, cfg, vocab, "sst2",
-                        cl.FinetuneConfig(epochs=1), head=head)
+                        cl.FinetuneConfig(epochs=1))
 
 
 def oracle_predictor(corpora, task):
@@ -297,8 +314,8 @@ def oracle_predictor(corpora, task):
                 if y is not None:
                     lookup[rec.text] = y
 
-    def fake_predict(texts, params, config, head, vocab, max_len, batch_size=64):
-        k = head.n_classes
+    def fake_predict(texts, params, config, vocab, max_len, batch_size=64):
+        k = params["head.b"].shape[0]
         out = []
         for t in texts:
             probs = np.zeros(k)
@@ -312,10 +329,10 @@ def oracle_predictor(corpora, task):
 class TestEvaluate:
     def test_oracle_scores_perfectly(self, synth_corpora, monkeypatch):
         vocab, cfg, params = tiny_setup()
-        head = cl.init_head(cfg.hidden, 5, make_rng(5))
+        params.update(drawn_head(5, make_rng(5), cfg.hidden))
         monkeypatch.setattr(cl, "predict_texts",
                             oracle_predictor(synth_corpora[2:], "sst5"))
-        report = cl.evaluate(params, cfg, head, vocab, synth_corpora[2:],
+        report = cl.evaluate(params, cfg, vocab, synth_corpora[2:],
                              [("sst5", "all"), ("sst5", "root")], max_len=16)
         for cell, (n, acc) in report.cells.items():
             assert n > 0 and acc == 1.0
@@ -325,21 +342,21 @@ class TestEvaluate:
         total_nodes = sum(len(extract_phrases(t)) for t in corpus.trees)
         n_roots = len(corpus.trees)
         vocab, cfg, params = tiny_setup()
-        head = cl.init_head(cfg.hidden, 5, make_rng(6))
+        params.update(drawn_head(5, make_rng(6), cfg.hidden))
         monkeypatch.setattr(cl, "predict_texts", oracle_predictor([corpus], "sst5"))
-        report = cl.evaluate(params, cfg, head, vocab, [corpus],
+        report = cl.evaluate(params, cfg, vocab, [corpus],
                              [("sst5", "all"), ("sst5", "root")], max_len=16)
         assert report.cells[("sst5", "all")][0] == total_nodes
         assert report.cells[("sst5", "root")][0] == n_roots
 
     def test_neutral_roots_give_empty_binary_cell(self):
         vocab, cfg, params = tiny_setup()
-        head = cl.init_head(cfg.hidden, 2, make_rng(7))
+        params.update(drawn_head(2, make_rng(7), cfg.hidden))
         from treesent.treebank import Corpus
 
         tree = parse_tree("(2 (3 ab) (1 cd))")
         corpus = Corpus(split="test", trees=(tree,))
-        report = cl.evaluate(params, cfg, head, vocab, [corpus],
+        report = cl.evaluate(params, cfg, vocab, [corpus],
                              [("sst2", "all"), ("sst2", "root")], max_len=8)
         assert report.cells[("sst2", "root")] == (0, 0.0)
         n_all, _ = report.cells[("sst2", "all")]
@@ -347,19 +364,19 @@ class TestEvaluate:
 
     def test_task_head_mismatch(self, synth_corpora):
         vocab, cfg, params = tiny_setup()
-        head = cl.init_head(cfg.hidden, 5, make_rng(8))
+        params.update(drawn_head(5, make_rng(8), cfg.hidden))
         with pytest.raises(cl.LabelSpaceMismatchError):
-            cl.evaluate(params, cfg, head, vocab, synth_corpora[2:],
+            cl.evaluate(params, cfg, vocab, synth_corpora[2:],
                         [("sst2", "root")])
 
     def test_report_formats_agree(self, synth_corpora, monkeypatch):
         import json
 
         vocab, cfg, params = tiny_setup()
-        head = cl.init_head(cfg.hidden, 5, make_rng(9))
+        params.update(drawn_head(5, make_rng(9), cfg.hidden))
         monkeypatch.setattr(cl, "predict_texts",
                             oracle_predictor(synth_corpora[2:], "sst5"))
-        report = cl.evaluate(params, cfg, head, vocab, synth_corpora[2:],
+        report = cl.evaluate(params, cfg, vocab, synth_corpora[2:],
                              [("sst5", "all")], max_len=16)
         tsv = report.to_tsv()
         payload = json.loads(report.to_json())

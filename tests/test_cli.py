@@ -9,6 +9,8 @@ import pytest
 from treesent import cli, synth
 from treesent.autodiff import Tensor
 from treesent.checkpoint import load_checkpoint, save_checkpoint
+from treesent.encoder import _truncated_normal
+from treesent.optim import make_rng
 from treesent.tokenizer import SPECIAL_TOKENS
 from treesent.treebank import MAX_TREE_DEPTH
 
@@ -359,6 +361,8 @@ class TestConfigTable:
         ("pretrain", "model", "max_len", "2"),
         ("pretrain", "model", "max_len", "4"),  # a sentence pair needs 5
         ("pretrain", "pretrain", "mask_rate", "0"),
+        ("pretrain", "run", "scope", ""),
+        ("pretrain", "run", "scope", ","),
     ])
     def test_bad_value_exits_1_naming_the_key(self, pipeline, tmp_path, capsys,
                                               command, section, key, value):
@@ -458,4 +462,44 @@ class TestCheckpointHeads:
         assert cli.main(["predict", "--config", cfg, "--checkpoint", bad,
                          "--text", "a movie"]) == 2
         assert "sst2" in capsys.readouterr().err
+        assert sorted(os.listdir(out)) == ["vocab.txt"]
+
+    def test_finetune_init_from_same_task_trains_stored_head(self, pipeline, tmp_path):
+        fine = os.path.join(pipeline["out"], "finetune_sst5.ckpt")
+        _, stored, _ = load_checkpoint(fine, expect_extra=cli.HEAD_EXTRAS)
+        fresh = _truncated_normal(make_rng(3, stream=2), (64, 5), 0.02)  # seed 3's draw
+        saved = {}
+        for epochs in (0, 1):
+            (tmp_path / str(epochs)).mkdir()
+            cfg, out = scratch_config(pipeline, tmp_path / str(epochs), ft_epochs=epochs)
+            assert cli.main(["finetune", "--config", cfg, "--init", fine]) == 0
+            _, saved[epochs], _ = load_checkpoint(str(out / "finetune_sst5.ckpt"),
+                                                  expect_extra=cli.HEAD_EXTRAS)
+        # no epoch: the stored head comes back as it was, not a fresh draw
+        for name in ("head.w", "head.b"):
+            assert saved[0][name].data.tobytes() == stored[name].data.tobytes()
+        # one epoch: that head trains on
+        w, b = saved[1]["head.w"].data, saved[1]["head.b"].data
+        assert not np.array_equal(w, stored["head.w"].data)
+        assert not np.array_equal(w, fresh)
+        assert not np.array_equal(b, stored["head.b"].data) and b.any()
+
+    def test_finetune_init_from_other_task_exits_2(self, pipeline, tmp_path, capsys):
+        cfg, out = scratch_config(pipeline, tmp_path)
+        fine = os.path.join(pipeline["out"], "finetune_sst5.ckpt")
+        assert cli.main(["finetune", "--config", cfg, "--task", "sst2", "--init", fine]) == 2
+        err = capsys.readouterr().err
+        assert "sst5" in err and "sst2" in err
+        assert sorted(os.listdir(out)) == ["vocab.txt"]
+
+    def test_half_a_head_exits_2(self, pipeline, tmp_path, capsys):
+        cfg, out = scratch_config(pipeline, tmp_path)
+        config, params, prov = load_checkpoint(
+            os.path.join(pipeline["out"], "finetune_sst5.ckpt"), expect_extra=cli.HEAD_EXTRAS)
+        del params["head.b"]
+        half = str(tmp_path / "half.ckpt")
+        save_checkpoint(half, config, params, prov)
+        assert cli.main(["finetune", "--config", cfg, "--init", half]) == 2
+        assert cli.main(["eval", "--config", cfg, "--checkpoint", half]) == 2
+        assert "only one of head.w and head.b" in capsys.readouterr().err
         assert sorted(os.listdir(out)) == ["vocab.txt"]
