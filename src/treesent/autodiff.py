@@ -9,6 +9,11 @@ their reductions in float64 (``dtype=np.float64``) but make no full-size
 float64 copies: every full-size array stays in the input's dtype. Dropout
 draws float32 uniforms.
 
+The ops take only the forms the encoder, its heads and the gradient checks
+use: ``matmul`` multiplies by a 2-D weight or by a batch of the same leading
+shape, and ``tensor_sum``/``tensor_mean`` reduce the whole tensor to a
+scalar.
+
 An op's result array becomes its output tensor's data without a copy, and
 an interior node keeps the first gradient it receives without a copy too.
 Operations record backward closures on their outputs; ``backward(loss)``
@@ -135,28 +140,11 @@ class Tensor:
     def __rmul__(self, other):
         return mul(self, other)
 
-    def __matmul__(self, other):
-        return matmul(self, other)
 
-    def reshape(self, *shape):
-        if len(shape) == 1 and isinstance(shape[0], (tuple, list)):
-            shape = tuple(shape[0])
-        return reshape(self, shape)
-
-    def transpose(self, axes=None):
-        return transpose(self, axes)
-
-    def sum(self, axis=None):
-        return tensor_sum(self, axis)
-
-    def mean(self, axis=None):
-        return tensor_mean(self, axis)
-
-
-def _as_tensor(x, dtype=None):
+def _as_tensor(x):
     if isinstance(x, Tensor):
         return x
-    return Tensor(x, dtype=dtype)
+    return Tensor(x)
 
 
 def _operands(a, b):
@@ -245,48 +233,37 @@ def mul(a, b):
 
 
 def matmul(a, b):
-    """Matrix product; leading dimensions broadcast as in numpy.
+    """Matrix product over the last two axes, in one of two forms.
 
-    ``(..., n, k) @ (k, m)`` with a shared 2-D ``b`` (every linear layer)
-    runs as one GEMM over the flattened leading dimensions, forward and
-    backward.
+    * ``(..., n, k) @ (k, m)``: a 2-D ``b`` (every linear layer, the pooler
+      and the heads) runs as one GEMM over the flattened leading
+      dimensions, forward and backward.
+    * ``(..., n, k) @ (..., k, m)`` with the same leading shape (attention)
+      runs as a batched product.
+
+    Any other pairing, a 1-D operand or a broadcast batch included, raises
+    ``ShapeMismatchError``.
     """
     a, b = _operands(a, b)
-    if a.data.ndim < 1 or b.data.ndim < 1 or a.data.shape[-1] != b.data.shape[-2 if b.data.ndim > 1 else 0]:
-        raise ShapeMismatchError(f"matmul: {a.data.shape} @ {b.data.shape}")
-    shared = b.data.ndim == 2 and a.data.ndim > 2
-    if shared:
-        k, m = b.data.shape
-        out_data = (a.data.reshape(-1, k) @ b.data).reshape(a.data.shape[:-1] + (m,))
+    sa, sb = a.data.shape, b.data.shape
+    weight = b.data.ndim == 2 and a.data.ndim >= 2
+    batch = a.data.ndim == b.data.ndim > 2 and sa[:-2] == sb[:-2]
+    if not (weight or batch) or sa[-1] != sb[-2]:
+        raise ShapeMismatchError(f"matmul: {sa} @ {sb}")
+    if weight:
+        k, m = sb
+        out_data = (a.data.reshape(-1, k) @ b.data).reshape(sa[:-1] + (m,))
     else:
         out_data = a.data @ b.data
 
     def bw(g):
-        if shared:
+        if weight:
             g2 = g.reshape(-1, m)
-            _accumulate(a, (g2 @ b.data.T).reshape(a.data.shape))
+            _accumulate(a, (g2 @ b.data.T).reshape(sa))
             _accumulate(b, a.data.reshape(-1, k).T @ g2)
-            return
-        if b.data.ndim == 1:
-            # (..., m, k) @ (k,) -> (..., m)
-            ga = g[..., None] * b.data if a.data.ndim > 1 else g * b.data
-            gb = np.swapaxes(a.data, -1, -2) @ g if a.data.ndim > 1 else a.data * g
-            while gb.ndim > 1:
-                gb = gb.sum(axis=0)
-            _accumulate(a, _unbroadcast(np.asarray(ga), a.data.shape))
-            _accumulate(b, np.asarray(gb))
-            return
-        if a.data.ndim == 1:
-            # (k,) @ (..., k, n) -> (..., n)
-            ga = (b.data * g[..., None, :]).sum(axis=-1)
-            while ga.ndim > 1:
-                ga = ga.sum(axis=0)
-            gb = a.data[:, None] * g[..., None, :]
-            _accumulate(a, ga)
-            _accumulate(b, _unbroadcast(gb, b.data.shape))
-            return
-        _accumulate(a, _unbroadcast(g @ np.swapaxes(b.data, -1, -2), a.data.shape))
-        _accumulate(b, _unbroadcast(np.swapaxes(a.data, -1, -2) @ g, b.data.shape))
+        else:
+            _accumulate(a, g @ np.swapaxes(b.data, -1, -2))
+            _accumulate(b, np.swapaxes(a.data, -1, -2) @ g)
 
     return _make(out_data, (a, b), bw)
 
@@ -316,29 +293,25 @@ def transpose(a, axes=None):
     return _make(out_data, (a,), bw)
 
 
-def tensor_sum(a, axis=None):
+def tensor_sum(a):
+    """Sum of every element, accumulated in float64."""
     a = _as_tensor(a)
-    out_data = a.data.sum(axis=axis, dtype=np.float64).astype(a.data.dtype)
+    out_data = a.data.sum(dtype=np.float64).astype(a.data.dtype)
 
     def bw(g):
-        if axis is None:
-            _accumulate(a, np.broadcast_to(g, a.data.shape))
-        else:
-            _accumulate(a, np.broadcast_to(np.expand_dims(g, axis), a.data.shape))
+        _accumulate(a, np.broadcast_to(g, a.data.shape))
 
     return _make(out_data, (a,), bw)
 
 
-def tensor_mean(a, axis=None):
+def tensor_mean(a):
+    """Mean of every element, accumulated in float64."""
     a = _as_tensor(a)
-    n = a.data.size if axis is None else a.data.shape[axis]
-    out_data = (a.data.sum(axis=axis, dtype=np.float64) / n).astype(a.data.dtype)
+    n = a.data.size
+    out_data = (a.data.sum(dtype=np.float64) / n).astype(a.data.dtype)
 
     def bw(g):
-        if axis is None:
-            _accumulate(a, np.broadcast_to(g / n, a.data.shape))
-        else:
-            _accumulate(a, np.broadcast_to(np.expand_dims(g / n, axis), a.data.shape))
+        _accumulate(a, np.broadcast_to(g / n, a.data.shape))
 
     return _make(out_data, (a,), bw)
 
@@ -421,11 +394,11 @@ def _row_mean(a):
     return a.mean(axis=-1, keepdims=True, dtype=np.float64).astype(a.dtype)
 
 
-def layer_norm(x, gain, bias, eps=1e-12):
+def layer_norm(x, gain, bias):
     """Zero-mean unit-variance normalization over the last axis, then affine.
 
     Row means and variances accumulate in float64; the full-size arrays stay
-    in the input's dtype.
+    in the input's dtype. The variance floor is BERT's 1e-12.
     """
     x, gain, bias = _as_tensor(x), _as_tensor(gain), _as_tensor(bias)
     h = x.data.shape[-1]
@@ -436,7 +409,7 @@ def layer_norm(x, gain, bias, eps=1e-12):
     xhat = x.data - _row_mean(x.data)
     out_data = np.square(xhat)  # the squares first, then the output
     var = out_data.mean(axis=-1, keepdims=True, dtype=np.float64)
-    inv = (1.0 / np.sqrt(var + eps)).astype(xhat.dtype)
+    inv = (1.0 / np.sqrt(var + 1e-12)).astype(xhat.dtype)
     xhat *= inv
     np.multiply(xhat, gain.data, out=out_data)
     out_data += bias.data

@@ -4,6 +4,7 @@ then length-prefixed name/shape/float32 tensor records, all little-endian."""
 from __future__ import annotations
 
 import contextlib
+import dataclasses
 import json
 import math
 import os
@@ -72,7 +73,7 @@ def save_checkpoint(path, config: ModelConfig, params: dict, provenance: dict):
         with open(tmp, "wb") as fh:
             fh.write(MAGIC)
             fh.write(struct.pack("<I", VERSION))
-            _write_block(fh, json.dumps(config.to_dict(), sort_keys=True).encode("utf-8"))
+            _write_block(fh, json.dumps(dataclasses.asdict(config), sort_keys=True).encode("utf-8"))
             _write_block(fh, json.dumps(provenance, sort_keys=True).encode("utf-8"))
             fh.write(struct.pack("<I", len(names)))
             for name, data in zip(names, tables):
@@ -104,7 +105,7 @@ def load_checkpoint(path, expect_extra=()):
             raise CheckpointError(f"{path}: unsupported version {version}")
         config_raw, provenance_raw = _read_block(fh), _read_block(fh)
         try:
-            config = ModelConfig.from_dict(json.loads(config_raw))
+            config = ModelConfig(**json.loads(config_raw))
             provenance = json.loads(provenance_raw)
         except (TypeError, ValueError) as exc:  # bad JSON, or a config of the wrong form
             raise CheckpointError(f"{path}: corrupt header: {exc}") from exc

@@ -15,7 +15,7 @@ import numpy as np
 from . import autodiff as ad
 from . import encoder as enc
 from .autodiff import Tensor
-from .optim import WARMUP_FRAC, AdamW, check_finite_loss, make_rng
+from .optim import AdamW, check_finite_loss, make_rng
 from .tokenizer import encode, stack_batch
 from .treebank import BinaryLabel, extract_phrases, to_binary
 
@@ -153,11 +153,12 @@ def predict_texts(texts, params, config, vocab, max_len, batch_size=64):
 
 
 def _dev_root_accuracy(dev_records, params, config, vocab, max_len, task):
+    """Accuracy on the dev roots that ``task`` labels, or None if there are none."""
     roots = [r for r in dev_records if r.is_root]
     pairs = [(r, project_label(r.label, task)) for r in roots]
     pairs = [(r, y) for r, y in pairs if y is not None]
     if not pairs:
-        return 0.0
+        return None
     preds = predict_texts([r.text for r, _ in pairs], params, config, vocab, max_len)
     return accuracy([p.label for p in preds], [y for _, y in pairs])
 
@@ -184,6 +185,9 @@ def finetune(train_records, dev_records, params, config, vocab, task: str,
              hyper: FinetuneConfig):
     """Fine-tune encoder + head (or head only) with cross-entropy.
 
+    A full fine-tune trains every parameter at ``hyper.lr``, as BERT does;
+    ``hyper.head_lr`` is the learning rate of a frozen-encoder run.
+
     ``params`` without ``head.w`` gains a fresh head for ``task``; one with a
     head goes on training it. Each epoch's batches come from
     ``_bucketed_batches``: rows of similar length share a batch, so little
@@ -193,8 +197,9 @@ def finetune(train_records, dev_records, params, config, vocab, task: str,
 
     Returns (params, summary); ``params`` is the dict given, head included.
     The checkpoint with the best dev root accuracy wins; ties keep the
-    earlier epoch. Deterministic per seed. Raises ``FloatingPointError`` as
-    soon as a batch loss is not finite.
+    earlier epoch. With no dev root to score, the last epoch's params stay
+    and ``best_dev_root_acc`` is None. Deterministic per seed. Raises
+    ``FloatingPointError`` as soon as a batch loss is not finite.
     """
     if task not in TASK_CLASSES:
         raise LabelSpaceMismatchError(f"unknown task {task!r}")
@@ -206,7 +211,7 @@ def finetune(train_records, dev_records, params, config, vocab, task: str,
 
     rng = make_rng(hyper.seed, stream=2)
     if "head.w" not in params:
-        w = enc._truncated_normal(rng, (config.hidden, k), 0.02)
+        w = enc._truncated_normal(rng, (config.hidden, k))
         params["head.w"] = Tensor(w, requires_grad=True)
         params["head.b"] = Tensor(np.zeros(k, dtype=np.float32), requires_grad=True)
     elif params["head.b"].shape[0] != k:
@@ -222,7 +227,7 @@ def finetune(train_records, dev_records, params, config, vocab, task: str,
         trainable, lr = params, hyper.lr
     steps_per_epoch = max(1, (len(labeled) + hyper.batch_size - 1) // hyper.batch_size)
     total = steps_per_epoch * hyper.epochs
-    opt = AdamW(trainable, lr=lr, warmup_steps=int(total * WARMUP_FRAC), total_steps=total)
+    opt = AdamW(trainable, lr, total_steps=total)
 
     seqs = [encode(r.text, vocab, hyper.max_len) for r, _ in labeled]
     labels = np.array([y for _, y in labeled], dtype=np.int64)
@@ -248,16 +253,17 @@ def finetune(train_records, dev_records, params, config, vocab, task: str,
             ad.backward(loss)
             opt.step()
         dev_acc = _dev_root_accuracy(dev_records, params, config, vocab, hyper.max_len, task)
-        if best is None or dev_acc > best[0]:
+        if dev_acc is not None and (best is None or dev_acc > best[0]):
             best = (dev_acc, epoch, {k_: p.data.copy() for k_, p in params.items()})
 
+    if best is None:
+        return params, {"best_epoch": hyper.epochs - 1, "best_dev_root_acc": None}
     for name, data in best[2].items():
         params[name].data = data
     return params, {"best_epoch": best[1], "best_dev_root_acc": best[0]}
 
 
-def evaluate(params, config, vocab, corpora, cells, max_len=64,
-             batch_size=64) -> EvalReport:
+def evaluate(params, config, vocab, corpora, cells, max_len=64) -> EvalReport:
     """Score the requested (task, scope) cells over every node occurrence.
 
     Every cell's task must fit the class count of the head in ``params``.
@@ -282,8 +288,7 @@ def evaluate(params, config, vocab, corpora, cells, max_len=64,
     usable = [(r, y) for r, y in zip(records, golds) if y is not None]
     # phrase texts recur across node occurrences: predict each distinct one once
     distinct = list(dict.fromkeys(r.text for r, _ in usable))
-    by_text = dict(zip(distinct, predict_texts(distinct, params, config, vocab, max_len,
-                                               batch_size=batch_size)))
+    by_text = dict(zip(distinct, predict_texts(distinct, params, config, vocab, max_len)))
     preds = [by_text[r.text] for r, _ in usable]
 
     for task, scope in cells:

@@ -32,7 +32,8 @@ EXIT_DATA = 2
 EXIT_NUMERIC = 3
 
 SPLITS = ("train", "dev", "test")
-HEAD_EXTRAS = ("head.w", "head.b", "mlm.b", "nsp.w", "nsp.b")
+PRETRAIN_HEADS = ("mlm.b", "nsp.w", "nsp.b")  # eval and predict never read these
+HEAD_EXTRAS = ("head.w", "head.b") + PRETRAIN_HEADS
 OVERRIDES = (("run", "seed"), ("model", "preset"), ("run", "task"), ("run", "scope"))
 
 
@@ -320,6 +321,8 @@ def cmd_finetune(cfg, force, init_ckpt):
         raise DataError(
             f"checkpoint config {model_cfg.layers}L/{model_cfg.hidden}H/{model_cfg.heads}A "
             f"does not match preset {cfg.preset}")
+    for name in PRETRAIN_HEADS:
+        params.pop(name, None)
     train = _load_split(cfg, "train")
     dev = _load_split(cfg, "dev")
     train_records = [r for t in train.trees for r in treebank.extract_phrases(t)]
@@ -338,6 +341,8 @@ def cmd_finetune(cfg, force, init_ckpt):
     prov["task"] = cfg.task
     save_checkpoint(ckpt_path, model_cfg, params, prov)
     _write_config_copy(cfg, "finetune")
+    if summary["best_dev_root_acc"] is None and cfg.finetune_epochs > 0:
+        print("warning: no dev root could be scored; kept the last epoch", file=sys.stderr)
     print(f"best dev root accuracy: {summary['best_dev_root_acc']}"
           f" (epoch {summary['best_epoch']})")
     print(f"checkpoint: {ckpt_path}")

@@ -12,7 +12,7 @@ flat name -> Tensor dict using the checkpoint naming scheme:
 from __future__ import annotations
 
 import math
-from dataclasses import asdict, dataclass, replace
+from dataclasses import dataclass, replace
 
 import numpy as np
 
@@ -31,6 +31,7 @@ __all__ = [
 ]
 
 NEG_INF = -1e9  # additive attention mask on padded keys
+INIT_STD = 0.02  # weight init scale of BERT, for the encoder and every head
 
 
 class UnknownPresetError(ValueError):
@@ -55,13 +56,6 @@ class ModelConfig:
     @property
     def head_width(self):
         return self.hidden // self.heads
-
-    def to_dict(self):
-        return asdict(self)
-
-    @classmethod
-    def from_dict(cls, d):
-        return cls(**d)
 
 
 _PRESETS = {
@@ -112,17 +106,17 @@ def param_count(config: ModelConfig) -> int:
     return sum(int(np.prod(s)) for s in param_shapes(config).values())
 
 
-def _truncated_normal(rng, shape, std):
-    """Normal(0, std) with draws beyond 2 std redrawn."""
-    out = rng.normal(0.0, std, size=shape)
-    bad = np.abs(out) > 2 * std
+def _truncated_normal(rng, shape):
+    """Normal(0, INIT_STD) with draws beyond 2 INIT_STD redrawn."""
+    out = rng.normal(0.0, INIT_STD, size=shape)
+    bad = np.abs(out) > 2 * INIT_STD
     while bad.any():
-        out[bad] = rng.normal(0.0, std, size=int(bad.sum()))
-        bad = np.abs(out) > 2 * std
+        out[bad] = rng.normal(0.0, INIT_STD, size=int(bad.sum()))
+        bad = np.abs(out) > 2 * INIT_STD
     return out.astype(np.float32)
 
 
-def init_params(config: ModelConfig, rng, std=0.02, dtype=np.float32) -> dict:
+def init_params(config: ModelConfig, rng, dtype=np.float32) -> dict:
     """Truncated-normal weights, zero biases, unit layer-norm gains."""
     params = {}
     for name, shape in param_shapes(config).items():
@@ -132,7 +126,7 @@ def init_params(config: ModelConfig, rng, std=0.02, dtype=np.float32) -> dict:
         elif leaf == "b":
             data = np.zeros(shape, dtype=np.float32)
         else:
-            data = _truncated_normal(rng, shape, std)
+            data = _truncated_normal(rng, shape)
         params[name] = Tensor(data, requires_grad=True, dtype=dtype)
     return params
 

@@ -4,8 +4,11 @@ from __future__ import annotations
 
 import numpy as np
 
-# share of the scheduled steps spent warming the learning rate up
-WARMUP_FRAC = 0.1
+# BERT's fixed optimizer settings (Devlin et al., arXiv 1810.04805)
+WARMUP_FRAC = 0.1  # share of the scheduled steps spent warming the learning rate up
+BETAS = (0.9, 0.999)
+EPS = 1e-8
+WEIGHT_DECAY = 0.01
 
 
 def make_rng(seed: int, stream: int = 0) -> np.random.Generator:
@@ -26,18 +29,16 @@ def check_finite_loss(loss, step):
 class AdamW:
     """Adam with decoupled weight decay over a name -> Tensor parameter dict.
 
-    Learning rate ramps linearly over ``warmup_steps`` and, when
-    ``total_steps`` is given, decays linearly to zero afterwards.
+    Betas, eps and weight decay are the module constants. With
+    ``total_steps`` the learning rate ramps up linearly over the first
+    ``WARMUP_FRAC`` of them and then decays linearly to zero at
+    ``total_steps``; without it the learning rate stays at ``lr``.
     """
 
-    def __init__(self, params, lr=1e-4, betas=(0.9, 0.999), eps=1e-8,
-                 weight_decay=0.01, warmup_steps=0, total_steps=None):
+    def __init__(self, params, lr, total_steps=None):
         self.params = dict(params)
         self.lr = lr
-        self.beta1, self.beta2 = betas
-        self.eps = eps
-        self.weight_decay = weight_decay
-        self.warmup_steps = warmup_steps
+        self.warmup_steps = int((total_steps or 0) * WARMUP_FRAC)
         self.total_steps = total_steps
         self.t = 0
         self.m = {k: np.zeros_like(p.data) for k, p in self.params.items()}
@@ -55,7 +56,7 @@ class AdamW:
     def step(self):
         self.t += 1
         lr = self._lr_at(self.t)
-        b1, b2 = self.beta1, self.beta2
+        b1, b2 = BETAS
         bc1 = 1.0 - b1**self.t
         bc2 = 1.0 - b2**self.t
         for name, p in self.params.items():
@@ -68,9 +69,8 @@ class AdamW:
             m += (1 - b1) * g
             v *= b2
             v += (1 - b2) * g * g
-            update = (m / bc1) / (np.sqrt(v / bc2) + self.eps)
-            if self.weight_decay:
-                update = update + self.weight_decay * p.data
+            update = (m / bc1) / (np.sqrt(v / bc2) + EPS)
+            update = update + WEIGHT_DECAY * p.data
             p.data -= (lr * update).astype(p.data.dtype)
 
     def zero_grad(self):

@@ -8,6 +8,7 @@ objectives jointly with the masked-word head tied to the token embedding.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -15,7 +16,7 @@ import numpy as np
 from . import autodiff as ad
 from . import encoder as enc
 from .autodiff import Tensor
-from .optim import WARMUP_FRAC, AdamW, check_finite_loss, make_rng
+from .optim import AdamW, check_finite_loss, make_rng
 from .tokenizer import TokenSequence, stack_batch
 
 __all__ = [
@@ -37,8 +38,6 @@ __all__ = [
 IS_NEXT = 1
 NOT_NEXT = 0
 
-NO_TARGET = -1  # sentinel in the per-position target array
-
 
 class NoMaskablePositionsError(ValueError):
     pass
@@ -51,8 +50,8 @@ class CorpusTooSmallError(ValueError):
 @dataclass(frozen=True)
 class MaskedExample:
     seq: TokenSequence
-    targets: np.ndarray        # original id at masked positions, NO_TARGET elsewhere
-    mask_positions: np.ndarray
+    targets: np.ndarray         # original id at each of mask_positions
+    mask_positions: np.ndarray  # ascending
 
 
 @dataclass(frozen=True)
@@ -114,23 +113,20 @@ def mask_tokens(seq: TokenSequence, rate: float, rng, vocab) -> MaskedExample:
     if not chosen:
         chosen = [words[rng.integers(len(words))]]
 
+    # words and the pieces within them are in position order
+    mask_positions = np.array([i for word in chosen for i in word], dtype=np.int64)
     ids = seq.ids.copy()
-    targets = np.full(len(ids), NO_TARGET, dtype=np.int64)
-    mask_positions = []
     n_special = len(vocab.special_ids)
-    for word in chosen:
-        for i in word:
-            targets[i] = ids[i]
-            mask_positions.append(i)
-            r = rng.random()
-            if r < 0.8:
-                ids[i] = vocab.mask_id
-            elif r < 0.9:
-                ids[i] = int(rng.integers(n_special, len(vocab)))
-            # else: keep the original token
+    for i in mask_positions:
+        r = rng.random()
+        if r < 0.8:
+            ids[i] = vocab.mask_id
+        elif r < 0.9:
+            ids[i] = int(rng.integers(n_special, len(vocab)))
+        # else: keep the original token
     return MaskedExample(seq=TokenSequence(ids=ids, segment_ids=seq.segment_ids),
-                         targets=targets,
-                         mask_positions=np.array(sorted(mask_positions), dtype=np.int64))
+                         targets=seq.ids[mask_positions],
+                         mask_positions=mask_positions)
 
 
 def make_nsp_pairs(corpus, vocab, max_len: int, rng) -> list:
@@ -165,10 +161,9 @@ def init_pretrain_state(config, vocab_size, seed, hyper: PretrainConfig,
     params = enc.init_params(config, rng)
     h = config.hidden
     params["mlm.b"] = Tensor(np.zeros(vocab_size, dtype=np.float32), requires_grad=True)
-    params["nsp.w"] = Tensor(enc._truncated_normal(rng, (h, 2), 0.02), requires_grad=True)
+    params["nsp.w"] = Tensor(enc._truncated_normal(rng, (h, 2)), requires_grad=True)
     params["nsp.b"] = Tensor(np.zeros(2, dtype=np.float32), requires_grad=True)
-    warmup = int((total_steps or 0) * WARMUP_FRAC)
-    opt = AdamW(params, lr=hyper.lr, warmup_steps=warmup, total_steps=total_steps)
+    opt = AdamW(params, hyper.lr, total_steps=total_steps)
     return PretrainState(params=params, config=config, optimizer=opt)
 
 
@@ -189,14 +184,9 @@ def pretrain_step(state: PretrainState, batch, rng):
     h = config.hidden
 
     # masked-word head: tied token embedding + bias, at masked positions only
-    flat_positions = []
-    flat_targets = []
-    for row, (ex, _) in enumerate(batch):
-        for p in ex.mask_positions:
-            flat_positions.append(row * n + int(p))
-            flat_targets.append(int(ex.targets[p]))
-    flat_positions = np.array(flat_positions, dtype=np.int64)
-    flat_targets = np.array(flat_targets, dtype=np.int64)
+    flat_positions = np.concatenate([row * n + ex.mask_positions
+                                     for row, (ex, _) in enumerate(batch)])
+    flat_targets = np.concatenate([ex.targets for ex, _ in batch])
 
     hidden_flat = ad.reshape(hidden, (b * n, h))
     masked_states = ad.index_select(hidden_flat, 0, flat_positions)
@@ -224,19 +214,22 @@ def pretrain(corpus, vocab, config, hyper: PretrainConfig,
 
     Each epoch rebuilds sentence pairs (fresh pairing randomness), masks
     them, and runs shuffled batches. Deterministic for a fixed seed.
-    ``checkpoint_fn(state, epoch)``, when given, is called after each epoch.
+    Training ends at ``hyper.max_steps`` steps, mid-epoch if need be; no
+    epoch starts after that. ``checkpoint_fn(state, epoch)``, when given,
+    is called after each epoch that ran.
     """
     if len(corpus.trees) == 0:
         raise CorpusTooSmallError("empty corpus")
     n_pairs = max(len(corpus.trees) - 1, 1)
     steps_per_epoch = max(1, (n_pairs + hyper.batch_size - 1) // hyper.batch_size)
-    total_steps = steps_per_epoch * hyper.epochs
-    if hyper.max_steps is not None:
-        total_steps = min(total_steps, hyper.max_steps)
+    max_steps = math.inf if hyper.max_steps is None else hyper.max_steps
+    total_steps = min(steps_per_epoch * hyper.epochs, max_steps)
     if state is None:
         state = init_pretrain_state(config, len(vocab), hyper.seed, hyper,
-                                    total_steps=total_steps or None)
+                                    total_steps=total_steps)
     for epoch in range(hyper.epochs):
+        if state.step >= max_steps:
+            break
         rng = make_rng(hyper.seed, stream=1000 + epoch)
         pairs = make_nsp_pairs(corpus, vocab, hyper.max_len, rng)
         examples = []
@@ -248,7 +241,7 @@ def pretrain(corpus, vocab, config, hyper: PretrainConfig,
             examples.append((ex, pair.label))
         order = rng.permutation(len(examples))
         for start in range(0, len(examples), hyper.batch_size):
-            if hyper.max_steps is not None and state.step >= hyper.max_steps:
+            if state.step >= max_steps:
                 break
             batch = [examples[i] for i in order[start:start + hyper.batch_size]]
             pretrain_step(state, batch, rng)

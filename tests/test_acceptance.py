@@ -128,7 +128,7 @@ def test_3_gradient_oracle(capsys):
                           vocab_size=57, max_positions=16, dropout_p=0.0)
     vocab = letter_vocab()
     params = enc.init_params(cfg, make_rng(31))
-    head_w = Tensor(enc._truncated_normal(make_rng(32), (cfg.hidden, 5), 0.02))
+    head_w = Tensor(enc._truncated_normal(make_rng(32), (cfg.hidden, 5)))
     head_b = Tensor(np.zeros(5, dtype=np.float32))
     seq = tok.encode("ab cde", vocab, 10)
     # batched beside a 10-long row, so seq's last columns are masked padding

@@ -64,14 +64,18 @@ class TestMatmul:
         want = np.einsum(f"{lead_sub}nk,{lead_sub}nm->km", a.data, g)
         np.testing.assert_allclose(b.grad, want, rtol=0, atol=1e-12)
 
-    def test_vector_cases(self, rng):
-        m = t64(rng.normal(size=(3, 4)))
-        v0 = t64(rng.normal(size=(4,)))
-        err = ad.finite_diff_check(lambda v: ad.tensor_sum(ad.matmul(m, v)), v0)
-        assert err < 1e-6
-        w0 = t64(rng.normal(size=(3,)))
-        err = ad.finite_diff_check(lambda w: ad.tensor_sum(ad.matmul(w, m)), w0)
-        assert err < 1e-6
+    @pytest.mark.parametrize("a_shape, b_shape", [
+        ((3, 4), (4,)),             # 1-D right operand
+        ((3,), (3, 4)),             # 1-D left operand
+        ((4,), (4,)),
+        ((2, 5, 3), (1, 3, 4)),     # broadcast batch
+        ((5, 3), (2, 3, 4)),        # 2-D left, batched right
+        ((2, 5, 3), (3, 3, 4)),     # mismatched batch
+        ((2, 2, 5, 3), (2, 3, 4)),  # batch ranks differ
+    ])
+    def test_untaken_forms_raise(self, a_shape, b_shape):
+        with pytest.raises(ad.ShapeMismatchError):
+            ad.matmul(t64(np.ones(a_shape)), t64(np.ones(b_shape)))
 
 
 class TestDtype:

@@ -40,7 +40,7 @@ def zero_head(n_classes, hidden=16, bias=None):
 
 def drawn_head(n_classes, rng, hidden=16):
     """A head drawn as fine-tuning draws a fresh one: truncated normal, zero bias."""
-    w = enc._truncated_normal(rng, (hidden, n_classes), 0.02)
+    w = enc._truncated_normal(rng, (hidden, n_classes))
     return {"head.w": Tensor(w, requires_grad=True),
             "head.b": Tensor(np.zeros(n_classes, dtype=np.float32), requires_grad=True)}
 
@@ -280,6 +280,43 @@ class TestFinetune:
                             params["head.b"].data.tobytes(),
                             {k: p.data.tobytes() for k, p in params.items()}))
         assert results[0] == results[1]
+
+    @pytest.mark.parametrize("dev_tree", ["(2 (3 ab) (1 cd))", None])
+    def test_no_scorable_dev_root_keeps_last_epoch(self, synth_corpora, monkeypatch,
+                                                   dev_tree):
+        # sst2 drops neutral roots, so an all-neutral or empty dev split has
+        # nothing to pick an epoch by
+        vocab, cfg, params = tiny_setup()
+        train = [r for t in synth_corpora[0].trees for r in extract_phrases(t)][:40]
+        dev = extract_phrases(parse_tree(dev_tree)) if dev_tree else []
+        dev_root_accuracy = cl._dev_root_accuracy
+        after_epoch = []
+
+        def recording(dev_records, params, *args):
+            after_epoch.append({k: p.data.tobytes() for k, p in params.items()})
+            return dev_root_accuracy(dev_records, params, *args)
+
+        monkeypatch.setattr(cl, "_dev_root_accuracy", recording)
+        hyper = cl.FinetuneConfig(epochs=3, batch_size=16, lr=1e-3, seed=2, max_len=16)
+        _, summary = cl.finetune(train, dev, params, cfg, vocab, "sst2", hyper)
+        assert summary == {"best_epoch": 2, "best_dev_root_acc": None}
+        assert len(after_epoch) == 3 and after_epoch[0] != after_epoch[2]
+        assert {k: p.data.tobytes() for k, p in params.items()} == after_epoch[2]
+
+    def test_head_lr_only_sets_a_frozen_encoder_run(self, synth_corpora):
+        # a full fine-tune trains the head at lr, as BERT does
+        train = [r for t in synth_corpora[0].trees for r in extract_phrases(t)][:40]
+        dev = [r for t in synth_corpora[1].trees for r in extract_phrases(t)][:10]
+        saved = {}
+        for freeze in (False, True):
+            for head_lr in (1e-9, 1.0):
+                vocab, cfg, params = tiny_setup()
+                hyper = cl.FinetuneConfig(epochs=1, batch_size=16, lr=1e-3, head_lr=head_lr,
+                                          seed=4, max_len=16, freeze_encoder=freeze)
+                cl.finetune(train, dev, params, cfg, vocab, "sst5", hyper)
+                saved[freeze, head_lr] = {k: p.data.tobytes() for k, p in params.items()}
+        assert saved[False, 1e-9] == saved[False, 1.0]
+        assert saved[True, 1e-9]["head.w"] != saved[True, 1.0]["head.w"]
 
     def test_all_neutral_binary_training_rejected(self):
         vocab, cfg, params = tiny_setup()

@@ -6,7 +6,7 @@ import shutil
 import numpy as np
 import pytest
 
-from treesent import cli, synth
+from treesent import cli, encoder, synth
 from treesent.autodiff import Tensor
 from treesent.checkpoint import load_checkpoint, save_checkpoint
 from treesent.encoder import _truncated_normal
@@ -160,6 +160,24 @@ class TestFinetuneEval:
         assert "head.w" in params and "head.b" in params
         assert params["head.w"].shape == (64, 5)
         assert prov["task"] == "sst5"
+
+    def test_finetuned_checkpoint_holds_encoder_and_head_only(self, pipeline):
+        # the pretraining heads (mlm.b, nsp.*) are dropped before training
+        config, params, _ = load_checkpoint(
+            os.path.join(pipeline["out"], "finetune_sst5.ckpt"), expect_extra=cli.HEAD_EXTRAS)
+        assert set(params) == set(encoder.param_shapes(config)) | {"head.w", "head.b"}
+
+    def test_no_scorable_dev_root_is_reported(self, pipeline, tmp_path, capsys):
+        data = tmp_path / "data"
+        shutil.copytree(pipeline["data"], data)
+        (data / "dev.txt").write_text("(2 (3 good) (1 bad))\n", encoding="utf-8")
+        cfg = write_config(tmp_path / "run.ini", data, tmp_path / "out", task="sst2")
+        shutil.copytree(pipeline["out"], tmp_path / "out")
+        assert cli.main(["finetune", "--config", cfg, "--force", "--init",
+                         os.path.join(pipeline["out"], "pretrain.ckpt")]) == 0
+        captured = capsys.readouterr()
+        assert "no dev root could be scored; kept the last epoch" in captured.err
+        assert "best dev root accuracy: None (epoch 0)" in captured.out
 
     def test_reports_agree(self, pipeline):
         out = pipeline["out"]
@@ -467,7 +485,7 @@ class TestCheckpointHeads:
     def test_finetune_init_from_same_task_trains_stored_head(self, pipeline, tmp_path):
         fine = os.path.join(pipeline["out"], "finetune_sst5.ckpt")
         _, stored, _ = load_checkpoint(fine, expect_extra=cli.HEAD_EXTRAS)
-        fresh = _truncated_normal(make_rng(3, stream=2), (64, 5), 0.02)  # seed 3's draw
+        fresh = _truncated_normal(make_rng(3, stream=2), (64, 5))  # seed 3's draw
         saved = {}
         for epochs in (0, 1):
             (tmp_path / str(epochs)).mkdir()

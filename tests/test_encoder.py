@@ -77,7 +77,7 @@ class TestInit:
 
     def test_weight_std_in_band(self):
         rng = make_rng(0)
-        draws = enc._truncated_normal(rng, (100, 100), 0.02)
+        draws = enc._truncated_normal(rng, (100, 100))
         assert 0.015 <= draws.std() <= 0.025
         assert np.abs(draws).max() <= 0.04 + 1e-6
 

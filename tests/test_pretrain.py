@@ -48,7 +48,7 @@ class TestMaskTokens:
         for _ in range(50):
             ex = pt.mask_tokens(seq, 0.15, rng, vocab)
             assert list(ex.mask_positions) == [1]
-            assert ex.targets[1] == vocab.id_of("a")
+            assert list(ex.targets) == [vocab.id_of("a")]
 
     def test_specials_never_masked(self):
         vocab = letter_vocab()
@@ -79,12 +79,11 @@ class TestMaskTokens:
         seq = tok.encode("ab cd ef gh", vocab, 16)
         ex = pt.mask_tokens(seq, 0.5, rng, vocab)
         restored = ex.seq.ids.copy()
-        for p in ex.mask_positions:
-            restored[p] = ex.targets[p]
+        for p, target in zip(ex.mask_positions, ex.targets):
+            restored[p] = target
         np.testing.assert_array_equal(restored, seq.ids)
         untouched = [i for i in range(len(seq.ids)) if i not in set(map(int, ex.mask_positions))]
         np.testing.assert_array_equal(ex.seq.ids[untouched], seq.ids[untouched])
-        assert (ex.targets[untouched] == pt.NO_TARGET).all()
 
     def test_replacement_split(self):
         vocab = letter_vocab()
@@ -94,11 +93,11 @@ class TestMaskTokens:
         n_mask = n_rand = n_keep = 0
         for _ in range(2000):
             ex = pt.mask_tokens(seq, 0.3, rng, vocab)
-            for p in ex.mask_positions:
+            for p, target in zip(ex.mask_positions, ex.targets):
                 new = int(ex.seq.ids[p])
                 if new == vocab.mask_id:
                     n_mask += 1
-                elif new == int(ex.targets[p]):
+                elif new == int(target):
                     n_keep += 1
                 else:
                     n_rand += 1
@@ -284,6 +283,34 @@ class TestPretrainLoop:
         first_epoch = [m for _, m, _ in state.loss_history[:3]]
         last_epoch = [m for _, m, _ in state.loss_history[-3:]]
         assert np.mean(last_epoch) < 0.8 * np.mean(first_epoch)
+
+    def test_stops_at_max_steps(self, monkeypatch):
+        # 30 sentences make 4 batches of 8 an epoch, so the cap falls in epoch 0
+        vocab = letter_vocab()
+        corpus = sentence_corpus([f"{chr(ord('a') + i % 20)} {chr(ord('a') + (i * 3) % 20)}"
+                                  for i in range(30)])
+        cfg = enc.ModelConfig(layers=1, hidden=16, heads=2, intermediate=32,
+                              vocab_size=len(vocab), max_positions=16)
+        make_nsp_pairs = pt.make_nsp_pairs
+        calls = {"pairs": 0, "checkpoint": 0}
+
+        def counting(*args):
+            calls["pairs"] += 1
+            return make_nsp_pairs(*args)
+
+        def checkpoint_fn(state, epoch):
+            calls["checkpoint"] += 1
+
+        monkeypatch.setattr(pt, "make_nsp_pairs", counting)
+        one = pt.pretrain(corpus, vocab, cfg, pt.PretrainConfig(
+            epochs=1, batch_size=8, seed=9, max_len=12, max_steps=2))
+        calls.update(pairs=0, checkpoint=0)
+        three = pt.pretrain(corpus, vocab, cfg, pt.PretrainConfig(
+            epochs=3, batch_size=8, seed=9, max_len=12, max_steps=2),
+            checkpoint_fn=checkpoint_fn)
+        assert three.step == 2
+        assert calls == {"pairs": 1, "checkpoint": 1}
+        assert three.loss_history == one.loss_history
 
     def test_history_is_append_only_increasing_steps(self, synth_corpora):
         vocab = tok.build_vocab(synth_corpora[:1], 120)
