@@ -19,6 +19,7 @@ __all__ = [
     "MAGIC",
     "VERSION",
     "CheckpointError",
+    "replacing",
     "save_checkpoint",
     "load_checkpoint",
 ]
@@ -29,6 +30,22 @@ VERSION = 1
 
 class CheckpointError(ValueError):
     pass
+
+
+@contextlib.contextmanager
+def replacing(path):
+    """A binary file, written as ``<path>.tmp`` and renamed over ``path``
+    when the block exits cleanly; on an error ``path`` is left as it was."""
+    os.makedirs(os.path.dirname(os.path.abspath(path)), exist_ok=True)
+    tmp = f"{path}.tmp"
+    try:
+        with open(tmp, "wb") as fh:
+            yield fh
+        os.replace(tmp, path)
+    except BaseException:
+        with contextlib.suppress(OSError):
+            os.unlink(tmp)
+        raise
 
 
 def _write_block(fh, payload: bytes):
@@ -58,36 +75,28 @@ def _read_block(fh):
 def save_checkpoint(path, config: ModelConfig, params: dict, provenance: dict):
     """Write a name -> Tensor table; names are sorted for byte stability.
 
-    The table goes to a temporary file in the same directory, which then
-    replaces ``path``, so an interrupted save leaves the old file intact.
-    Raises ``FloatingPointError`` (and writes nothing) if any parameter is
-    not finite.
+    The records stream through ``replacing``, so ``path`` is written whole
+    or not at all. Raises ``FloatingPointError`` (and writes nothing) if any
+    parameter is not finite.
     """
     names = sorted(params)
     tables = [np.ascontiguousarray(params[name].data, dtype="<f4") for name in names]
     for name, data in zip(names, tables):
         if not np.isfinite(data).all():
             raise FloatingPointError(f"refusing to save {path}: {name} is not finite")
-    tmp = f"{path}.tmp"
-    try:
-        with open(tmp, "wb") as fh:
-            fh.write(MAGIC)
-            fh.write(struct.pack("<I", VERSION))
-            _write_block(fh, json.dumps(dataclasses.asdict(config), sort_keys=True).encode("utf-8"))
-            _write_block(fh, json.dumps(provenance, sort_keys=True).encode("utf-8"))
-            fh.write(struct.pack("<I", len(names)))
-            for name, data in zip(names, tables):
-                _write_block(fh, name.encode("utf-8"))
-                fh.write(struct.pack("<I", data.ndim))
-                fh.write(struct.pack(f"<{data.ndim}I", *data.shape))
-                payload = data.tobytes()
-                fh.write(struct.pack("<Q", len(payload)))
-                fh.write(payload)
-        os.replace(tmp, path)
-    except BaseException:
-        with contextlib.suppress(OSError):
-            os.unlink(tmp)
-        raise
+    with replacing(path) as fh:
+        fh.write(MAGIC)
+        fh.write(struct.pack("<I", VERSION))
+        _write_block(fh, json.dumps(dataclasses.asdict(config), sort_keys=True).encode("utf-8"))
+        _write_block(fh, json.dumps(provenance, sort_keys=True).encode("utf-8"))
+        fh.write(struct.pack("<I", len(names)))
+        for name, data in zip(names, tables):
+            _write_block(fh, name.encode("utf-8"))
+            fh.write(struct.pack("<I", data.ndim))
+            fh.write(struct.pack(f"<{data.ndim}I", *data.shape))
+            payload = data.tobytes()
+            fh.write(struct.pack("<Q", len(payload)))
+            fh.write(payload)
 
 
 def load_checkpoint(path, expect_extra=()):

@@ -5,10 +5,14 @@ The run config is an INI file. ``RunConfig``'s fields are its one table of
 ``[section] key`` entries, each with the parser that range-checks its value;
 ``--seed``, ``--preset``, ``--task`` and ``--scope`` set their keys through
 the same parsers, so a bad value from either exits 1. A resolved copy is
-written next to the artifacts each command produces. Existing outputs are
-never overwritten without ``--force``. A checkpoint whose head tensors do
-not fit its config and task exits 2, and so does ``finetune --init`` from a
-checkpoint fine-tuned for another task.
+written next to each command's artifacts as ``config.<command>.ini``
+(``config.finetune_<task>.ini``, ``config.eval_<task>.ini``). A command
+claims its outputs before any work and exits 1 if one exists without
+``--force``. Each file is written whole or not at all, and a command that
+fails writes nothing, except ``pretrain``'s per-epoch checkpoint for
+``--resume``. A checkpoint whose head tensors do not fit its config and task
+exits 2, and so does ``finetune --init`` from a checkpoint fine-tuned for
+another task.
 """
 
 from __future__ import annotations
@@ -24,7 +28,7 @@ from dataclasses import MISSING, dataclass, field, fields
 import numpy as np
 
 from . import classify, encoder, pretrain as pt, tokenizer, treebank
-from .checkpoint import CheckpointError, load_checkpoint, save_checkpoint
+from .checkpoint import CheckpointError, load_checkpoint, replacing, save_checkpoint
 
 EXIT_OK = 0
 EXIT_USAGE = 1
@@ -148,23 +152,20 @@ class RunConfig:
         return "\n\n".join("\n".join(lines) for lines in sections.values()) + "\n"
 
 
-def _check_output(path, force):
-    if os.path.exists(path) and not force:
-        raise UsageError(f"refusing to overwrite {path} (use --force)")
+def _outputs(cfg, force, name, *paths):
+    """``paths`` then ``config.<name>.ini``: a command's outputs, claimed
+    before it does any work; a UsageError if one exists without ``force``."""
+    outputs = [*paths, os.path.join(cfg.out_dir, f"config.{name}.ini")]
+    for path in outputs:
+        if os.path.exists(path) and not force:
+            raise UsageError(f"refusing to overwrite {path} (use --force)")
+    return outputs
 
 
-def _write_text(path, text, force):
-    _check_output(path, force)
-    os.makedirs(os.path.dirname(os.path.abspath(path)), exist_ok=True)
-    with open(path, "w", encoding="utf-8") as fh:
-        fh.write(text)
-
-
-def _write_config_copy(cfg, name):
-    path = os.path.join(cfg.out_dir, f"config.{name}.ini")
-    os.makedirs(cfg.out_dir, exist_ok=True)
-    with open(path, "w", encoding="utf-8") as fh:
-        fh.write(cfg.dump())
+def _write(paths, texts):
+    for path, text in zip(paths, texts, strict=True):
+        with replacing(path) as fh:
+            fh.write(text.encode("utf-8"))
 
 
 def _split_path(cfg, split):
@@ -188,15 +189,12 @@ def _model_config(cfg, vocab):
 
 
 def cmd_prepare(cfg, force):
+    names = [f"sentences_{s}.txt" for s in SPLITS] + ["stats.txt", "stats.json"]
+    outputs = _outputs(cfg, force, "prepare", *(os.path.join(cfg.out_dir, n) for n in names))
     corpora = [_load_split(cfg, s) for s in SPLITS]
     stats = treebank.corpus_stats(corpora)
-    for corpus in corpora:
-        lines = [tree.span_text for tree in corpus.trees]
-        _write_text(os.path.join(cfg.out_dir, f"sentences_{corpus.split}.txt"),
-                    "\n".join(lines) + ("\n" if lines else ""), force)
-    _write_text(os.path.join(cfg.out_dir, "stats.txt"), stats.to_text(), force)
-    _write_text(os.path.join(cfg.out_dir, "stats.json"), stats.to_json(), force)
-    _write_config_copy(cfg, "prepare")
+    sentences = ["".join(tree.span_text + "\n" for tree in c.trees) for c in corpora]
+    _write(outputs, [*sentences, stats.to_text(), stats.to_json(), cfg.dump()])
     if stats.sentence_count == 0:
         print("warning: prepared an empty corpus", file=sys.stderr)
     print(f"sentences: {stats.sentence_count}")
@@ -205,6 +203,7 @@ def cmd_prepare(cfg, force):
 
 
 def cmd_vocab(cfg, force):
+    outputs = _outputs(cfg, force, "vocab", cfg.vocab_path)
     train = _load_split(cfg, "train")
     try:
         vocab = tokenizer.build_vocab([train], cfg.vocab_size)
@@ -212,10 +211,7 @@ def cmd_vocab(cfg, force):
         raise UsageError(str(exc)) from exc
     if len(vocab) == len(tokenizer.SPECIAL_TOKENS):
         print("warning: vocab contains only special tokens", file=sys.stderr)
-    _check_output(cfg.vocab_path, force)
-    os.makedirs(os.path.dirname(os.path.abspath(cfg.vocab_path)), exist_ok=True)
-    vocab.save(cfg.vocab_path)
-    _write_config_copy(cfg, "vocab")
+    _write(outputs, [vocab.dump(), cfg.dump()])
     print(f"vocab size: {len(vocab)} -> {cfg.vocab_path}")
     return EXIT_OK
 
@@ -266,6 +262,9 @@ def _load_checkpoint(cfg, path, vocab):
 
 
 def cmd_pretrain(cfg, force, resume=None):
+    outputs = _outputs(cfg, force, "pretrain", os.path.join(cfg.out_dir, "pretrain.ckpt"),
+                       os.path.join(cfg.out_dir, "pretrain_loss.csv"))
+    ckpt_path = outputs[0]
     if cfg.max_len < 5:
         raise UsageError("[model] max_len must be at least 5 to pretrain on sentence pairs")
     vocab = _load_vocab(cfg)
@@ -286,11 +285,6 @@ def cmd_pretrain(cfg, force, resume=None):
         for name, tensor in params.items():
             state.params[name].data = tensor.data
         state.step = int(prov.get("step", 0))
-    ckpt_path = os.path.join(cfg.out_dir, "pretrain.ckpt")
-    csv_path = os.path.join(cfg.out_dir, "pretrain_loss.csv")
-    _check_output(ckpt_path, force)
-    _check_output(csv_path, force)
-    os.makedirs(cfg.out_dir, exist_ok=True)
 
     def checkpoint_fn(st, epoch):
         save_checkpoint(ckpt_path, st.config, st.params, _provenance(cfg, st.step, vocab))
@@ -299,9 +293,7 @@ def cmd_pretrain(cfg, force, resume=None):
                         checkpoint_fn=checkpoint_fn)
     save_checkpoint(ckpt_path, state.config, state.params,
                     _provenance(cfg, state.step, vocab))
-    with open(csv_path, "w", encoding="utf-8") as fh:
-        fh.write(pt.loss_history_csv(state))
-    _write_config_copy(cfg, "pretrain")
+    _write(outputs[1:], [pt.loss_history_csv(state), cfg.dump()])
     if state.loss_history:
         print(f"steps: {state.step}  final mlm loss: {state.loss_history[-1][1]:.4f}  "
               f"final nsp loss: {state.loss_history[-1][2]:.4f}")
@@ -310,6 +302,8 @@ def cmd_pretrain(cfg, force, resume=None):
 
 
 def cmd_finetune(cfg, force, init_ckpt):
+    outputs = _outputs(cfg, force, f"finetune_{cfg.task}",
+                       os.path.join(cfg.out_dir, f"finetune_{cfg.task}.ckpt"))
     vocab = _load_vocab(cfg)
     model_cfg, params, prov = _load_checkpoint(cfg, init_ckpt, vocab)
     if prov.get("task", cfg.task) != cfg.task:
@@ -334,18 +328,15 @@ def cmd_finetune(cfg, force, init_ckpt):
     )
     params, summary = classify.finetune(
         train_records, dev_records, params, model_cfg, vocab, cfg.task, hyper)
-    ckpt_path = os.path.join(cfg.out_dir, f"finetune_{cfg.task}.ckpt")
-    _check_output(ckpt_path, force)
-    os.makedirs(cfg.out_dir, exist_ok=True)
     prov = _provenance(cfg, 0, vocab)
     prov["task"] = cfg.task
-    save_checkpoint(ckpt_path, model_cfg, params, prov)
-    _write_config_copy(cfg, "finetune")
+    save_checkpoint(outputs[0], model_cfg, params, prov)
+    _write(outputs[1:], [cfg.dump()])
     if summary["best_dev_root_acc"] is None and cfg.finetune_epochs > 0:
         print("warning: no dev root could be scored; kept the last epoch", file=sys.stderr)
     print(f"best dev root accuracy: {summary['best_dev_root_acc']}"
           f" (epoch {summary['best_epoch']})")
-    print(f"checkpoint: {ckpt_path}")
+    print(f"checkpoint: {outputs[0]}")
     return EXIT_OK
 
 
@@ -359,15 +350,13 @@ def _load_model(cfg, ckpt_path):
 
 def cmd_eval(cfg, force, ckpt_path):
     vocab, model_cfg, params, task = _load_model(cfg, ckpt_path)
+    outputs = _outputs(cfg, force, f"eval_{task}", *(
+        os.path.join(cfg.out_dir, f"report_{task}.{ext}") for ext in ("tsv", "json")))
     test = _load_split(cfg, "test")
     cells = [(task, scope) for scope in cfg.scope]
     report = classify.evaluate(params, model_cfg, vocab, [test], cells,
                                max_len=cfg.max_len)
-    tsv_path = os.path.join(cfg.out_dir, f"report_{task}.tsv")
-    json_path = os.path.join(cfg.out_dir, f"report_{task}.json")
-    _write_text(tsv_path, report.to_tsv(), force)
-    _write_text(json_path, report.to_json(), force)
-    _write_config_copy(cfg, "eval")
+    _write(outputs, [report.to_tsv(), report.to_json(), cfg.dump()])
     sys.stdout.write(report.to_tsv())
     return EXIT_OK
 

@@ -64,10 +64,9 @@ class Vocab:
     def special_ids(self):
         return frozenset(range(len(SPECIAL_TOKENS)))
 
-    def save(self, path):
-        with open(path, "w", encoding="utf-8") as fh:
-            for t in self.tokens:
-                fh.write(t + "\n")
+    def dump(self) -> str:
+        """One token per line, as ``load`` reads it."""
+        return "".join(t + "\n" for t in self.tokens)
 
     @classmethod
     def load(cls, path):

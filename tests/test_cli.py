@@ -6,7 +6,7 @@ import shutil
 import numpy as np
 import pytest
 
-from treesent import cli, encoder, synth
+from treesent import classify, cli, encoder, synth
 from treesent.autodiff import Tensor
 from treesent.checkpoint import load_checkpoint, save_checkpoint
 from treesent.encoder import _truncated_normal
@@ -210,6 +210,93 @@ def scratch_config(pipeline, tmp_path, **overrides):
     out.mkdir()
     shutil.copy(os.path.join(pipeline["out"], "vocab.txt"), out)
     return write_config(tmp_path / "run.ini", pipeline["data"], out, **overrides), out
+
+
+# every writing command's outputs, the config copy last
+COMMAND_OUTPUTS = {
+    "prepare": ["sentences_train.txt", "sentences_dev.txt", "sentences_test.txt",
+                "stats.txt", "stats.json", "config.prepare.ini"],
+    "vocab": ["vocab.txt", "config.vocab.ini"],
+    "pretrain": ["pretrain.ckpt", "pretrain_loss.csv", "config.pretrain.ini"],
+    "finetune": ["finetune_sst5.ckpt", "config.finetune_sst5.ini"],
+    "eval": ["report_sst5.tsv", "report_sst5.json", "config.eval_sst5.ini"],
+}
+
+
+def output_scratch(pipeline, tmp_path, command):
+    """A scratch out dir holding the command's inputs, and its argv."""
+    cfg, out = scratch_config(pipeline, tmp_path)
+    if command == "vocab":
+        os.remove(out / "vocab.txt")
+    inputs = {"finetune": ["--init", os.path.join(pipeline["out"], "pretrain.ckpt")],
+              "eval": ["--checkpoint", os.path.join(pipeline["out"], "finetune_sst5.ckpt")]}
+    return [command, "--config", cfg, *inputs.get(command, [])], out
+
+
+def snapshot(out):
+    return {name: (out / name).read_bytes() for name in sorted(os.listdir(out))}
+
+
+class TestOutputs:
+    @pytest.mark.parametrize("command, output", [
+        (command, output) for command, outputs in COMMAND_OUTPUTS.items() for output in outputs])
+    def test_existing_output_is_refused_before_any_work(self, pipeline, tmp_path, monkeypatch,
+                                                        capsys, command, output):
+        argv, out = output_scratch(pipeline, tmp_path, command)
+        (out / output).write_bytes(b"written by hand\n")
+
+        def unreachable(*args, **kwargs):
+            raise AssertionError(f"{command} went on past an existing {output}")
+
+        monkeypatch.setattr(cli, "_load_split", unreachable)
+        monkeypatch.setattr(classify, "finetune", unreachable)
+        before = snapshot(out)
+        assert cli.main(argv) == 1
+        assert f"{output} (use --force)" in capsys.readouterr().err
+        assert snapshot(out) == before
+
+    @pytest.mark.parametrize("command, k", [
+        (command, k) for command, outputs in COMMAND_OUTPUTS.items()
+        for k in range(len(outputs))])
+    def test_failed_rename_leaves_each_output_old_or_new(self, pipeline, tmp_path, monkeypatch,
+                                                         capsys, command, k):
+        argv, out = output_scratch(pipeline, tmp_path, command)
+        outputs = COMMAND_OUTPUTS[command]
+        for name in outputs[::2]:  # every other output starts with old bytes
+            (out / name).write_bytes(b"old\n")
+        before = snapshot(out)
+
+        def replace(src, dst, real=os.replace):
+            # the first rename onto output k fails; pretrain renames its
+            # checkpoint once per epoch and again at the end
+            if os.path.basename(dst) == outputs[k]:
+                raise OSError(f"rename onto {outputs[k]} failed")
+            real(src, dst)
+
+        monkeypatch.setattr(os, "replace", replace)
+        assert cli.main([*argv, "--force"]) == 2
+        assert f"rename onto {outputs[k]} failed" in capsys.readouterr().err
+        failed = snapshot(out)
+        monkeypatch.undo()
+        assert cli.main([*argv, "--force"]) == 0
+        new = snapshot(out)
+        assert set(failed) <= set(before) | set(outputs)  # no *.tmp is left
+        assert failed.get(outputs[k]) == before.get(outputs[k])
+        for name in outputs:
+            assert failed.get(name) in (before.get(name), new[name]), name
+
+    def test_two_tasks_share_an_out_dir(self, pipeline, tmp_path):
+        cfg, out = scratch_config(pipeline, tmp_path)
+        for task in ("sst5", "sst2"):
+            assert cli.main(["finetune", "--config", cfg, "--task", task, "--init",
+                             os.path.join(pipeline["out"], "pretrain.ckpt")]) == 0
+            assert cli.main(["eval", "--config", cfg, "--task", task,
+                             "--checkpoint", str(out / f"finetune_{task}.ckpt")]) == 0
+        for task in ("sst5", "sst2"):
+            for command in ("finetune", "eval"):
+                copy = configparser.ConfigParser()
+                assert copy.read(out / f"config.{command}_{task}.ini")
+                assert copy.get("run", "task") == task
 
 
 class TestFailureExitCodes:

@@ -158,7 +158,7 @@ class TestBuildVocab:
     def test_save_load_roundtrip(self, tmp_path, synth_corpora):
         v1 = build_vocab(synth_corpora[:1], 120)
         path = tmp_path / "vocab.txt"
-        v1.save(path)
+        path.write_text(v1.dump(), encoding="utf-8")
         v2 = Vocab.load(path)
         assert v1.tokens == v2.tokens
         assert path.read_text(encoding="utf-8").splitlines()[:5] == list(SPECIAL_TOKENS)
