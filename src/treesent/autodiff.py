@@ -9,6 +9,13 @@ their reductions in float64 (``dtype=np.float64``) but make no full-size
 float64 copies: every full-size array stays in the input's dtype. Dropout
 draws float32 uniforms.
 
+Three fused ops carry the encoder, each one tape node with a hand-written
+backward: ``linear`` (one GEMM plus an in-place bias), ``add_layer_norm``
+(the residual add fused into layer norm) and ``attention`` (head split,
+scores, key mask, softmax, probability dropout, context and head merge).
+Each computes what the composition of the generic ops computes, in the same
+order, so only gradient sums may differ in the last bits.
+
 The ops take only the forms the encoder, its heads and the gradient checks
 use: ``matmul`` multiplies by a 2-D weight or by a batch of the same leading
 shape, and ``tensor_sum``/``tensor_mean`` reduce the whole tensor to a
@@ -41,6 +48,7 @@ __all__ = [
     "sub",
     "mul",
     "matmul",
+    "linear",
     "reshape",
     "transpose",
     "tensor_sum",
@@ -49,10 +57,11 @@ __all__ = [
     "gelu",
     "softmax",
     "layer_norm",
+    "add_layer_norm",
     "dropout",
+    "attention",
     "embedding_lookup",
     "index_select",
-    "cross_entropy",
     "softmax_cross_entropy",
     "backward",
     "finite_diff_check",
@@ -268,6 +277,30 @@ def matmul(a, b):
     return _make(out_data, (a, b), bw)
 
 
+def linear(x, w, b):
+    """``x @ w + b`` for a 2-D weight ``(k, m)`` and a bias ``(m,)``.
+
+    One GEMM over the flattened leading dimensions of ``x``, the bias added
+    in place; the backward is ``g2 @ w.T``, ``x2.T @ g2`` and ``g2.sum(0)``.
+    """
+    x, w, b = _as_tensor(x), _as_tensor(w), _as_tensor(b)
+    shape = x.data.shape
+    if w.data.ndim != 2 or shape[-1:] != w.data.shape[:1] or b.data.shape != w.data.shape[1:]:
+        raise ShapeMismatchError(f"linear: {shape} @ {w.data.shape} + {b.data.shape}")
+    k, m = w.data.shape
+    x2 = x.data.reshape(-1, k)
+    out_data = x2 @ w.data
+    out_data += b.data
+
+    def bw(g):
+        g2 = g.reshape(-1, m)
+        _accumulate(x, (g2 @ w.data.T).reshape(shape))
+        _accumulate(w, x2.T @ g2)
+        _accumulate(b, g2.sum(axis=0))
+
+    return _make(out_data.reshape(shape[:-1] + (m,)), (x, w, b), bw)
+
+
 def reshape(a, shape):
     a = _as_tensor(a)
     out_data = a.data.reshape(shape)
@@ -366,6 +399,21 @@ def gelu(a):
     return _make(out_data, (a,), bw)
 
 
+def _exp_normalise(y):
+    """Softmax of the rows of max-shifted ``y``, in place; row sums in float64."""
+    np.exp(y, out=y)
+    y /= y.sum(axis=-1, keepdims=True, dtype=np.float64).astype(y.dtype)
+
+
+def _softmax_backward(g, y):
+    """dz = y * (g - sum(g * y)) over the last axis, in one buffer."""
+    dz = g * y
+    s = dz.sum(axis=-1, keepdims=True, dtype=np.float64).astype(y.dtype)
+    np.subtract(g, s, out=dz)
+    dz *= y
+    return dz
+
+
 def softmax(z):
     """Row softmax over the last axis, computed with max-subtraction.
 
@@ -375,16 +423,10 @@ def softmax(z):
     z = _as_tensor(z)
     x = z.data
     y = x - x.max(axis=-1, keepdims=True)
-    np.exp(y, out=y)
-    y /= y.sum(axis=-1, keepdims=True, dtype=np.float64).astype(x.dtype)
+    _exp_normalise(y)
 
     def bw(g):
-        # dz = y * (g - sum(g * y)), in one buffer
-        dz = g * y
-        s = dz.sum(axis=-1, keepdims=True, dtype=np.float64).astype(y.dtype)
-        np.subtract(g, s, out=dz)
-        dz *= y
-        _accumulate(z, dz)
+        _accumulate(z, _softmax_backward(g, y))
 
     return _make(y, (z,), bw)
 
@@ -394,6 +436,47 @@ def _row_mean(a):
     return a.mean(axis=-1, keepdims=True, dtype=np.float64).astype(a.dtype)
 
 
+def _check_affine(name, h, gain, bias):
+    if gain.data.shape != (h,) or bias.data.shape != (h,):
+        raise ShapeMismatchError(
+            f"{name}: x last dim {h}, gain {gain.data.shape}, bias {bias.data.shape}"
+        )
+
+
+def _normalise(xhat, gain, bias):
+    """Layer norm of the centred rows ``xhat``, which it scales in place.
+
+    Returns the output and the per-row ``1 / std``. Variances accumulate in
+    float64; the variance floor is BERT's 1e-12.
+    """
+    out = np.square(xhat)  # the squares first, then the output
+    var = out.mean(axis=-1, keepdims=True, dtype=np.float64)
+    inv = (1.0 / np.sqrt(var + 1e-12)).astype(xhat.dtype)
+    xhat *= inv
+    np.multiply(xhat, gain.data, out=out)
+    out += bias.data
+    return out, inv
+
+
+def _normalise_backward(g, xhat, inv, gain, bias):
+    """Accumulate the gain and bias gradients; return the input gradient.
+
+    The closure calling it runs once, so ``xhat``'s buffer is reused.
+    """
+    h = xhat.shape[-1]
+    t = g * xhat
+    _accumulate(gain, t.reshape(-1, h).sum(axis=0, dtype=np.float64))
+    _accumulate(bias, g.reshape(-1, h).sum(axis=0, dtype=np.float64))
+    # dx = inv * (dxhat - mean(dxhat) - xhat * mean(dxhat * xhat))
+    dx = g * gain.data
+    np.multiply(dx, xhat, out=t)
+    np.multiply(xhat, _row_mean(t), out=xhat)
+    dx -= _row_mean(dx)
+    dx -= xhat
+    dx *= inv
+    return dx
+
+
 def layer_norm(x, gain, bias):
     """Zero-mean unit-variance normalization over the last axis, then affine.
 
@@ -401,53 +484,64 @@ def layer_norm(x, gain, bias):
     in the input's dtype. The variance floor is BERT's 1e-12.
     """
     x, gain, bias = _as_tensor(x), _as_tensor(gain), _as_tensor(bias)
-    h = x.data.shape[-1]
-    if gain.data.shape != (h,) or bias.data.shape != (h,):
-        raise ShapeMismatchError(
-            f"layer_norm: x last dim {h}, gain {gain.data.shape}, bias {bias.data.shape}"
-        )
+    _check_affine("layer_norm", x.data.shape[-1], gain, bias)
     xhat = x.data - _row_mean(x.data)
-    out_data = np.square(xhat)  # the squares first, then the output
-    var = out_data.mean(axis=-1, keepdims=True, dtype=np.float64)
-    inv = (1.0 / np.sqrt(var + 1e-12)).astype(xhat.dtype)
-    xhat *= inv
-    np.multiply(xhat, gain.data, out=out_data)
-    out_data += bias.data
+    out_data, inv = _normalise(xhat, gain, bias)
 
     def bw(g):
-        t = g * xhat
-        _accumulate(gain, t.reshape(-1, h).sum(axis=0, dtype=np.float64))
-        _accumulate(bias, g.reshape(-1, h).sum(axis=0, dtype=np.float64))
-        # dx = inv * (dxhat - mean(dxhat) - xhat * mean(dxhat * xhat));
-        # the closure runs once, so xhat's buffer is free to reuse
-        dx = g * gain.data
-        np.multiply(dx, xhat, out=t)
-        np.multiply(xhat, _row_mean(t), out=xhat)
-        dx -= _row_mean(dx)
-        dx -= xhat
-        dx *= inv
-        _accumulate(x, dx)
+        _accumulate(x, _normalise_backward(g, xhat, inv, gain, bias))
 
     return _make(out_data, (x, gain, bias), bw)
+
+
+def add_layer_norm(x, r, gain, bias):
+    """``layer_norm(x + r, gain, bias)`` for a residual ``r`` of ``x``'s shape.
+
+    The sum is centred in its own buffer, and one input gradient goes to
+    both ``x`` and ``r``.
+    """
+    x, r, gain, bias = _as_tensor(x), _as_tensor(r), _as_tensor(gain), _as_tensor(bias)
+    if r.data.shape != x.data.shape:
+        raise ShapeMismatchError(f"add_layer_norm: {x.data.shape} + {r.data.shape}")
+    _check_affine("add_layer_norm", x.data.shape[-1], gain, bias)
+    xhat = x.data + r.data
+    xhat -= _row_mean(xhat)
+    out_data, inv = _normalise(xhat, gain, bias)
+
+    def bw(g):
+        dx = _normalise_backward(g, xhat, inv, gain, bias)
+        _accumulate(x, dx)
+        _accumulate(r, dx)
+
+    return _make(out_data, (x, r, gain, bias), bw)
+
+
+def _dropout_mask(shape, p, training, rng, dtype):
+    """Inverted dropout's keep mask, scaled by 1/(1-p), or None when inactive.
+
+    The keep decision compares float32 uniforms with ``p``.
+    """
+    if not (0.0 <= p < 1.0):
+        raise InvalidProbabilityError(f"dropout probability {p} outside [0, 1)")
+    if not training or p == 0.0:
+        return None
+    if rng is None:
+        raise ValueError("dropout in training mode requires an rng")
+    keep = rng.random(shape, dtype=np.float32) >= p
+    return np.multiply(keep, 1.0 / (1.0 - p), dtype=dtype)
 
 
 def dropout(x, p, training, rng=None):
     """Inverted dropout: train-time survivors scaled by 1/(1-p).
 
-    The keep decision compares float32 uniforms with ``p``; forward and
-    backward each multiply by one mask, already scaled, in ``x``'s dtype.
-    When inactive (inference, or ``p == 0``) it returns ``x`` itself and
-    records nothing on the tape.
+    Forward and backward each multiply by one mask, already scaled, in
+    ``x``'s dtype. When inactive (inference, or ``p == 0``) it returns ``x``
+    itself and records nothing on the tape.
     """
     x = _as_tensor(x)
-    if not (0.0 <= p < 1.0):
-        raise InvalidProbabilityError(f"dropout probability {p} outside [0, 1)")
-    if not training or p == 0.0:
+    mask = _dropout_mask(x.data.shape, p, training, rng, x.data.dtype)
+    if mask is None:
         return x
-    if rng is None:
-        raise ValueError("dropout in training mode requires an rng")
-    keep = rng.random(x.data.shape, dtype=np.float32) >= p
-    mask = np.multiply(keep, 1.0 / (1.0 - p), dtype=x.data.dtype)
 
     def bw(g):
         _accumulate(x, g * mask)
@@ -455,9 +549,59 @@ def dropout(x, p, training, rng=None):
     return _make(x.data * mask, (x,), bw)
 
 
+def attention(q, k, v, key_bias, heads, p, training, rng=None):
+    """Multi-head scaled dot-product attention over ``(..., n, H)`` inputs.
+
+    ``key_bias`` ``(..., n)`` is added to every score of its key column: 0
+    for a real key, a large negative value for a padded one. The head
+    split, ``q k^T / sqrt(H / heads)``, key bias, row softmax, inverted
+    dropout on the probabilities, context and head merge are one tape node;
+    its backward reuses the saved probabilities and mask.
+    """
+    q, k, v = _as_tensor(q), _as_tensor(k), _as_tensor(v)
+    shape = q.data.shape
+    lead, n, h = shape[:-2], shape[-2], shape[-1]
+    if k.data.shape != shape or v.data.shape != shape or h % heads:
+        raise ShapeMismatchError(
+            f"attention: q {shape}, k {k.data.shape}, v {v.data.shape}, {heads} heads")
+    d = h // heads
+
+    def split(t):  # (..., n, H) -> (..., heads, n, d), a view where it can be
+        return np.swapaxes(t.reshape(lead + (n, heads, d)), -2, -3)
+
+    def merge(t):
+        return np.swapaxes(t, -2, -3).reshape(shape)
+
+    qh, kh, vh = split(q.data), split(k.data), split(v.data)
+    scale = np.asarray(1.0 / math.sqrt(d), dtype=q.data.dtype)
+    probs = qh @ np.swapaxes(kh, -1, -2)
+    probs *= scale
+    probs += np.asarray(key_bias).reshape(lead + (1, 1, n))
+    probs -= probs.max(axis=-1, keepdims=True)
+    _exp_normalise(probs)
+    mask = _dropout_mask(probs.shape, p, training, rng, probs.dtype)
+    kept = probs if mask is None else probs * mask
+
+    def bw(g):
+        gc = split(g)
+        dv = np.swapaxes(kept, -1, -2) @ gc
+        dp = gc @ np.swapaxes(vh, -1, -2)
+        if mask is not None:
+            dp *= mask
+        ds = _softmax_backward(dp, probs)
+        ds *= scale
+        _accumulate(q, merge(ds @ kh))
+        _accumulate(k, merge(np.swapaxes(ds, -1, -2) @ qh))
+        _accumulate(v, merge(dv))
+
+    return _make(merge(kept @ vh), (q, k, v), bw)
+
+
 # Tables up to this many rows take the embedding gradient as one dense
-# one-hot (V, N) @ (N, H) product; larger ones scatter with np.add.at, whose
-# cost grows with N alone. The two meet near 550 rows on 1-thread BLAS.
+# one-hot (V, N) @ (N, H) product; larger ones as a segment sum over the
+# sorted ids, whose cost grows with N alone. The one-hot product and the
+# np.add.at scatter the segment sum replaced met near 550 rows on 1-thread
+# BLAS.
 _ONE_HOT_MAX_ROWS = 512
 
 
@@ -479,13 +623,20 @@ def embedding_lookup(table, ids):
             one_hot = np.zeros((v, flat.size), dtype=g2.dtype)
             one_hot[flat, np.arange(flat.size)] = 1
             _accumulate(table, one_hot @ g2)
-        elif table._backward is None:  # a leaf owns its grad array: scatter into it
+            return
+        # one sum per distinct id, over the rows of its run in the sorted ids
+        order = np.argsort(flat, kind="stable")
+        sorted_ids = flat[order]
+        starts = np.flatnonzero(np.diff(sorted_ids, prepend=-1))
+        rows = sorted_ids[starts]
+        sums = np.add.reduceat(g2[order], starts, axis=0)
+        if table._backward is None:  # a leaf owns its grad array: add into it
             if table.grad is None:
                 table.grad = np.zeros_like(table.data)
-            np.add.at(table.grad, flat, g2)
+            table.grad[rows] += sums
         else:
             gt = np.zeros_like(table.data)
-            np.add.at(gt, flat, g2)
+            gt[rows] = sums
             _accumulate(table, gt)
 
     return _make(out_data, (table,), bw)
@@ -509,28 +660,6 @@ def index_select(x, axis, indices):
         _accumulate(x, gx)
 
     return _make(out_data, (x,), bw)
-
-
-def cross_entropy(probs, labels):
-    """Mean negative log probability of the true class.
-
-    ``probs`` rows must already sum to 1 (e.g. softmax output). For training,
-    prefer :func:`softmax_cross_entropy`, which fuses the two for stability.
-    """
-    probs = _as_tensor(probs)
-    labels = np.asarray(labels)
-    n, k = probs.data.shape
-    if labels.size and (labels.min() < 0 or labels.max() >= k):
-        raise LabelOutOfRangeError(f"labels outside [0, {k})")
-    picked = probs.data[np.arange(n), labels]
-    out_data = np.asarray(-np.log(np.maximum(picked, 1e-30)).mean(), dtype=probs.data.dtype)
-
-    def bw(g):
-        gp = np.zeros_like(probs.data)
-        gp[np.arange(n), labels] = -1.0 / (np.maximum(picked, 1e-30) * n)
-        _accumulate(probs, g * gp)
-
-    return _make(out_data, (probs,), bw)
 
 
 def softmax_cross_entropy(logits, labels):

@@ -26,7 +26,6 @@ __all__ = [
     "FinetuneConfig",
     "EmptyTrainingSetError",
     "LabelSpaceMismatchError",
-    "head_forward",
     "project_label",
     "finetune",
     "accuracy",
@@ -92,23 +91,13 @@ class FinetuneConfig:
 
 
 def _head_logits(pooled, params):
-    return ad.matmul(pooled, params["head.w"]) + params["head.b"]
+    return ad.linear(pooled, params["head.w"], params["head.b"])
 
 
 def _head_predictions(pooled, params):
     """One Prediction per pooled row; argmax with lowest-index tie-break."""
     probs = ad.softmax(_head_logits(pooled, params)).data
     return [Prediction(probs=row, label=int(np.argmax(row))) for row in probs]
-
-
-def head_forward(pooled, params) -> Prediction:
-    """Prediction for one pooled vector, through the batch head path."""
-    pooled = pooled if isinstance(pooled, Tensor) else Tensor(pooled)
-    hidden = params["head.w"].shape[0]
-    if pooled.data.shape != (hidden,):
-        raise ad.ShapeMismatchError(f"pooled shape {pooled.data.shape} vs head hidden {hidden}")
-    with ad.no_grad():
-        return _head_predictions(ad.reshape(pooled, (1, -1)), params)[0]
 
 
 def project_label(label, task: str):

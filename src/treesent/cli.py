@@ -6,7 +6,8 @@ The run config is an INI file. ``RunConfig``'s fields are its one table of
 ``--seed``, ``--preset``, ``--task`` and ``--scope`` set their keys through
 the same parsers, so a bad value from either exits 1. A resolved copy is
 written next to each command's artifacts as ``config.<command>.ini``
-(``config.finetune_<task>.ini``, ``config.eval_<task>.ini``). A command
+(``config.finetune_<task>.ini``, ``config.eval_<task>.ini``, each holding
+the task it was made for). A command
 claims its outputs before any work and exits 1 if one exists without
 ``--force``. Each file is written whole or not at all, and a command that
 fails writes nothing, except ``pretrain``'s per-epoch checkpoint for
@@ -23,7 +24,7 @@ import hashlib
 import math
 import os
 import sys
-from dataclasses import MISSING, dataclass, field, fields
+from dataclasses import MISSING, dataclass, field, fields, replace
 
 import numpy as np
 
@@ -226,8 +227,8 @@ def _vocab_sha256(vocab):
     return hashlib.sha256("\n".join(vocab.tokens).encode("utf-8")).hexdigest()
 
 
-def _provenance(cfg, step, vocab):
-    return {"seed": cfg.seed, "step": step, "command": " ".join(sys.argv[1:]),
+def _provenance(cfg, step, vocab, command):
+    return {"seed": cfg.seed, "step": step, "command": command,
             "vocab_sha256": _vocab_sha256(vocab)}
 
 
@@ -261,7 +262,7 @@ def _load_checkpoint(cfg, path, vocab):
     return model_cfg, params, prov
 
 
-def cmd_pretrain(cfg, force, resume=None):
+def cmd_pretrain(cfg, force, command, resume=None):
     outputs = _outputs(cfg, force, "pretrain", os.path.join(cfg.out_dir, "pretrain.ckpt"),
                        os.path.join(cfg.out_dir, "pretrain_loss.csv"))
     ckpt_path = outputs[0]
@@ -287,12 +288,13 @@ def cmd_pretrain(cfg, force, resume=None):
         state.step = int(prov.get("step", 0))
 
     def checkpoint_fn(st, epoch):
-        save_checkpoint(ckpt_path, st.config, st.params, _provenance(cfg, st.step, vocab))
+        save_checkpoint(ckpt_path, st.config, st.params,
+                        _provenance(cfg, st.step, vocab, command))
 
     state = pt.pretrain(train, vocab, model_cfg, hyper, state=state,
                         checkpoint_fn=checkpoint_fn)
     save_checkpoint(ckpt_path, state.config, state.params,
-                    _provenance(cfg, state.step, vocab))
+                    _provenance(cfg, state.step, vocab, command))
     _write(outputs[1:], [pt.loss_history_csv(state), cfg.dump()])
     if state.loss_history:
         print(f"steps: {state.step}  final mlm loss: {state.loss_history[-1][1]:.4f}  "
@@ -301,7 +303,7 @@ def cmd_pretrain(cfg, force, resume=None):
     return EXIT_OK
 
 
-def cmd_finetune(cfg, force, init_ckpt):
+def cmd_finetune(cfg, force, command, init_ckpt):
     outputs = _outputs(cfg, force, f"finetune_{cfg.task}",
                        os.path.join(cfg.out_dir, f"finetune_{cfg.task}.ckpt"))
     vocab = _load_vocab(cfg)
@@ -328,7 +330,7 @@ def cmd_finetune(cfg, force, init_ckpt):
     )
     params, summary = classify.finetune(
         train_records, dev_records, params, model_cfg, vocab, cfg.task, hyper)
-    prov = _provenance(cfg, 0, vocab)
+    prov = _provenance(cfg, 0, vocab, command)
     prov["task"] = cfg.task
     save_checkpoint(outputs[0], model_cfg, params, prov)
     _write(outputs[1:], [cfg.dump()])
@@ -356,7 +358,7 @@ def cmd_eval(cfg, force, ckpt_path):
     cells = [(task, scope) for scope in cfg.scope]
     report = classify.evaluate(params, model_cfg, vocab, [test], cells,
                                max_len=cfg.max_len)
-    _write(outputs, [report.to_tsv(), report.to_json(), cfg.dump()])
+    _write(outputs, [report.to_tsv(), report.to_json(), replace(cfg, task=task).dump()])
     sys.stdout.write(report.to_tsv())
     return EXIT_OK
 
@@ -411,6 +413,18 @@ def build_parser():
     return parser
 
 
+def _command(args):
+    """The parsed command as checkpoint provenance records it: the command
+    and its overrides. Paths are left out: they say where the files were,
+    not how they were made, and would make seeded artifacts differ by
+    directory."""
+    words = [args.command]
+    for _, key in OVERRIDES:
+        if getattr(args, key) is not None:
+            words += [f"--{key}", getattr(args, key)]
+    return " ".join(words)
+
+
 def main(argv=None):
     parser = build_parser()
     try:
@@ -427,9 +441,9 @@ def main(argv=None):
         if args.command == "vocab":
             return cmd_vocab(cfg, force)
         if args.command == "pretrain":
-            return cmd_pretrain(cfg, force, resume=args.resume)
+            return cmd_pretrain(cfg, force, _command(args), resume=args.resume)
         if args.command == "finetune":
-            return cmd_finetune(cfg, force, args.init)
+            return cmd_finetune(cfg, force, _command(args), args.init)
         if args.command == "eval":
             return cmd_eval(cfg, force, args.checkpoint)
         if args.command == "predict":

@@ -11,7 +11,6 @@ flat name -> Tensor dict using the checkpoint naming scheme:
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass, replace
 
 import numpy as np
@@ -23,7 +22,6 @@ __all__ = [
     "ModelConfig",
     "UnknownPresetError",
     "preset",
-    "param_count",
     "param_shapes",
     "init_params",
     "attention_block",
@@ -101,11 +99,6 @@ def param_shapes(config: ModelConfig) -> dict:
     return shapes
 
 
-def param_count(config: ModelConfig) -> int:
-    """Exact trainable scalar count."""
-    return sum(int(np.prod(s)) for s in param_shapes(config).values())
-
-
 def _truncated_normal(rng, shape):
     """Normal(0, INIT_STD) with draws beyond 2 INIT_STD redrawn."""
     out = rng.normal(0.0, INIT_STD, size=shape)
@@ -132,7 +125,7 @@ def init_params(config: ModelConfig, rng, dtype=np.float32) -> dict:
 
 
 def _linear(x, params, prefix):
-    return ad.matmul(x, params[prefix + ".w"]) + params[prefix + ".b"]
+    return ad.linear(x, params[prefix + ".w"], params[prefix + ".b"])
 
 
 def attention_block(x, params, layer: int, config: ModelConfig, mask,
@@ -144,41 +137,22 @@ def attention_block(x, params, layer: int, config: ModelConfig, mask,
     GELU feed-forward with its own residual + layer-norm.
     """
     prefix = f"layer.{layer}"
-    a, d = config.heads, config.head_width
     mask = np.asarray(mask)
-    lead = x.shape[:-2]
     n = x.shape[-2]
     if mask.shape[-1] != n:
         raise ad.ShapeMismatchError(f"mask length {mask.shape[-1]} != sequence length {n}")
-
-    def split_heads(t):
-        t = ad.reshape(t, lead + (n, a, d))
-        axes = tuple(range(len(lead))) + (len(lead) + 1, len(lead), len(lead) + 2)
-        return ad.transpose(t, axes)  # (..., A, n, d)
-
-    q = split_heads(_linear(x, params, f"{prefix}.attn.q"))
-    k = split_heads(_linear(x, params, f"{prefix}.attn.k"))
-    v = split_heads(_linear(x, params, f"{prefix}.attn.v"))
-
-    scores = ad.matmul(q, ad.transpose(k, tuple(range(q.data.ndim - 2)) + (q.data.ndim - 1, q.data.ndim - 2)))
-    scores = ad.mul(scores, 1.0 / math.sqrt(d))
-    # additive mask broadcast over heads and query positions
     key_bias = np.where(mask, np.float32(0.0), np.float32(NEG_INF))
-    scores = scores + Tensor(key_bias.reshape(lead + (1, 1, n)))
-    attn = ad.softmax(scores)
-    attn = ad.dropout(attn, config.dropout_p, training, rng)
+    ctx = ad.attention(_linear(x, params, f"{prefix}.attn.q"),
+                       _linear(x, params, f"{prefix}.attn.k"),
+                       _linear(x, params, f"{prefix}.attn.v"),
+                       key_bias, config.heads, config.dropout_p, training, rng)
+    attn_out = ad.dropout(_linear(ctx, params, f"{prefix}.attn.o"),
+                          config.dropout_p, training, rng)
+    x = ad.add_layer_norm(x, attn_out, params[f"{prefix}.ln1.g"], params[f"{prefix}.ln1.b"])
 
-    ctx = ad.matmul(attn, v)  # (..., A, n, d)
-    axes = tuple(range(len(lead))) + (len(lead) + 1, len(lead), len(lead) + 2)
-    ctx = ad.reshape(ad.transpose(ctx, axes), lead + (n, a * d))
-    attn_out = _linear(ctx, params, f"{prefix}.attn.o")
-    attn_out = ad.dropout(attn_out, config.dropout_p, training, rng)
-    x = ad.layer_norm(x + attn_out, params[f"{prefix}.ln1.g"], params[f"{prefix}.ln1.b"])
-
-    ff = ad.gelu(_linear(x, params, f"{prefix}.ffn.in"))
-    ff = _linear(ff, params, f"{prefix}.ffn.out")
+    ff = _linear(ad.gelu(_linear(x, params, f"{prefix}.ffn.in")), params, f"{prefix}.ffn.out")
     ff = ad.dropout(ff, config.dropout_p, training, rng)
-    return ad.layer_norm(x + ff, params[f"{prefix}.ln2.g"], params[f"{prefix}.ln2.b"])
+    return ad.add_layer_norm(x, ff, params[f"{prefix}.ln2.g"], params[f"{prefix}.ln2.b"])
 
 
 def encode_batch(ids, segment_ids, mask, params, config: ModelConfig,
@@ -194,14 +168,13 @@ def encode_batch(ids, segment_ids, mask, params, config: ModelConfig,
     tok = ad.embedding_lookup(params["emb.tok"], ids)
     pos = ad.embedding_lookup(params["emb.pos"], np.arange(n))
     seg = ad.embedding_lookup(params["emb.seg"], segment_ids)
-    x = tok + pos + seg
-    x = ad.layer_norm(x, params["emb.ln.g"], params["emb.ln.b"])
+    x = ad.add_layer_norm(tok + pos, seg, params["emb.ln.g"], params["emb.ln.b"])
     x = ad.dropout(x, config.dropout_p, training, rng)
 
     for layer in range(config.layers):
         x = attention_block(x, params, layer, config, mask, training=training, rng=rng)
 
     first = ad.reshape(ad.index_select(x, 1, np.array([0])), (b, config.hidden))
-    pooled = ad.tanh(ad.matmul(first, params["pooler.w"]) + params["pooler.b"])
+    pooled = ad.tanh(_linear(first, params, "pooler"))
     return x, pooled
 

@@ -190,10 +190,10 @@ def pretrain_step(state: PretrainState, batch, rng):
 
     hidden_flat = ad.reshape(hidden, (b * n, h))
     masked_states = ad.index_select(hidden_flat, 0, flat_positions)
-    mlm_logits = ad.matmul(masked_states, ad.transpose(params["emb.tok"])) + params["mlm.b"]
+    mlm_logits = ad.linear(masked_states, ad.transpose(params["emb.tok"]), params["mlm.b"])
     mlm_loss = ad.softmax_cross_entropy(mlm_logits, flat_targets)
 
-    nsp_logits = ad.matmul(pooled, params["nsp.w"]) + params["nsp.b"]
+    nsp_logits = ad.linear(pooled, params["nsp.w"], params["nsp.b"])
     nsp_loss = ad.softmax_cross_entropy(nsp_logits, nsp_labels)
 
     total = mlm_loss + nsp_loss

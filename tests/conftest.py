@@ -3,13 +3,18 @@ import os
 import numpy as np
 import pytest
 
-from treesent import synth, tokenizer
+from treesent import encoder, synth, tokenizer
 from treesent.optim import make_rng
 
 # Real treebank distribution (train.txt / dev.txt / test.txt), if the user
 # provides one. Checks that depend on the published corpus counts are
 # skipped without it.
 SST_ENV = "TREESENT_SST_DIR"
+
+
+def param_count(config):
+    """Exact trainable scalar count of an encoder config."""
+    return sum(int(np.prod(s)) for s in encoder.param_shapes(config).values())
 
 
 def sst_dir():

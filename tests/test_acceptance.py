@@ -25,7 +25,7 @@ from treesent import treebank as tb
 from treesent.autodiff import Tensor
 from treesent.optim import make_rng
 
-from conftest import sst_dir
+from conftest import param_count, sst_dir
 
 
 def _report(capsys, label, ok, detail=""):
@@ -326,8 +326,8 @@ def test_7_generalization_direction(capsys, tmp_path_factory):
 
 def test_8_parameter_budget(capsys):
     label = "8 preset parameter counts near published sizes"
-    base = enc.param_count(enc.preset("base"))
-    large = enc.param_count(enc.preset("large"))
+    base = param_count(enc.preset("base"))
+    large = param_count(enc.preset("large"))
     base_off = abs(base - 110e6) / 110e6
     large_off = abs(large - 340e6) / 340e6
     ok = base_off < 0.05 and large_off < 0.05

@@ -243,6 +243,47 @@ class TestEmbeddingLookup:
             ad.embedding_lookup(t64(np.ones((2, 3))), np.array([2]))
 
 
+class TestSegmentSumGradient:
+    """Tables over ``_ONE_HOT_MAX_ROWS`` rows against an ``np.add.at`` oracle."""
+
+    ROWS, H = 2000, 8
+
+    def ids(self):
+        # Zipf-like: many repeats of a few ids, a tail of rare ones, the last row
+        rng = np.random.default_rng(3)
+        ids = np.minimum(rng.zipf(1.5, size=(16, 64)) - 1, self.ROWS - 1)
+        ids[0, :4] = self.ROWS - 1
+        assert self.ROWS > ad._ONE_HOT_MAX_ROWS and len(np.unique(ids)) < ids.size
+        return ids
+
+    def test_matches_add_at(self):
+        ids = self.ids()
+        rng = np.random.default_rng(4)
+        table = t64(rng.normal(size=(self.ROWS, self.H)), requires_grad=True)
+        w = rng.normal(size=ids.shape + (self.H,))
+        ad.backward(ad.tensor_sum(ad.mul(ad.embedding_lookup(table, ids), t64(w))))
+        want = np.zeros((self.ROWS, self.H))
+        np.add.at(want, ids.reshape(-1), w.reshape(-1, self.H))
+        np.testing.assert_allclose(table.grad, want, rtol=0, atol=1e-12)
+        untouched = np.setdiff1d(np.arange(self.ROWS), ids)
+        assert (table.grad[untouched] == 0).all()
+
+    def test_tied_head_matches_add_at(self):
+        # the MLM head's case: the lookup also feeds a linear on the
+        # table's transpose, and both gradients land in one leaf grad
+        ids = self.ids()
+        rng = np.random.default_rng(5)
+        table = t64(rng.normal(size=(self.ROWS, self.H)), requires_grad=True)
+        bias = t64(rng.normal(size=self.ROWS))
+        w = rng.normal(size=(ids.size, self.ROWS))
+        hidden = ad.reshape(ad.embedding_lookup(table, ids), (ids.size, self.H))
+        logits = ad.linear(hidden, ad.transpose(table), bias)
+        ad.backward(ad.tensor_sum(ad.mul(logits, t64(w))))
+        want = w.T @ hidden.data
+        np.add.at(want, ids.reshape(-1), w @ table.data)
+        np.testing.assert_allclose(table.grad, want, rtol=0, atol=1e-10)
+
+
 class TestDropout:
     def test_inference_identity(self, rng):
         x = t64(rng.normal(size=100))
@@ -276,26 +317,40 @@ class TestDropout:
         with pytest.raises(ad.InvalidProbabilityError):
             ad.dropout(t64([1.0]), -0.1, training=True, rng=rng)
 
+    def test_p_just_below_one(self):
+        # round(p * 65536) is 65536 here, one past the largest 16-bit draw
+        p, n = 1 - 1e-7, 4 * 65536
+        out = ad.dropout(Tensor(np.ones(n, dtype=np.float32)), p, training=True,
+                         rng=make_rng(8))
+        kept = out.data != 0
+        assert kept.mean() < 1e-3
+        np.testing.assert_allclose(out.data[kept], 1.0 / (1.0 - p), rtol=1e-6)
+
+
+def cross_entropy(probs, labels):
+    """Mean negative log probability of the true class, the fused loss's oracle."""
+    return float(-np.log(probs[np.arange(len(labels)), labels]).mean())
+
 
 class TestCrossEntropy:
     def test_perfect_prediction(self):
-        probs = t64([[1.0, 0.0], [0.0, 1.0]])
-        assert float(ad.cross_entropy(probs, np.array([0, 1])).data) < 1e-6
+        probs = np.array([[1.0, 0.0], [0.0, 1.0]])
+        assert cross_entropy(probs, np.array([0, 1])) < 1e-6
 
     def test_uniform_five_way(self):
-        probs = t64(np.full((3, 5), 0.2))
-        loss = float(ad.cross_entropy(probs, np.array([0, 2, 4])).data)
+        probs = np.full((3, 5), 0.2)
+        loss = cross_entropy(probs, np.array([0, 2, 4]))
         assert abs(loss - math.log(5)) < 1e-9
 
     def test_label_out_of_range(self):
         with pytest.raises(ad.LabelOutOfRangeError):
-            ad.cross_entropy(t64(np.full((1, 3), 1 / 3)), np.array([3]))
+            ad.softmax_cross_entropy(t64(np.zeros((1, 3))), np.array([3]))
 
     def test_fused_matches_composed(self, rng):
         logits = rng.normal(size=(4, 5))
         labels = np.array([0, 1, 2, 4])
         fused = float(ad.softmax_cross_entropy(t64(logits), labels).data)
-        composed = float(ad.cross_entropy(ad.softmax(t64(logits)), labels).data)
+        composed = cross_entropy(ad.softmax(t64(logits)).data, labels)
         assert abs(fused - composed) < 1e-9
 
     def test_fused_gradient(self, rng):
@@ -392,6 +447,137 @@ class TestFloat32Oracle:
         assert x.grad.dtype == np.float32
         nz = x.data != 0
         np.testing.assert_allclose(x.grad[nz], (g * out.data / x.data)[nz], rtol=1e-6)
+
+
+NEG_INF = -1e9
+KEY_MASK = np.array([[1, 1, 1, 0, 0], [1, 1, 1, 1, 1]])  # row 0 has two padded keys
+
+
+def unfused_attention(q, k, v, key_bias, heads, p, training, rng):
+    """The generic-op composition that ``ad.attention`` fuses."""
+    lead, (n, h) = q.shape[:-2], q.shape[-2:]
+    d = h // heads
+    r = len(lead)
+    heads_first = tuple(range(r)) + (r + 1, r, r + 2)
+
+    def split(t):
+        return ad.transpose(ad.reshape(t, lead + (n, heads, d)), heads_first)
+
+    qh, kh, vh = split(q), split(k), split(v)
+    scores = ad.matmul(qh, ad.transpose(kh, tuple(range(r + 1)) + (r + 2, r + 1)))
+    scores = ad.mul(scores, 1.0 / math.sqrt(d))
+    scores = scores + Tensor(key_bias.reshape(lead + (1, 1, n)), dtype=q.dtype)
+    probs = ad.dropout(ad.softmax(scores), p, training, rng)
+    ctx = ad.transpose(ad.matmul(probs, vh), heads_first)
+    return ad.reshape(ctx, lead + (n, h))
+
+
+def _attention_case(fn, lead, p):
+    key_bias = np.where(KEY_MASK, 0.0, NEG_INF)[:lead[0]] if lead else np.zeros(5)
+    # a fresh generator per call draws the same dropout mask every time
+    return lambda q, k, v: fn(q, k, v, key_bias, 2, p, p > 0, make_rng(21))
+
+
+# name -> (fused, unfused, input shapes); every input is a gradient leaf
+FUSED_OPS = {
+    "linear": (ad.linear, lambda x, w, b: ad.matmul(x, w) + b, [(2, 3, 4), (4, 5), (5,)]),
+    "linear_2d": (ad.linear, lambda x, w, b: ad.matmul(x, w) + b, [(3, 4), (4, 5), (5,)]),
+    "add_layer_norm": (ad.add_layer_norm, lambda x, r, g, b: ad.layer_norm(x + r, g, b),
+                       [(2, 3, 8), (2, 3, 8), (8,), (8,)]),
+    "attention": (_attention_case(ad.attention, (2,), 0.3),
+                  _attention_case(unfused_attention, (2,), 0.3), [(2, 5, 8)] * 3),
+    "attention_no_dropout": (_attention_case(ad.attention, (2,), 0.0),
+                             _attention_case(unfused_attention, (2,), 0.0), [(2, 5, 8)] * 3),
+    "attention_unbatched": (_attention_case(ad.attention, (), 0.3),
+                            _attention_case(unfused_attention, (), 0.3), [(5, 8)] * 3),
+}
+
+
+def fused_inputs(shapes, dtype, seed=31):
+    rng = make_rng(seed)
+    return [rng.normal(size=s).astype(dtype) for s in shapes]
+
+
+def run_graph(fn, arrays):
+    """Output and every input's gradient of ``fn``, its output reduced
+    against fixed random weights so every element reaches the gradient."""
+    leaves = [Tensor(a, requires_grad=True, dtype=a.dtype) for a in arrays]
+    out = fn(*leaves)
+    w = make_rng(5).normal(size=out.shape)
+    ad.backward(ad.tensor_sum(ad.mul(out, Tensor(w, dtype=out.dtype))))
+    return out.data, [leaf.grad for leaf in leaves]
+
+
+class TestFusedOps:
+    @pytest.mark.parametrize("name", sorted(FUSED_OPS))
+    def test_gradient_vs_finite_differences(self, name):
+        fused, _, shapes = FUSED_OPS[name]
+        arrays = fused_inputs(shapes, F64)
+        for i in range(len(arrays)):
+            def f(t, i=i):
+                args = [t64(a) for a in arrays]
+                args[i] = t
+                out = fused(*args)
+                w = make_rng(5).normal(size=out.shape)
+                return ad.tensor_sum(ad.tanh(ad.mul(out, t64(w))))
+
+            assert ad.finite_diff_check(f, t64(arrays[i])) < 1e-6, i
+
+    @pytest.mark.parametrize("name", sorted(FUSED_OPS))
+    def test_matches_unfused_float64(self, name):
+        fused, unfused, shapes = FUSED_OPS[name]
+        arrays = fused_inputs(shapes, F64)
+        out, grads = run_graph(fused, arrays)
+        want, want_grads = run_graph(unfused, arrays)
+        assert out.dtype == F64
+        np.testing.assert_allclose(out, want, rtol=0, atol=1e-10)
+        for g, g_want in zip(grads, want_grads):
+            assert g.dtype == F64
+            np.testing.assert_allclose(g, g_want, rtol=0, atol=1e-10)
+
+    @pytest.mark.parametrize("name", sorted(FUSED_OPS))
+    def test_matches_unfused_float32(self, name):
+        fused, unfused, shapes = FUSED_OPS[name]
+        arrays = fused_inputs(shapes, np.float32)
+        out, grads = run_graph(fused, arrays)
+        want, want_grads = run_graph(unfused, arrays)
+        out64, grads64 = run_graph(fused, [a.astype(F64) for a in arrays])
+        assert out.dtype == np.float32
+        assert_close_to_scale(out, want)
+        assert_close_to_scale(out, out64)
+        for g, g_want, g64 in zip(grads, want_grads, grads64):
+            assert g.dtype == np.float32
+            assert_close_to_scale(g, g_want)
+            assert_close_to_scale(g, g64)
+
+    def test_attention_ignores_padded_keys(self):
+        q, k, v = (t64(a) for a in fused_inputs([(2, 5, 8)] * 3, F64))
+        key_bias = np.where(KEY_MASK, 0.0, NEG_INF)
+        out = ad.attention(q, k, v, key_bias, 2, 0.0, False).data
+        v2 = v.data.copy()
+        v2[0, 3:] = 100.0  # values of row 0's padded keys
+        k2 = k.data.copy()
+        k2[0, 3:] = -7.0
+        moved = ad.attention(q, t64(k2), t64(v2), key_bias, 2, 0.0, False).data
+        np.testing.assert_allclose(moved, out, rtol=0, atol=1e-12)
+
+    @pytest.mark.parametrize("op, args", [
+        (ad.linear, [(2, 4), (3, 5), (5,)]),
+        (ad.linear, [(2, 4), (4, 5), (4,)]),
+        (ad.linear, [(2, 4), (4,), (4,)]),
+        (ad.add_layer_norm, [(2, 4), (2, 3), (3,), (3,)]),
+        (ad.add_layer_norm, [(2, 4), (2, 4), (3,), (4,)]),
+        (lambda q, k, v: ad.attention(q, k, v, np.zeros(3), 2, 0.0, False), [(3, 4), (3, 4), (2, 4)]),
+        (lambda q, k, v: ad.attention(q, k, v, np.zeros(3), 3, 0.0, False), [(3, 4)] * 3),
+    ])
+    def test_shape_mismatch(self, op, args):
+        with pytest.raises(ad.ShapeMismatchError):
+            op(*(t64(np.ones(s)) for s in args))
+
+    def test_attention_dropout_checks_probability(self):
+        q = t64(np.ones((3, 4)))
+        with pytest.raises(ad.InvalidProbabilityError):
+            ad.attention(q, q, q, np.zeros(3), 2, 1.0, True, make_rng(1))
 
 
 class DualNumber:

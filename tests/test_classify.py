@@ -45,31 +45,37 @@ def drawn_head(n_classes, rng, hidden=16):
             "head.b": Tensor(np.zeros(n_classes, dtype=np.float32), requires_grad=True)}
 
 
+def head_forward(pooled, head):
+    """Prediction for one pooled vector, through the batch head path."""
+    with ad.no_grad():
+        return cl._head_predictions(Tensor(pooled.reshape(1, -1)), head)[0]
+
+
 class TestHeadForward:
     def test_bias_decides_label(self):
         head = zero_head(5, bias=[0, 0, 10, 0, 0])
-        pred = cl.head_forward(np.zeros(16, dtype=np.float32), head)
+        pred = head_forward(np.zeros(16, dtype=np.float32), head)
         assert pred.label == 2
         assert pred.probs[2] > 0.99
 
     def test_probs_sum_to_one(self):
         rng = make_rng(1)
         head = drawn_head(5, rng)
-        pred = cl.head_forward(rng.normal(size=16).astype(np.float32), head)
+        pred = head_forward(rng.normal(size=16).astype(np.float32), head)
         assert pred.probs.shape == (5,)
         assert abs(pred.probs.sum() - 1.0) < 1e-6
         assert (pred.probs > 0).all()
 
     def test_uniform_ties_break_low(self):
         head = zero_head(5)
-        pred = cl.head_forward(np.zeros(16, dtype=np.float32), head)
+        pred = head_forward(np.zeros(16, dtype=np.float32), head)
         np.testing.assert_allclose(pred.probs, 0.2, atol=1e-7)
         assert pred.label == 0
 
     def test_shape_mismatch(self):
         head = zero_head(2)
         with pytest.raises(ad.ShapeMismatchError):
-            cl.head_forward(np.zeros(8, dtype=np.float32), head)
+            head_forward(np.zeros(8, dtype=np.float32), head)
 
     def test_bad_class_count(self, synth_corpora):
         vocab, cfg, params = tiny_setup()

@@ -299,6 +299,32 @@ class TestOutputs:
                 assert copy.get("run", "task") == task
 
 
+class TestRecords:
+    def test_provenance_records_the_argv_given_to_main(self, pipeline, tmp_path, monkeypatch):
+        # the command and its overrides, not the host process's arguments;
+        # no paths, so runs in two directories stay byte-identical
+        monkeypatch.setattr("sys.argv", ["host-process", "--its-own", "args"])
+        cfg, out = scratch_config(pipeline, tmp_path)
+        init = os.path.join(pipeline["out"], "pretrain.ckpt")
+        for argv, ckpt, command in (
+                (["pretrain", "--seed", "3", "--config", cfg], "pretrain.ckpt", "pretrain --seed 3"),
+                (["finetune", "--config", cfg, "--init", init, "--task", "sst5", "--scope", "root"],
+                 "finetune_sst5.ckpt", "finetune --task sst5 --scope root")):
+            assert cli.main(argv) == 0
+            _, _, prov = load_checkpoint(str(out / ckpt), expect_extra=cli.HEAD_EXTRAS)
+            assert prov["command"] == command
+
+    def test_eval_config_copy_holds_the_checkpoint_task(self, pipeline, tmp_path):
+        # [run] task = sst2, but the checkpoint and its report are sst5
+        cfg, out = scratch_config(pipeline, tmp_path, task="sst2")
+        assert cli.main(["eval", "--config", cfg, "--checkpoint",
+                         os.path.join(pipeline["out"], "finetune_sst5.ckpt")]) == 0
+        copy = configparser.ConfigParser()
+        assert copy.read(out / "config.eval_sst5.ini")
+        assert copy.get("run", "task") == "sst5"
+        assert not (out / "config.eval_sst2.ini").exists()
+
+
 class TestFailureExitCodes:
     def test_divergence_exits_3_without_checkpoint(self, pipeline, tmp_path, capsys):
         cfg, out = scratch_config(pipeline, tmp_path, pre_lr=1e12, ft_lr=1e12)

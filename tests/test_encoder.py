@@ -1,5 +1,6 @@
 import numpy as np
 import pytest
+from conftest import param_count
 
 from treesent import autodiff as ad
 from treesent import encoder as enc
@@ -50,13 +51,13 @@ class TestParamCount:
         # oracle: actually allocate every tensor and add up sizes
         params = tiny_params()
         walked = sum(p.data.size for p in params.values())
-        assert enc.param_count(TINY) == walked
+        assert param_count(TINY) == walked
 
     def test_base_near_published_total(self):
-        assert abs(enc.param_count(enc.preset("base")) - 110e6) / 110e6 < 0.05
+        assert abs(param_count(enc.preset("base")) - 110e6) / 110e6 < 0.05
 
     def test_large_near_published_total(self):
-        assert abs(enc.param_count(enc.preset("large")) - 340e6) / 340e6 < 0.05
+        assert abs(param_count(enc.preset("large")) - 340e6) / 340e6 < 0.05
 
 
 class TestInit:
@@ -126,6 +127,60 @@ class TestAttentionBlock:
         attn = ad.softmax(Tensor(biased, dtype=np.float64)).data
         np.testing.assert_allclose(attn[:, mask == 0], 0.0, atol=1e-12)
         np.testing.assert_allclose(attn[:, mask == 1].sum(axis=1), 1.0, atol=1e-6)
+
+
+def unfused_block(x, params, layer, config, mask, training=False, rng=None):
+    """``attention_block`` as the generic ops compose it: the reference of
+    the fused ``linear``, ``attention`` and ``add_layer_norm``."""
+    prefix = f"layer.{layer}"
+    a, d = config.heads, config.head_width
+    lead, n = x.shape[:-2], x.shape[-2]
+    heads_first = tuple(range(len(lead))) + (len(lead) + 1, len(lead), len(lead) + 2)
+
+    def linear(t, name):
+        return ad.matmul(t, params[f"{prefix}.{name}.w"]) + params[f"{prefix}.{name}.b"]
+
+    def split_heads(t):
+        return ad.transpose(ad.reshape(t, lead + (n, a, d)), heads_first)
+
+    def add_ln(t, r, name):
+        return ad.layer_norm(t + r, params[f"{prefix}.{name}.g"], params[f"{prefix}.{name}.b"])
+
+    q, k, v = (split_heads(linear(x, f"attn.{p}")) for p in "qkv")
+    scores = ad.matmul(q, ad.transpose(k, tuple(range(len(lead) + 1))
+                                       + (len(lead) + 2, len(lead) + 1)))
+    scores = ad.mul(scores, 1.0 / np.sqrt(d))
+    key_bias = np.where(mask, np.float32(0.0), np.float32(enc.NEG_INF))
+    scores = scores + Tensor(key_bias.reshape(lead + (1, 1, n)))
+    attn = ad.dropout(ad.softmax(scores), config.dropout_p, training, rng)
+    ctx = ad.reshape(ad.transpose(ad.matmul(attn, v), heads_first), lead + (n, a * d))
+    attn_out = ad.dropout(linear(ctx, "attn.o"), config.dropout_p, training, rng)
+    x = add_ln(x, attn_out, "ln1")
+    ff = linear(ad.gelu(linear(x, "ffn.in")), "ffn.out")
+    return add_ln(x, ad.dropout(ff, config.dropout_p, training, rng), "ln2")
+
+
+class TestFusedBlock:
+    @pytest.mark.parametrize("training", [False, True])
+    def test_matches_unfused_float64(self, training):
+        mask = np.array([[1, 1, 1, 1, 0, 0], [1, 1, 1, 1, 1, 1]])
+        x0 = make_rng(7).normal(size=(2, 6, 16))
+        w = make_rng(8).normal(size=(2, 6, 16))
+        results = []
+        for block in (enc.attention_block, unfused_block):
+            params = tiny_params(dtype=np.float64)
+            x = Tensor(x0, requires_grad=True, dtype=np.float64)
+            out = block(x, params, 1, TINY, mask, training=training, rng=make_rng(9))
+            ad.backward(ad.tensor_sum(ad.mul(out, Tensor(w, dtype=np.float64))))
+            grads = {n: p.grad for n, p in params.items() if n.startswith("layer.1.")}
+            results.append((out.data, x.grad, grads))
+        (out, gx, grads), (want, want_gx, want_grads) = results
+        np.testing.assert_allclose(out, want, rtol=0, atol=1e-10)
+        np.testing.assert_allclose(gx, want_gx, rtol=0, atol=1e-10)
+        assert grads.keys() == want_grads.keys() and len(grads) == 16
+        for name in grads:
+            np.testing.assert_allclose(grads[name], want_grads[name], rtol=0, atol=1e-10,
+                                       err_msg=name)
 
 
 def encode_one(seq, params, config=TINY, training=False, rng=None):
