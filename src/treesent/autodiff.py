@@ -7,7 +7,8 @@ adopts the dtype of the Tensor operand, so a float32 model computes in
 float32 throughout. Sums, softmax, layer norm and the fused loss accumulate
 their reductions in float64 (``dtype=np.float64``) but make no full-size
 float64 copies: every full-size array stays in the input's dtype. Dropout
-draws float32 uniforms.
+keeps a unit where a 16-bit draw, four to each raw 64-bit word of the
+generator, is at least ``round(p * 65536)``.
 
 Three fused ops carry the encoder, each one tape node with a hand-written
 backward: ``linear`` (one GEMM plus an in-place bias), ``add_layer_norm``
@@ -519,7 +520,9 @@ def add_layer_norm(x, r, gain, bias):
 def _dropout_mask(shape, p, training, rng, dtype):
     """Inverted dropout's keep mask, scaled by 1/(1-p), or None when inactive.
 
-    The keep decision compares float32 uniforms with ``p``.
+    Each unit takes one 16-bit draw, four to each raw 64-bit word of the
+    generator, and is kept when the draw is at least ``round(p * 65536)``,
+    capped at 65535 so that every ``p`` below 1 keeps some units.
     """
     if not (0.0 <= p < 1.0):
         raise InvalidProbabilityError(f"dropout probability {p} outside [0, 1)")
@@ -527,7 +530,9 @@ def _dropout_mask(shape, p, training, rng, dtype):
         return None
     if rng is None:
         raise ValueError("dropout in training mode requires an rng")
-    keep = rng.random(shape, dtype=np.float32) >= p
+    n = math.prod(shape)
+    draws = rng.bit_generator.random_raw(-(-n // 4)).view(np.uint16)[:n].reshape(shape)
+    keep = draws >= np.uint16(min(round(p * 65536), 65535))
     return np.multiply(keep, 1.0 / (1.0 - p), dtype=dtype)
 
 
