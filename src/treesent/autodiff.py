@@ -603,10 +603,9 @@ def attention(q, k, v, key_bias, heads, p, training, rng=None):
 
 
 # Tables up to this many rows take the embedding gradient as one dense
-# one-hot (V, N) @ (N, H) product; larger ones as a segment sum over the
-# sorted ids, whose cost grows with N alone. The one-hot product and the
-# np.add.at scatter the segment sum replaced met near 550 rows on 1-thread
-# BLAS.
+# one-hot (V, N) @ (N, H) product, whose cost grows with V * N; larger ones
+# as a segment sum over the sorted ids, whose cost grows with N. On 1-thread
+# BLAS the two meet between about 300 rows (N = 1024) and 500 rows (N = 192).
 _ONE_HOT_MAX_ROWS = 512
 
 
