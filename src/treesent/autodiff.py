@@ -13,7 +13,8 @@ generator, is at least ``round(p * 65536)``.
 Three fused ops carry the encoder, each one tape node with a hand-written
 backward: ``linear`` (one GEMM plus an in-place bias), ``add_layer_norm``
 (the residual add fused into layer norm) and ``attention`` (head split,
-scores, key mask, softmax, probability dropout, context and head merge).
+scores, key mask, softmax, probability dropout, context and head merge),
+which also takes fewer queries than keys.
 Each computes what the composition of the generic ops computes, in the same
 order, so only gradient sums may differ in the last bits.
 
@@ -555,27 +556,33 @@ def dropout(x, p, training, rng=None):
 
 
 def attention(q, k, v, key_bias, heads, p, training, rng=None):
-    """Multi-head scaled dot-product attention over ``(..., n, H)`` inputs.
+    """Multi-head scaled dot-product attention: ``(..., m, H)`` queries
+    against ``(..., n, H)`` keys and values, giving ``(..., m, H)``.
 
-    ``key_bias`` ``(..., n)`` is added to every score of its key column: 0
-    for a real key, a large negative value for a padded one. The head
-    split, ``q k^T / sqrt(H / heads)``, key bias, row softmax, inverted
-    dropout on the probabilities, context and head merge are one tape node;
-    its backward reuses the saved probabilities and mask.
+    ``m`` may be below ``n``: a query row reads every key whatever the other
+    queries are, so attending from a subset of positions gives exactly the
+    rows the full query set gives at those positions. ``key_bias``
+    ``(..., n)`` is added to every score of its key column: 0 for a real
+    key, a large negative value for a padded one. The head split,
+    ``q k^T / sqrt(H / heads)``, key bias, row softmax, inverted dropout on
+    the ``(..., heads, m, n)`` probabilities, context and head merge are one
+    tape node; its backward reuses the saved probabilities and mask.
     """
     q, k, v = _as_tensor(q), _as_tensor(k), _as_tensor(v)
-    shape = q.data.shape
-    lead, n, h = shape[:-2], shape[-2], shape[-1]
-    if k.data.shape != shape or v.data.shape != shape or h % heads:
+    qs, ks = q.data.shape, k.data.shape
+    lead, n, h = ks[:-2], ks[-2], ks[-1]
+    if (v.data.shape != ks or len(qs) != len(ks) or qs[:-2] != lead or qs[-1] != h
+            or h % heads):
         raise ShapeMismatchError(
-            f"attention: q {shape}, k {k.data.shape}, v {v.data.shape}, {heads} heads")
+            f"attention: q {qs}, k {ks}, v {v.data.shape}, {heads} heads")
     d = h // heads
 
-    def split(t):  # (..., n, H) -> (..., heads, n, d), a view where it can be
-        return np.swapaxes(t.reshape(lead + (n, heads, d)), -2, -3)
+    def split(t):  # (..., rows, H) -> (..., heads, rows, d), a view where it can be
+        return np.swapaxes(t.reshape(t.shape[:-1] + (heads, d)), -2, -3)
 
-    def merge(t):
-        return np.swapaxes(t, -2, -3).reshape(shape)
+    def merge(t):  # (..., heads, rows, d) -> (..., rows, H)
+        t = np.swapaxes(t, -2, -3)
+        return t.reshape(t.shape[:-2] + (h,))
 
     qh, kh, vh = split(q.data), split(k.data), split(v.data)
     scale = np.asarray(1.0 / math.sqrt(d), dtype=q.data.dtype)

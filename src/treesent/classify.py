@@ -122,23 +122,31 @@ def accuracy(predictions, golds) -> float:
     return correct / len(predictions)
 
 
-def predict_texts(texts, params, config, vocab, max_len, batch_size=64):
-    """Deterministic inference over a list of texts -> list of Prediction.
+def _pooled_features(seqs, params, config, batch_size=64):
+    """Inference-mode pooled [CLS] vectors of ``seqs`` as one (n, H) array.
 
-    Texts are batched in order of length, so rows of a batch need little
-    padding; the predictions come back in input order.
+    The encoder's last block runs at [CLS] alone. Sequences are batched in
+    order of length, so rows of a batch need little padding; the rows come
+    back in input order.
     """
-    seqs = [encode(t, vocab, max_len) for t in texts]
     order = sorted(range(len(seqs)), key=lambda i: seqs[i].n_real)
-    preds = [None] * len(seqs)
-    for start in range(0, len(order), batch_size):
-        sel = order[start:start + batch_size]
-        ids, segs, mask = stack_batch([seqs[i] for i in sel])
-        with ad.no_grad():
-            _, pooled = enc.encode_batch(ids, segs, mask, params, config, training=False)
-            for i, pred in zip(sel, _head_predictions(pooled, params)):
-                preds[i] = pred
-    return preds
+    pooled = np.empty((len(seqs), config.hidden), dtype=params["pooler.w"].dtype)
+    with ad.no_grad():
+        for start in range(0, len(order), batch_size):
+            sel = order[start:start + batch_size]
+            ids, segs, mask = stack_batch([seqs[i] for i in sel])
+            _, out = enc.encode_batch(ids, segs, mask, params, config, training=False,
+                                      rows=np.zeros((len(sel), 1), dtype=np.int64))
+            pooled[sel] = out.data
+    return pooled
+
+
+def predict_texts(texts, params, config, vocab, max_len, batch_size=64):
+    """Deterministic inference over a list of texts -> list of Prediction."""
+    seqs = [encode(t, vocab, max_len) for t in texts]
+    with ad.no_grad():
+        return _head_predictions(Tensor(_pooled_features(seqs, params, config, batch_size)),
+                                 params)
 
 
 def _dev_root_accuracy(dev_records, params, config, vocab, max_len, task):
@@ -223,18 +231,20 @@ def finetune(train_records, dev_records, params, config, vocab, task: str,
     lengths = np.array([s.n_real for s in seqs])
     shuffle_rng = make_rng(hyper.seed, stream=3)
 
+    if hyper.freeze_encoder:
+        # BERT's feature-based approach: the frozen encoder's pooled output
+        # is a fixed function of the phrase, so each is encoded once
+        features = _pooled_features(seqs, params, config)
+
     best = None  # (acc, epoch, params_data)
     for epoch in range(hyper.epochs):
         for sel in _bucketed_batches(lengths, hyper.batch_size, shuffle_rng):
-            ids, segs, mask = stack_batch([seqs[i] for i in sel])
             if hyper.freeze_encoder:
-                with ad.no_grad():
-                    _, pooled_const = enc.encode_batch(
-                        ids, segs, mask, params, config, training=False)
-                pooled = Tensor(pooled_const.data)
+                pooled = Tensor(features[sel])
             else:
-                _, pooled = enc.encode_batch(ids, segs, mask,
-                                             params, config, training=True, rng=rng)
+                ids, segs, mask = stack_batch([seqs[i] for i in sel])
+                _, pooled = enc.encode_batch(ids, segs, mask, params, config, training=True,
+                                             rng=rng, rows=np.zeros((len(sel), 1), dtype=np.int64))
             pooled = ad.dropout(pooled, config.dropout_p, True, rng)
             loss = ad.softmax_cross_entropy(_head_logits(pooled, params), labels[sel])
             check_finite_loss(loss, opt.t + 1)

@@ -48,6 +48,8 @@ class ModelConfig:
     dropout_p: float = 0.1
 
     def __post_init__(self):
+        if self.layers < 1:  # encode_batch's rows run in the last block
+            raise ValueError(f"layers {self.layers} < 1")
         if self.hidden % self.heads != 0:
             raise ValueError(f"hidden {self.hidden} not divisible by heads {self.heads}")
 
@@ -128,13 +130,28 @@ def _linear(x, params, prefix):
     return ad.linear(x, params[prefix + ".w"], params[prefix + ".b"])
 
 
+def _gather_rows(x, rows):
+    """``x[b, rows[b, j]]`` as a (B, m, H) tensor, one ``index_select`` over
+    the flattened (B * n, H) states."""
+    b, n, h = x.shape
+    flat = (np.arange(b)[:, None] * n + rows).reshape(-1)
+    return ad.reshape(ad.index_select(ad.reshape(x, (b * n, h)), 0, flat),
+                      rows.shape + (h,))
+
+
 def attention_block(x, params, layer: int, config: ModelConfig, mask,
-                    training=False, rng=None):
+                    training=False, rng=None, rows=None):
     """One Transformer block over (..., n, H) with a per-key {0,1} mask.
 
     Multi-head scaled dot-product attention (padded keys get a large
     negative additive bias before softmax), residual + layer-norm, then a
     GELU feed-forward with its own residual + layer-norm.
+
+    With ``rows`` (B, m), for a (B, n, H) ``x``, keys and values still come
+    from every position, but the queries and everything after attention
+    run only at ``x[b, rows[b]]``, and the block returns (B, m, H): the rows
+    the full block gives at those positions, and dropout drawn for them
+    alone.
     """
     prefix = f"layer.{layer}"
     mask = np.asarray(mask)
@@ -142,28 +159,53 @@ def attention_block(x, params, layer: int, config: ModelConfig, mask,
     if mask.shape[-1] != n:
         raise ad.ShapeMismatchError(f"mask length {mask.shape[-1]} != sequence length {n}")
     key_bias = np.where(mask, np.float32(0.0), np.float32(NEG_INF))
-    ctx = ad.attention(_linear(x, params, f"{prefix}.attn.q"),
+    resid = x if rows is None else _gather_rows(x, rows)  # the rows computed
+    ctx = ad.attention(_linear(resid, params, f"{prefix}.attn.q"),
                        _linear(x, params, f"{prefix}.attn.k"),
                        _linear(x, params, f"{prefix}.attn.v"),
                        key_bias, config.heads, config.dropout_p, training, rng)
     attn_out = ad.dropout(_linear(ctx, params, f"{prefix}.attn.o"),
                           config.dropout_p, training, rng)
-    x = ad.add_layer_norm(x, attn_out, params[f"{prefix}.ln1.g"], params[f"{prefix}.ln1.b"])
+    x = ad.add_layer_norm(resid, attn_out, params[f"{prefix}.ln1.g"], params[f"{prefix}.ln1.b"])
 
     ff = _linear(ad.gelu(_linear(x, params, f"{prefix}.ffn.in")), params, f"{prefix}.ffn.out")
     ff = ad.dropout(ff, config.dropout_p, training, rng)
     return ad.add_layer_norm(x, ff, params[f"{prefix}.ln2.g"], params[f"{prefix}.ln2.b"])
 
 
+def _check_rows(rows, b, n):
+    rows = np.asarray(rows)
+    if rows.ndim != 2 or rows.shape[0] != b or rows.shape[1] == 0 or rows.dtype.kind not in "iu":
+        raise ad.ShapeMismatchError(f"rows must be a ({b}, m >= 1) int array, got "
+                                    f"{rows.dtype} {rows.shape}")
+    # b * n + pos with pos outside [0, n) would read another row's state
+    if rows.min() < 0 or rows.max() >= n:
+        raise ad.IndexOutOfRangeError(f"rows outside [0, {n})")
+    if rows[:, 0].any():
+        raise ValueError("rows[:, 0] must be 0: slot 0 feeds the pooler")
+    return rows
+
+
 def encode_batch(ids, segment_ids, mask, params, config: ModelConfig,
-                 training=False, rng=None):
-    """Encode a batch: (B, n) int arrays -> (hidden (B, n, H), pooled (B, H))."""
+                 training=False, rng=None, rows=None):
+    """Encode a batch: (B, n) int arrays -> (hidden (B, m, H), pooled (B, H)).
+
+    ``rows`` (B, m) lists the positions each row's caller reads, with
+    ``rows[:, 0] == 0`` so that slot 0 is [CLS], which the pooler reads.
+    The last block runs its queries, feed-forward and layer norms only
+    there (see ``attention_block``), so ``hidden[b, j]`` is the state at
+    position ``rows[b, j]``: what the full encoder gives there, up to
+    summation order, but with the last block's dropout drawn only for those
+    rows. ``rows=None`` runs every position and returns (B, n, H).
+    """
     ids = np.asarray(ids)
     segment_ids = np.asarray(segment_ids)
     mask = np.asarray(mask)
     b, n = ids.shape
     if n > config.max_positions:
         raise ad.IndexOutOfRangeError(f"sequence length {n} > max_positions {config.max_positions}")
+    if rows is not None:
+        rows = _check_rows(rows, b, n)
 
     tok = ad.embedding_lookup(params["emb.tok"], ids)
     pos = ad.embedding_lookup(params["emb.pos"], np.arange(n))
@@ -172,9 +214,10 @@ def encode_batch(ids, segment_ids, mask, params, config: ModelConfig,
     x = ad.dropout(x, config.dropout_p, training, rng)
 
     for layer in range(config.layers):
-        x = attention_block(x, params, layer, config, mask, training=training, rng=rng)
+        last = layer == config.layers - 1
+        x = attention_block(x, params, layer, config, mask, training=training, rng=rng,
+                            rows=rows if last else None)
 
     first = ad.reshape(ad.index_select(x, 1, np.array([0])), (b, config.hidden))
     pooled = ad.tanh(_linear(first, params, "pooler"))
     return x, pooled
-

@@ -177,19 +177,22 @@ def pretrain_step(state: PretrainState, batch, rng):
     params, config = state.params, state.config
     ids, segs, mask = stack_batch([ex.seq for ex, _ in batch])
     nsp_labels = np.array([lbl for _, lbl in batch], dtype=np.int64)
+    b, h = ids.shape[0], config.hidden
 
+    # the encoder's last block runs at [CLS] (slot 0, for the pooler) and at
+    # the masked positions (slots 1.., padded with 0) alone
+    counts = [len(ex.mask_positions) for ex, _ in batch]
+    m = 1 + max(counts)
+    rows = np.zeros((b, m), dtype=np.int64)
+    for row, (ex, _) in enumerate(batch):
+        rows[row, 1:1 + counts[row]] = ex.mask_positions
     hidden, pooled = enc.encode_batch(ids, segs, mask, params, config,
-                                      training=True, rng=rng)
-    b, n = ids.shape
-    h = config.hidden
+                                      training=True, rng=rng, rows=rows)
 
-    # masked-word head: tied token embedding + bias, at masked positions only
-    flat_positions = np.concatenate([row * n + ex.mask_positions
-                                     for row, (ex, _) in enumerate(batch)])
+    # masked-word head: tied token embedding + bias, at the masked slots only
+    flat_slots = np.concatenate([row * m + 1 + np.arange(c) for row, c in enumerate(counts)])
     flat_targets = np.concatenate([ex.targets for ex, _ in batch])
-
-    hidden_flat = ad.reshape(hidden, (b * n, h))
-    masked_states = ad.index_select(hidden_flat, 0, flat_positions)
+    masked_states = ad.index_select(ad.reshape(hidden, (b * m, h)), 0, flat_slots)
     mlm_logits = ad.linear(masked_states, ad.transpose(params["emb.tok"]), params["mlm.b"])
     mlm_loss = ad.softmax_cross_entropy(mlm_logits, flat_targets)
 

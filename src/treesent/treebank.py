@@ -10,6 +10,7 @@ from __future__ import annotations
 import json
 from dataclasses import dataclass, field
 from enum import Enum
+from functools import cached_property
 from typing import Optional
 
 __all__ = [
@@ -118,8 +119,9 @@ class PhraseTree:
     def is_leaf(self) -> bool:
         return self.token is not None
 
-    @property
+    @cached_property
     def span_text(self) -> str:
+        """The leaf tokens joined by spaces, computed once per node."""
         if self.is_leaf:
             return self.token
         return " ".join(c.span_text for c in self.children)

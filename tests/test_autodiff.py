@@ -508,20 +508,24 @@ def run_graph(fn, arrays):
     return out.data, [leaf.grad for leaf in leaves]
 
 
+def assert_finite_differences(fn, arrays):
+    """float64 ``finite_diff_check`` of ``fn`` in each of its inputs."""
+    for i in range(len(arrays)):
+        def f(t, i=i):
+            args = [t64(a) for a in arrays]
+            args[i] = t
+            out = fn(*args)
+            w = make_rng(5).normal(size=out.shape)
+            return ad.tensor_sum(ad.tanh(ad.mul(out, t64(w))))
+
+        assert ad.finite_diff_check(f, t64(arrays[i])) < 1e-6, i
+
+
 class TestFusedOps:
     @pytest.mark.parametrize("name", sorted(FUSED_OPS))
     def test_gradient_vs_finite_differences(self, name):
         fused, _, shapes = FUSED_OPS[name]
-        arrays = fused_inputs(shapes, F64)
-        for i in range(len(arrays)):
-            def f(t, i=i):
-                args = [t64(a) for a in arrays]
-                args[i] = t
-                out = fused(*args)
-                w = make_rng(5).normal(size=out.shape)
-                return ad.tensor_sum(ad.tanh(ad.mul(out, t64(w))))
-
-            assert ad.finite_diff_check(f, t64(arrays[i])) < 1e-6, i
+        assert_finite_differences(fused, fused_inputs(shapes, F64))
 
     @pytest.mark.parametrize("name", sorted(FUSED_OPS))
     def test_matches_unfused_float64(self, name):
@@ -569,6 +573,12 @@ class TestFusedOps:
         (ad.add_layer_norm, [(2, 4), (2, 4), (3,), (4,)]),
         (lambda q, k, v: ad.attention(q, k, v, np.zeros(3), 2, 0.0, False), [(3, 4), (3, 4), (2, 4)]),
         (lambda q, k, v: ad.attention(q, k, v, np.zeros(3), 3, 0.0, False), [(3, 4)] * 3),
+        (lambda q, k, v: ad.attention(q, k, v, np.zeros(3), 2, 0.0, False),
+         [(2, 6), (3, 4), (3, 4)]),
+        (lambda q, k, v: ad.attention(q, k, v, np.zeros(3), 2, 0.0, False),
+         [(2, 2, 4), (3, 4), (3, 4)]),
+        (lambda q, k, v: ad.attention(q, k, v, np.zeros((2, 3)), 2, 0.0, False),
+         [(1, 2, 4), (2, 3, 4), (2, 3, 4)]),
     ])
     def test_shape_mismatch(self, op, args):
         with pytest.raises(ad.ShapeMismatchError):
@@ -578,6 +588,33 @@ class TestFusedOps:
         q = t64(np.ones((3, 4)))
         with pytest.raises(ad.InvalidProbabilityError):
             ad.attention(q, q, q, np.zeros(3), 2, 1.0, True, make_rng(1))
+
+
+QUERY_ROWS = np.array([0, 3, 4])  # 3 of 5 positions; 3 and 4 are padded keys in row 0
+
+
+@pytest.mark.parametrize("lead", [(2,), ()])
+class TestAttentionFewerQueries:
+    def test_gradient_vs_finite_differences(self, lead):
+        shapes = [lead + (3, 8), lead + (5, 8), lead + (5, 8)]
+        assert_finite_differences(_attention_case(ad.attention, lead, 0.3),
+                                  fused_inputs(shapes, F64))
+
+    def test_rows_of_full_attention(self, lead):
+        # the loss reads the full output only at QUERY_ROWS, so every
+        # gradient must match the one through the queries at those rows alone
+        attend = _attention_case(ad.attention, lead, 0.0)
+        q, k, v = fused_inputs([lead + (5, 8)] * 3, F64)
+        axis = len(lead)
+        full, full_grads = run_graph(
+            lambda q, k, v: ad.index_select(attend(q, k, v), axis, QUERY_ROWS), [q, k, v])
+        part, (gq, gk, gv) = run_graph(attend, [np.take(q, QUERY_ROWS, axis=axis), k, v])
+        assert part.shape == lead + (3, 8)
+        np.testing.assert_allclose(part, full, rtol=0, atol=1e-12)
+        np.testing.assert_allclose(gq, np.take(full_grads[0], QUERY_ROWS, axis=axis),
+                                   rtol=0, atol=1e-10)
+        np.testing.assert_allclose(gk, full_grads[1], rtol=0, atol=1e-10)
+        np.testing.assert_allclose(gv, full_grads[2], rtol=0, atol=1e-10)
 
 
 class DualNumber:

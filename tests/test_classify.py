@@ -255,10 +255,11 @@ class TestFinetune:
         encode_batch = enc.encode_batch
         seen = []
 
-        def recording(ids, segs, mask, params, config, training=False, rng=None):
+        def recording(ids, segs, mask, params, config, training=False, rng=None, **kwargs):
             if training:
                 seen[-1].append(ids.tolist())
-            return encode_batch(ids, segs, mask, params, config, training=training, rng=rng)
+            return encode_batch(ids, segs, mask, params, config, training=training, rng=rng,
+                                **kwargs)
 
         monkeypatch.setattr(enc, "encode_batch", recording)
         for dropout_p in (0.0, 0.1):

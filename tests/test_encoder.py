@@ -301,6 +301,67 @@ class TestEndToEndGradients:
         assert ad.finite_diff_check(f, target, indices=idx) < 1e-3
 
 
+def row_states(hidden, rows):
+    """``hidden[b, rows[b, j]]`` as a (B, m, H) tensor."""
+    b, n, h = hidden.shape
+    flat = (np.arange(b)[:, None] * n + rows).reshape(-1)
+    return ad.reshape(ad.index_select(ad.reshape(hidden, (b * n, h)), 0, flat),
+                      rows.shape + (h,))
+
+
+class TestRows:
+    # row 0 has two padded keys; rows repeat position 0 as padding, as
+    # pretrain_step pads them
+    IDS = np.array([[2, 5, 6, 7, 3, 0, 0], [2, 8, 9, 10, 11, 12, 3]])
+    ROWS = np.array([[0, 2, 6, 0], [0, 1, 4, 5]])
+
+    def encode(self, params, rows=None, training=False, rng=None):
+        mask = (self.IDS != 0).astype(np.int64)
+        return enc.encode_batch(self.IDS, np.zeros_like(self.IDS), mask, params, TINY,
+                                training=training, rng=rng, rows=rows)
+
+    def test_matches_full_encoder_float64(self):
+        w = make_rng(11).normal(size=self.ROWS.shape + (TINY.hidden,))
+        w_pooled = make_rng(12).normal(size=(2, TINY.hidden))
+        results = []
+        for rows in (self.ROWS, None):
+            params = tiny_params(dtype=np.float64)
+            hidden, pooled = self.encode(params, rows)
+            if rows is None:
+                hidden = row_states(hidden, self.ROWS)
+            ad.backward(ad.tensor_sum(ad.mul(hidden, Tensor(w, dtype=np.float64)))
+                        + ad.tensor_sum(ad.mul(pooled, Tensor(w_pooled, dtype=np.float64))))
+            results.append((hidden.data, pooled.data, {n: p.grad for n, p in params.items()}))
+        (hidden, pooled, grads), (want, want_pooled, want_grads) = results
+        assert hidden.shape == self.ROWS.shape + (TINY.hidden,)
+        np.testing.assert_allclose(hidden, want, rtol=0, atol=1e-10)
+        np.testing.assert_allclose(pooled, want_pooled, rtol=0, atol=1e-10)
+        assert grads.keys() == want_grads.keys()
+        for name in grads:
+            assert grads[name] is not None, name
+            np.testing.assert_allclose(grads[name], want_grads[name], rtol=0, atol=1e-10,
+                                       err_msg=name)
+
+    @pytest.mark.parametrize("rows, error", [
+        ([[0, 7], [0, 1]], ad.IndexOutOfRangeError),   # past the end: the next row's state
+        ([[0, -1], [0, 1]], ad.IndexOutOfRangeError),
+        ([[1, 2], [0, 1]], ValueError),                # slot 0 must be [CLS]
+        ([[0, 1], [2, 1]], ValueError),
+        ([0, 1], ad.ShapeMismatchError),
+        ([[0, 1]], ad.ShapeMismatchError),
+        (np.zeros((2, 0), dtype=np.int64), ad.ShapeMismatchError),
+        ([[0.0, 1.0], [0.0, 1.0]], ad.ShapeMismatchError),
+    ])
+    def test_rejects_bad_rows(self, rows, error):
+        with pytest.raises(error):
+            self.encode(tiny_params(), np.asarray(rows))
+
+    def test_needs_a_layer(self):
+        with pytest.raises(ValueError):
+            enc.ModelConfig(layers=0, hidden=4, heads=2, intermediate=8,
+                            vocab_size=5, max_positions=4)
+
+
 class TestFloat32:
     def test_training_step_stays_float32(self, monkeypatch):
         params = tiny_params()

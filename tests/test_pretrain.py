@@ -209,6 +209,36 @@ class TestPretrainStep:
             last, _ = pt.pretrain_step(state, batch, rng)
         assert last < first
 
+    def test_losses_match_full_encoder(self):
+        # the last block runs only at [CLS] and the masked slots; the losses
+        # must be those of the full hidden states at the masked positions,
+        # targets in batch order
+        import treesent.autodiff as ad
+
+        vocab = letter_vocab()
+        state = tiny_state(vocab)  # dropout 0
+        corpus = sentence_corpus(["ab cd ef gh", "ij kl", "mn op qr st uv", "wx yz ab"])
+        rng = make_rng(34)
+        batch = batch_from(corpus, vocab, rng, max_len=16, rate=0.4)
+        counts = [len(ex.mask_positions) for ex, _ in batch]
+        assert len(set(counts)) > 1  # slot padding differs between rows
+        ids, segs, mask = tok.stack_batch([ex.seq for ex, _ in batch])
+        with ad.no_grad():
+            hidden, pooled = enc.encode_batch(ids, segs, mask, state.params, state.config)
+            b, n, h = hidden.shape
+            flat = np.concatenate([row * n + ex.mask_positions
+                                   for row, (ex, _) in enumerate(batch)])
+            states = hidden.data.reshape(b * n, h)[flat]
+            mlm_logits = ad.linear(states, ad.transpose(state.params["emb.tok"]),
+                                   state.params["mlm.b"])
+            mlm = ad.softmax_cross_entropy(
+                mlm_logits, np.concatenate([ex.targets for ex, _ in batch]))
+            nsp = ad.softmax_cross_entropy(
+                ad.linear(pooled, state.params["nsp.w"], state.params["nsp.b"]),
+                np.array([lbl for _, lbl in batch]))
+        got = pt.pretrain_step(state, batch, rng)
+        np.testing.assert_allclose(got, (float(mlm.data), float(nsp.data)), rtol=1e-5)
+
     def test_nsp_separable_corpus(self):
         # two interleaved "languages" (a-f vs u-z) with a deterministic
         # successor: sentence i repeats cycle[i % 12] three times, so the true
