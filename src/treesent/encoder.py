@@ -1,8 +1,10 @@
 """Bidirectional Transformer encoder: embeddings, attention blocks, pooler.
 
 Post-layer-norm block order, learned absolute position embeddings, and a
-tanh pooler over the first (classification) position. Parameters live in a
-flat name -> Tensor dict using the checkpoint naming scheme:
+tanh pooler over the first (classification) position. The last block can
+run at only the positions a caller reads (``encode_batch``'s ``rows``).
+Parameters live in a flat name -> Tensor dict using the checkpoint naming
+scheme:
 
     emb.tok, emb.pos, emb.seg, emb.ln.{g,b},
     layer.<i>.attn.{q,k,v,o}.{w,b}, layer.<i>.ffn.{in,out}.{w,b},
