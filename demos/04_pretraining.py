@@ -20,8 +20,11 @@ print(f"vocabulary: {len(vocab)} pieces")
 
 # What one training example looks like: a sentence pair with ~15% of its
 # words hidden, plus a did-B-really-follow-A label.
+# Each sentence is tokenized once; pairs are then assembled from piece ids.
+sentences = [tree.span_text for tree in train.trees]
+pieces = tokenizer.piece_ids(sentences, vocab)
 rng = make_rng(7)
-pairs = pretrain.make_nsp_pairs(train, vocab, max_len=20, rng=rng)
+pairs = pretrain.make_nsp_pairs(sentences, pieces, vocab, max_len=20, rng=rng)
 ex = pretrain.mask_tokens(pairs[0].seq, 0.15, rng, vocab)
 print("\nsample pair (label =", pairs[0].label, "):")
 print("  A:", pairs[0].a_text)

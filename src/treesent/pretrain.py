@@ -17,7 +17,7 @@ from . import autodiff as ad
 from . import encoder as enc
 from .autodiff import Tensor
 from .optim import AdamW, check_finite_loss, make_rng
-from .tokenizer import TokenSequence, stack_batch
+from .tokenizer import TokenSequence, assemble_pair, piece_ids, stack_batch
 
 __all__ = [
     "IS_NEXT",
@@ -82,76 +82,76 @@ class PretrainConfig:
     max_steps: int | None = None
 
 
-def _maskable_positions(seq, vocab):
-    special = {vocab.cls_id, vocab.sep_id}
-    return [i for i in range(seq.n_real) if int(seq.ids[i]) not in special]
-
-
 def mask_tokens(seq: TokenSequence, rate: float, rng, vocab) -> MaskedExample:
     """Word-level masking: each word selected independently with prob rate.
 
-    If no word is selected, one is forced, so every example trains the
-    masked-word objective. Per selected position: 80% [MASK], 10% random
-    vocab token, 10% unchanged; the target records the original id.
+    A word is a maximal run of pieces other than [CLS] and [SEP] whose
+    later pieces are "##" continuations. If no word is selected, one is
+    forced, so every example trains the masked-word objective. Per selected
+    position: 80% [MASK], 10% random vocab token, 10% unchanged; the target
+    records the original id. The draws are one uniform per word in order,
+    then the forced choice if any, then the per-position draws.
     """
     if not 0.0 < rate < 1.0:
         raise ValueError(f"mask rate {rate} outside (0, 1)")
-    positions = _maskable_positions(seq, vocab)
-    if not positions:
+    ids = seq.ids
+    maskable = (ids != vocab.cls_id) & (ids != vocab.sep_id)
+    positions = np.flatnonzero(maskable)
+    if positions.size == 0:
         raise NoMaskablePositionsError("sequence has no maskable positions")
 
-    # group piece positions into words by the "##" continuation prefix
-    words = []
-    for i in positions:
-        tok = vocab.token_of(int(seq.ids[i]))
-        if tok.startswith("##") and words and words[-1][-1] == i - 1:
-            words[-1].append(i)
-        else:
-            words.append([i])
+    # a maskable piece starts a word unless it is a "##" piece right after
+    # another maskable piece
+    starts = maskable.copy()
+    starts[1:] &= ~(vocab.is_continuation[ids[1:]] & maskable[:-1])
+    word_of = np.cumsum(starts[positions]) - 1  # word index of each position
+    n_words = int(word_of[-1]) + 1
 
-    chosen = [w for w in words if rng.random() < rate]
-    if not chosen:
-        chosen = [words[rng.integers(len(words))]]
+    chosen = rng.random(n_words) < rate
+    if not chosen.any():
+        chosen[rng.integers(n_words)] = True
 
     # words and the pieces within them are in position order
-    mask_positions = np.array([i for word in chosen for i in word], dtype=np.int64)
-    ids = seq.ids.copy()
+    mask_positions = positions[chosen[word_of]].astype(np.int64)
+    masked = ids.copy()
     n_special = len(vocab.special_ids)
     for i in mask_positions:
         r = rng.random()
         if r < 0.8:
-            ids[i] = vocab.mask_id
+            masked[i] = vocab.mask_id
         elif r < 0.9:
-            ids[i] = int(rng.integers(n_special, len(vocab)))
+            masked[i] = int(rng.integers(n_special, len(vocab)))
         # else: keep the original token
-    return MaskedExample(seq=TokenSequence(ids=ids, segment_ids=seq.segment_ids),
-                         targets=seq.ids[mask_positions],
+    return MaskedExample(seq=TokenSequence(ids=masked, segment_ids=seq.segment_ids),
+                         targets=ids[mask_positions],
                          mask_positions=mask_positions)
 
 
-def make_nsp_pairs(corpus, vocab, max_len: int, rng) -> list:
-    """Adjacent-sentence pairs, half true continuations, half random."""
-    from .tokenizer import encode_pair
+def make_nsp_pairs(sentences, pieces, vocab, max_len: int, rng) -> list:
+    """Adjacent-sentence pairs, half true continuations, half random.
 
-    sentences = [tree.span_text for tree in corpus.trees]
+    ``pieces[i]`` holds the WordPiece ids of ``sentences[i]``, as
+    ``tokenizer.piece_ids`` returns them, so no text is tokenized here:
+    each pair is assembled by sentence index. A random B is never a
+    sentence whose text equals the true next one.
+    """
     if len(sentences) < 2:
         raise CorpusTooSmallError("need at least 2 sentences for pairing")
     pairs = []
     for i in range(len(sentences) - 1):
-        a = sentences[i]
         if rng.random() < 0.5:
-            b, label = sentences[i + 1], IS_NEXT
+            j, label = i + 1, IS_NEXT
         else:
-            b, label = None, NOT_NEXT
+            j, label = None, NOT_NEXT
             for _ in range(100):
-                j = int(rng.integers(len(sentences)))
-                if j != i + 1 and sentences[j] != sentences[i + 1]:
-                    b = sentences[j]
+                k = int(rng.integers(len(sentences)))
+                if k != i + 1 and sentences[k] != sentences[i + 1]:
+                    j = k
                     break
-            if b is None:  # every sentence equals the true next one
-                b, label = sentences[i + 1], IS_NEXT
-        seq = encode_pair(a, b, vocab, max_len)
-        pairs.append(NspPair(seq=seq, label=label, a_text=a, b_text=b))
+            if j is None:  # every sentence equals the true next one
+                j, label = i + 1, IS_NEXT
+        seq = assemble_pair(pieces[i], pieces[j], vocab, max_len)
+        pairs.append(NspPair(seq=seq, label=label, a_text=sentences[i], b_text=sentences[j]))
     return pairs
 
 
@@ -215,8 +215,9 @@ def pretrain(corpus, vocab, config, hyper: PretrainConfig,
              checkpoint_fn=None) -> PretrainState:
     """Toy-scale joint pretraining over a treebank corpus.
 
-    Each epoch rebuilds sentence pairs (fresh pairing randomness), masks
-    them, and runs shuffled batches. Deterministic for a fixed seed.
+    Each sentence is tokenized once per call, before the first epoch. Each
+    epoch rebuilds sentence pairs from those piece ids (fresh pairing
+    randomness), masks them, and runs shuffled batches. Deterministic for a fixed seed.
     Training ends at ``hyper.max_steps`` steps, mid-epoch if need be; no
     epoch starts after that. ``checkpoint_fn(state, epoch)``, when given,
     is called after each epoch that ran.
@@ -230,11 +231,13 @@ def pretrain(corpus, vocab, config, hyper: PretrainConfig,
     if state is None:
         state = init_pretrain_state(config, len(vocab), hyper.seed, hyper,
                                     total_steps=total_steps)
+    sentences = [tree.span_text for tree in corpus.trees]
+    pieces = piece_ids(sentences, vocab)
     for epoch in range(hyper.epochs):
         if state.step >= max_steps:
             break
         rng = make_rng(hyper.seed, stream=1000 + epoch)
-        pairs = make_nsp_pairs(corpus, vocab, hyper.max_len, rng)
+        pairs = make_nsp_pairs(sentences, pieces, vocab, hyper.max_len, rng)
         examples = []
         for pair in pairs:
             try:

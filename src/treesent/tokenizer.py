@@ -17,8 +17,8 @@ import numpy as np
 __all__ = [
     "PAD", "UNK", "CLS", "SEP", "MASK", "SPECIAL_TOKENS",
     "Vocab", "TokenSequence", "TargetTooSmallError",
-    "canonicalize", "wordpiece", "build_vocab", "encode", "encode_pair",
-    "stack_batch",
+    "canonicalize", "wordpiece", "build_vocab", "piece_ids", "encode",
+    "assemble_pair", "encode_pair", "stack_batch",
 ]
 
 PAD, UNK, CLS, SEP, MASK = "[PAD]", "[UNK]", "[CLS]", "[SEP]", "[MASK]"
@@ -47,6 +47,8 @@ class Vocab:
         self.cls_id = self.index[CLS]
         self.sep_id = self.index[SEP]
         self.mask_id = self.index[MASK]
+        # by id: a "##" piece continues the word before it
+        self.is_continuation = np.array([t.startswith("##") for t in tokens], dtype=bool)
 
     def __len__(self):
         return len(self.tokens)
@@ -89,22 +91,40 @@ class TokenSequence:
         return len(self.ids)
 
 
+class _CanonicalTable(dict):
+    """``str.translate`` table of ``canonicalize``'s per-character rules.
+
+    Each code point is classified the first time it is looked up and the
+    result is stored: None drops a combining accent (``Mn``), a digit
+    (``Nd``), punctuation (``P*``) or whitespace becomes a space, and any
+    other character becomes its lowercase (which may be two characters).
+    """
+
+    def __missing__(self, code):
+        ch = chr(code)
+        cat = unicodedata.category(ch)
+        if cat == "Mn":
+            out = None
+        elif cat == "Nd" or cat.startswith("P") or ch.isspace():
+            out = " "
+        else:
+            out = ch.lower()
+        self[code] = out
+        return out
+
+
+_CANONICAL = _CanonicalTable()
+
+
 def canonicalize(text: str) -> str:
     """Lowercase; drop digits, punctuation, and combining accents.
 
     Removed symbols become spaces (so hyphenated words split), runs of
-    whitespace collapse, and the result is trimmed. Idempotent.
+    whitespace collapse, and the result is trimmed. Idempotent. One
+    ``str.translate`` pass over the NFD form, whose table classifies each
+    code point once per process.
     """
-    out = []
-    for ch in unicodedata.normalize("NFD", text):
-        cat = unicodedata.category(ch)
-        if cat == "Mn":
-            continue
-        if cat == "Nd" or cat.startswith("P") or ch.isspace():
-            out.append(" ")
-        else:
-            out.append(ch.lower())
-    return " ".join("".join(out).split())
+    return " ".join(unicodedata.normalize("NFD", text).translate(_CANONICAL).split())
 
 
 def wordpiece(word: str, vocab: Vocab) -> list:
@@ -185,11 +205,24 @@ def build_vocab(corpora, target_size: int) -> Vocab:
     return Vocab(tokens)
 
 
-def _pieces_of(text, vocab):
-    pieces = []
-    for w in canonicalize(text).split():
-        pieces.extend(wordpiece(w, vocab))
-    return pieces
+def piece_ids(texts, vocab: Vocab) -> list:
+    """Each text's WordPiece ids, as one list of ints per text.
+
+    Every text is canonicalized once, and each distinct word is segmented
+    once per call: the memo lives only as long as the call, so it never
+    outlives the vocab it was built from.
+    """
+    memo = {}
+    out = []
+    for text in texts:
+        ids = []
+        for word in canonicalize(text).split():
+            word_ids = memo.get(word)
+            if word_ids is None:
+                word_ids = memo[word] = [vocab.id_of(p) for p in wordpiece(word, vocab)]
+            ids.extend(word_ids)
+        out.append(ids)
+    return out
 
 
 def _assemble(piece_ids_a, piece_ids_b, vocab):
@@ -206,24 +239,29 @@ def encode(text: str, vocab: Vocab, max_len: int) -> TokenSequence:
     """[CLS] pieces [SEP], truncated from the right to ``max_len``."""
     if max_len < 3:
         raise ValueError("max_len must be at least 3")
-    piece_ids = [vocab.id_of(p) for p in _pieces_of(text, vocab)]
-    piece_ids = piece_ids[: max_len - 2]
-    return _assemble(piece_ids, None, vocab)
+    return _assemble(piece_ids([text], vocab)[0][: max_len - 2], None, vocab)
+
+
+def assemble_pair(ids_a: list, ids_b: list, vocab: Vocab, max_len: int) -> TokenSequence:
+    """[CLS] a [SEP] b [SEP] from piece ids, truncated longest-first.
+
+    While the pair is over ``max_len``, the longer side loses its last
+    piece (side b on a tie). The input lists are not modified.
+    """
+    if max_len < 5:
+        raise ValueError("max_len must be at least 5")
+    len_a, len_b = len(ids_a), len(ids_b)
+    while len_a + len_b > max_len - 3:
+        if len_a > len_b:
+            len_a -= 1
+        else:
+            len_b -= 1
+    return _assemble(ids_a[:len_a], ids_b[:len_b], vocab)
 
 
 def encode_pair(a: str, b: str, vocab: Vocab, max_len: int) -> TokenSequence:
     """[CLS] a [SEP] b [SEP] with longest-first alternating truncation."""
-    if max_len < 5:
-        raise ValueError("max_len must be at least 5")
-    ids_a = [vocab.id_of(p) for p in _pieces_of(a, vocab)]
-    ids_b = [vocab.id_of(p) for p in _pieces_of(b, vocab)]
-    budget = max_len - 3
-    while len(ids_a) + len(ids_b) > budget:
-        if len(ids_a) > len(ids_b):
-            ids_a.pop()
-        else:
-            ids_b.pop()
-    return _assemble(ids_a, ids_b, vocab)
+    return assemble_pair(*piece_ids([a, b], vocab), vocab, max_len)
 
 
 def stack_batch(seqs):

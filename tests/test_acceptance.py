@@ -213,15 +213,11 @@ def test_5_objective_statistics(capsys):
     rate = masked / maskable
 
     sentences = [" ".join(rng.choice(list("abcdefgh"), size=3)) for _ in range(501)]
-    trees = tuple(
-        tb.PhraseTree(tb.SentimentLabel(2), children=tuple(
-            tb.PhraseTree(tb.SentimentLabel(2), token=w) for w in s.split()))
-        for s in sentences)
-    corpus = tb.Corpus(split="train", trees=trees)
+    pieces = tok.piece_ids(sentences, vocab)
     labels = []
     draw = 0
     while len(labels) < 10_000:
-        pairs = pt.make_nsp_pairs(corpus, vocab, 12, make_rng(51, stream=draw))
+        pairs = pt.make_nsp_pairs(sentences, pieces, vocab, 12, make_rng(51, stream=draw))
         labels.extend(p.label for p in pairs)
         draw += 1
     balance = float(np.mean(labels[:10_000]))

@@ -25,6 +25,12 @@ def sentence_corpus(sentences, split="train"):
     return Corpus(split=split, trees=tuple(trees))
 
 
+def nsp_pairs(corpus, vocab, max_len, rng):
+    """``make_nsp_pairs`` over a corpus, tokenized as ``pretrain`` does."""
+    sentences = [tree.span_text for tree in corpus.trees]
+    return pt.make_nsp_pairs(sentences, tok.piece_ids(sentences, vocab), vocab, max_len, rng)
+
+
 class TestMaskTokens:
     def test_mask_fraction_statistics(self):
         # single-letter words, so word-level selection == position-level
@@ -121,6 +127,75 @@ class TestMaskTokens:
             pt.mask_tokens(seq, 0.0, make_rng(0), vocab)
 
 
+def reference_mask_tokens(seq, rate, rng, vocab):
+    """The per-position loop ``mask_tokens`` replaced, as the oracle.
+
+    Returns (masked ids, mask positions, targets, whether a word was forced).
+    """
+    special = {vocab.cls_id, vocab.sep_id}
+    positions = [i for i in range(seq.n_real) if int(seq.ids[i]) not in special]
+    words = []
+    for i in positions:
+        piece = vocab.token_of(int(seq.ids[i]))
+        if piece.startswith("##") and words and words[-1][-1] == i - 1:
+            words[-1].append(i)
+        else:
+            words.append([i])
+    chosen = [w for w in words if rng.random() < rate]
+    forced = not chosen
+    if forced:
+        chosen = [words[rng.integers(len(words))]]
+    mask_positions = np.array([i for word in chosen for i in word], dtype=np.int64)
+    ids = seq.ids.copy()
+    for i in mask_positions:
+        r = rng.random()
+        if r < 0.8:
+            ids[i] = vocab.mask_id
+        elif r < 0.9:
+            ids[i] = int(rng.integers(len(vocab.special_ids), len(vocab)))
+    return ids, mask_positions, seq.ids[mask_positions], forced
+
+
+class TestMaskTokensOracle:
+    def test_matches_per_position_loop(self):
+        # random piece sequences, specials included mid-sequence, so "##"
+        # pieces land right after [CLS] and [SEP] and word runs break there
+        vocab = letter_vocab(6)
+        pool = ([vocab.id_of(c) for c in "abcdef"] + [vocab.id_of("##" + c) for c in "abcdef"]
+                + [vocab.cls_id, vocab.sep_id, vocab.unk_id, vocab.mask_id])
+        draw = make_rng(60)
+        seen = {"cont_after_special": 0, "forced": 0, "single": 0}
+        checked = 0
+        for seed in range(1500):
+            middle = draw.choice(pool, size=int(draw.integers(0, 12))).tolist()
+            ids = np.array([vocab.cls_id] + middle + [vocab.sep_id], dtype=np.int64)
+            seq = tok.TokenSequence(ids=ids, segment_ids=np.zeros_like(ids))
+            n_maskable = int(((ids != vocab.cls_id) & (ids != vocab.sep_id)).sum())
+            rate = (0.02, 0.15, 0.5, 0.9)[seed % 4]
+            got_rng, want_rng = make_rng(seed, stream=7), make_rng(seed, stream=7)
+            if n_maskable == 0:
+                with pytest.raises(pt.NoMaskablePositionsError):
+                    pt.mask_tokens(seq, rate, got_rng, vocab)
+                continue
+            ex = pt.mask_tokens(seq, rate, got_rng, vocab)
+            want_ids, want_pos, want_targets, forced = reference_mask_tokens(
+                seq, rate, want_rng, vocab)
+            np.testing.assert_array_equal(ex.seq.ids, want_ids)
+            np.testing.assert_array_equal(ex.mask_positions, want_pos)
+            np.testing.assert_array_equal(ex.targets, want_targets)
+            assert ex.mask_positions.dtype == np.int64
+            assert repr(got_rng.bit_generator.state) == repr(want_rng.bit_generator.state)
+            checked += 1
+            seen["forced"] += forced
+            seen["single"] += n_maskable == 1
+            seen["cont_after_special"] += any(
+                vocab.token_of(int(ids[i])).startswith("##")
+                and int(ids[i - 1]) in (vocab.cls_id, vocab.sep_id)
+                for i in range(1, len(ids)))
+        assert checked >= 1000
+        assert all(seen.values()), seen
+
+
 class TestMakeNspPairs:
     def test_two_sentence_corpus_forced_next(self):
         class AlwaysNext:
@@ -129,7 +204,7 @@ class TestMakeNspPairs:
 
         vocab = letter_vocab()
         corpus = sentence_corpus(["ab cd", "ef gh"])
-        pairs = pt.make_nsp_pairs(corpus, vocab, 12, AlwaysNext())
+        pairs = nsp_pairs(corpus, vocab, 12, AlwaysNext())
         assert len(pairs) == 1
         assert pairs[0].label == pt.IS_NEXT
         assert pairs[0].a_text == "ab cd" and pairs[0].b_text == "ef gh"
@@ -141,7 +216,7 @@ class TestMakeNspPairs:
         corpus = sentence_corpus(sentences)
         rng = make_rng(21)
         for _ in range(20):
-            for i, pair in enumerate(pt.make_nsp_pairs(corpus, vocab, 12, rng)):
+            for i, pair in enumerate(nsp_pairs(corpus, vocab, 12, rng)):
                 if pair.label == pt.NOT_NEXT:
                     assert pair.b_text != sentences[i + 1]
 
@@ -152,7 +227,7 @@ class TestMakeNspPairs:
         rng = make_rng(22)
         labels = []
         for _ in range(5):
-            labels.extend(p.label for p in pt.make_nsp_pairs(corpus, vocab, 8, rng))
+            labels.extend(p.label for p in nsp_pairs(corpus, vocab, 8, rng))
         frac = sum(labels) / len(labels)
         assert len(labels) == 10**4
         assert 0.48 <= frac <= 0.52
@@ -160,14 +235,40 @@ class TestMakeNspPairs:
     def test_pair_segments_cover_both(self):
         vocab = letter_vocab()
         corpus = sentence_corpus(["ab cd", "ef gh", "ij kl"])
-        for pair in pt.make_nsp_pairs(corpus, vocab, 12, make_rng(23)):
+        for pair in nsp_pairs(corpus, vocab, 12, make_rng(23)):
             real = pair.seq.segment_ids[: pair.seq.n_real]
             assert 0 in real and 1 in real
+
+    def test_pairs_match_encode_pair(self):
+        # repeated words, "##" pieces, and truncation of either side: every
+        # pair assembled from cached piece ids equals encode_pair on its texts
+        letters = [chr(c) for c in range(ord("a"), ord("z") + 1)]
+        vocab = tok.Vocab(list(tok.SPECIAL_TOKENS) + letters
+                          + ["##" + c for c in letters] + ["play", "##ing"])
+        corpus = sentence_corpus(["playing ab playing", "cd", "ab ab ab ab ab ab ab",
+                                  "playing", "ef gh ij kl mn", "ab cd", "playing playing ing",
+                                  "x", "ab cd"])
+        cut_a = cut_b = 0
+        for max_len in (5, 6, 8, 11, 16, 40):
+            for seed in range(8):
+                for pair in nsp_pairs(corpus, vocab, max_len, make_rng(seed)):
+                    want = tok.encode_pair(pair.a_text, pair.b_text, vocab, max_len)
+                    np.testing.assert_array_equal(pair.seq.ids, want.ids)
+                    np.testing.assert_array_equal(pair.seq.segment_ids, want.segment_ids)
+                    full_a, full_b = map(len, tok.piece_ids([pair.a_text, pair.b_text], vocab))
+                    cut_a += int((want.segment_ids == 0).sum()) - 2 < full_a
+                    cut_b += int((want.segment_ids == 1).sum()) - 1 < full_b
+        assert cut_a and cut_b
+
+    def test_max_len_below_pair_minimum(self):
+        vocab = letter_vocab()
+        with pytest.raises(ValueError):
+            nsp_pairs(sentence_corpus(["ab", "cd", "ef"]), vocab, 4, make_rng(0))
 
     def test_corpus_too_small(self):
         vocab = letter_vocab()
         with pytest.raises(pt.CorpusTooSmallError):
-            pt.make_nsp_pairs(sentence_corpus(["ab"]), vocab, 8, make_rng(0))
+            nsp_pairs(sentence_corpus(["ab"]), vocab, 8, make_rng(0))
 
 
 TINY = enc.ModelConfig(layers=1, hidden=16, heads=2, intermediate=32,
@@ -183,7 +284,7 @@ def tiny_state(vocab, lr=1e-3, seed=0):
 
 
 def batch_from(corpus, vocab, rng, max_len=12, rate=0.15):
-    pairs = pt.make_nsp_pairs(corpus, vocab, max_len, rng)
+    pairs = nsp_pairs(corpus, vocab, max_len, rng)
     return [(pt.mask_tokens(p.seq, rate, rng, vocab), p.label) for p in pairs]
 
 
@@ -341,6 +442,32 @@ class TestPretrainLoop:
         assert three.step == 2
         assert calls == {"pairs": 1, "checkpoint": 1}
         assert three.loss_history == one.loss_history
+
+    def test_tokenizes_each_sentence_once(self, monkeypatch):
+        # three epochs, a repeated sentence and repeated words: one
+        # canonicalize per sentence and one wordpiece per distinct word
+        vocab = letter_vocab()
+        sentences = ["ab cd ab", "cd ef", "ab cd ab", "gh", "ef ab", "ij kl cd"]
+        cfg = enc.ModelConfig(layers=1, hidden=16, heads=2, intermediate=32,
+                              vocab_size=len(vocab), max_positions=16)
+        canonicalize, wordpiece = tok.canonicalize, tok.wordpiece
+        texts, words = [], []
+
+        def counting_canonicalize(text):
+            texts.append(text)
+            return canonicalize(text)
+
+        def counting_wordpiece(word, vocab):
+            words.append(word)
+            return wordpiece(word, vocab)
+
+        monkeypatch.setattr(tok, "canonicalize", counting_canonicalize)
+        monkeypatch.setattr(tok, "wordpiece", counting_wordpiece)
+        state = pt.pretrain(sentence_corpus(sentences), vocab, cfg,
+                            pt.PretrainConfig(epochs=3, batch_size=4, seed=3, max_len=12))
+        assert state.step == 6
+        assert texts == sentences
+        assert sorted(words) == sorted({w for s in sentences for w in s.split()})
 
     def test_history_is_append_only_increasing_steps(self, synth_corpora):
         vocab = tok.build_vocab(synth_corpora[:1], 120)

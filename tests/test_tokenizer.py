@@ -1,4 +1,5 @@
 import itertools
+import unicodedata
 
 import numpy as np
 import pytest
@@ -55,14 +56,46 @@ class TestCanonicalize:
     @given(st.text(max_size=60))
     @settings(max_examples=200, deadline=None)
     def test_output_clean(self, text):
-        import unicodedata
-
         out = canonicalize(text)
         for ch in out:
             cat = unicodedata.category(ch)
             assert cat != "Nd" and not cat.startswith("P") and cat != "Mn"
             assert ch == ch.lower()
         assert "  " not in out and out == out.strip()
+
+
+def reference_canonicalize(text):
+    """The per-character loop ``canonicalize`` replaced, as the oracle."""
+    out = []
+    for ch in unicodedata.normalize("NFD", text):
+        cat = unicodedata.category(ch)
+        if cat == "Mn":
+            continue
+        if cat == "Nd" or cat.startswith("P") or ch.isspace():
+            out.append(" ")
+        else:
+            out.append(ch.lower())
+    return " ".join("".join(out).split())
+
+
+# Mn accents, non-ASCII Nd digits, Unicode P* and S* characters, an ASCII
+# separator and an ideographic space that are whitespace, and a capital
+# whose lowercase is two characters
+EDGE_CHARS = ("\u0301\u0308\u0327\u20dd" "\u0663\u096b\uff15" "\u00bf\u2014\u300c\u00b7"
+              "\u20ac\u00a9+\u02c6\U0001f600" "\x1c\u3000\u00a0" "\u0130\u00c5\u00df")
+
+
+class TestCanonicalizeReference:
+    @given(st.text(alphabet=st.one_of(st.characters(), st.sampled_from(EDGE_CHARS)),
+                   max_size=60))
+    @settings(max_examples=500, deadline=None)
+    def test_matches_per_character_loop(self, text):
+        assert canonicalize(text) == reference_canonicalize(text)
+
+    @pytest.mark.parametrize("ch", list(EDGE_CHARS))
+    def test_edge_characters(self, ch):
+        for text in (ch, f"A{ch}b", f"{ch}{ch} x{ch}"):
+            assert canonicalize(text) == reference_canonicalize(text)
 
 
 def greedy_reference(word, vocab_tokens):
