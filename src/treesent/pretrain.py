@@ -90,7 +90,9 @@ def mask_tokens(seq: TokenSequence, rate: float, rng, vocab) -> MaskedExample:
     forced, so every example trains the masked-word objective. Per selected
     position: 80% [MASK], 10% random vocab token, 10% unchanged; the target
     records the original id. The draws are one uniform per word in order,
-    then the forced choice if any, then the per-position draws.
+    then the forced choice if any, then the per-position draws. Words are
+    read from the ids and ``vocab.is_continuation``; no text is
+    re-tokenized.
     """
     if not 0.0 < rate < 1.0:
         raise ValueError(f"mask rate {rate} outside (0, 1)")
@@ -131,9 +133,11 @@ def make_nsp_pairs(sentences, pieces, vocab, max_len: int, rng) -> list:
     """Adjacent-sentence pairs, half true continuations, half random.
 
     ``pieces[i]`` holds the WordPiece ids of ``sentences[i]``, as
-    ``tokenizer.piece_ids`` returns them, so no text is tokenized here:
-    each pair is assembled by sentence index. A random B is never a
-    sentence whose text equals the true next one.
+    ``tokenizer.piece_ids`` returns them, so each sentence is tokenized
+    once per ``pretrain`` call, not once per pair and epoch: here each pair
+    is only truncated and assembled by sentence index, through
+    ``tokenizer.assemble_pair`` as ``encode_pair`` does. A random B is
+    never a sentence whose text equals the true next one.
     """
     if len(sentences) < 2:
         raise CorpusTooSmallError("need at least 2 sentences for pairing")
@@ -217,10 +221,10 @@ def pretrain(corpus, vocab, config, hyper: PretrainConfig,
 
     Each sentence is tokenized once per call, before the first epoch. Each
     epoch rebuilds sentence pairs from those piece ids (fresh pairing
-    randomness), masks them, and runs shuffled batches. Deterministic for a fixed seed.
-    Training ends at ``hyper.max_steps`` steps, mid-epoch if need be; no
-    epoch starts after that. ``checkpoint_fn(state, epoch)``, when given,
-    is called after each epoch that ran.
+    randomness), masks them, and runs shuffled batches. Deterministic for
+    a fixed seed. Training ends at ``hyper.max_steps`` steps, mid-epoch if
+    need be; no epoch starts after that. ``checkpoint_fn(state, epoch)``,
+    when given, is called after each epoch that ran.
     """
     if len(corpus.trees) == 0:
         raise CorpusTooSmallError("empty corpus")

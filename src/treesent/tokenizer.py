@@ -122,7 +122,8 @@ def canonicalize(text: str) -> str:
     Removed symbols become spaces (so hyphenated words split), runs of
     whitespace collapse, and the result is trimmed. Idempotent. One
     ``str.translate`` pass over the NFD form, whose table classifies each
-    code point once per process.
+    code point once per process; ``piece_ids`` calls this once per text,
+    so ``pretrain`` canonicalizes each sentence once per call.
     """
     return " ".join(unicodedata.normalize("NFD", text).translate(_CANONICAL).split())
 
