@@ -11,6 +11,8 @@ from __future__ import annotations
 import unicodedata
 from collections import Counter
 from dataclasses import dataclass
+from itertools import chain, islice, repeat
+from operator import itemgetter
 
 import numpy as np
 
@@ -157,53 +159,49 @@ def wordpiece(word: str, vocab: Vocab) -> list:
     return pieces
 
 
-def _word_candidates(word):
-    """Multi-char subword candidates of one word, in vocab spelling."""
-    n = len(word)
-    cands = set()
-    for i in range(n):
-        for j in range(i + 2, n + 1):
-            piece = word[i:j]
-            cands.add(piece if i == 0 else "##" + piece)
-    return cands
+def _substring_slices(n):
+    """Slices of an n-character word's substrings of 2 or more characters:
+    those that start the word, then those that continue it."""
+    head = [slice(0, j) for j in range(2, n + 1)]
+    inner = [slice(i, j) for i in range(1, n - 1) for j in range(i + 2, n + 1)]
+    return head, inner
 
 
 def build_vocab(corpora, target_size: int) -> Vocab:
     """Frequency-ranked vocab: specials, full alphabet, then subwords.
 
     Every corpus character appears both bare and "##"-prefixed so greedy
-    segmentation can always fall back to characters. Deterministic: ties
-    break lexicographically. May come up short of target_size when the
-    corpus has too few candidates.
+    segmentation can always fall back to characters. The candidates are
+    each word's multi-character substrings in vocab spelling ("##" unless
+    at the word's start), counted once per word occurrence. Deterministic:
+    ties break lexicographically. May come up short of target_size when
+    the corpus has too few candidates.
     """
-    word_freq = Counter()
-    for corpus in corpora:
-        for tree in corpus.trees:
-            for w in canonicalize(tree.span_text).split():
-                word_freq[w[:MAX_WORD_CHARS]] += 1
+    texts = [tree.span_text for corpus in corpora for tree in corpus.trees]
+    words = " ".join(map(canonicalize, texts)).split()
+    word_freq = Counter(map(itemgetter(slice(MAX_WORD_CHARS)), words))
 
-    alphabet = sorted({ch for w in word_freq for ch in w})
+    alphabet = sorted(set("".join(word_freq)))
     base = list(SPECIAL_TOKENS) + alphabet + ["##" + ch for ch in alphabet]
     if target_size < len(base):
         raise TargetTooSmallError(
             f"target_size {target_size} < specials + alphabet ({len(base)})"
         )
 
+    slices = {n: _substring_slices(n) for n in set(map(len, word_freq))}
     cand_freq = Counter()
-    for w, f in word_freq.items():
-        for c in _word_candidates(w):
-            cand_freq[c] += f
+    for word, freq in word_freq.items():
+        head, inner = slices[len(word)]
+        cands = set(map(word.__getitem__, head))
+        cands.update(map("##".__add__, map(word.__getitem__, inner)))
+        cand_freq.update(chain.from_iterable(repeat(cands, freq)))
 
-    tokens = list(base)
-    have = set(tokens)
-    ranked = sorted(cand_freq.items(), key=lambda kv: (-kv[1], kv[0]))
-    for tok, _ in ranked:
-        if len(tokens) >= target_size:
-            break
-        if tok not in have:
-            tokens.append(tok)
-            have.add(tok)
-    return Vocab(tokens)
+    # by count, most frequent first, then by token: two stable sorts
+    ranked = sorted(cand_freq.items(), key=itemgetter(0))
+    ranked.sort(key=itemgetter(1), reverse=True)
+    have = set(base)
+    fresh = (tok for tok, _ in ranked if tok not in have)
+    return Vocab(base + list(islice(fresh, target_size - len(base))))
 
 
 def piece_ids(texts, vocab: Vocab) -> list:

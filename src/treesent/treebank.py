@@ -1,16 +1,20 @@
 """Sentiment treebank ingestion: PTB-style bracketed trees with node labels.
 
 File format: one tree per line, ``(<label> <child> ... <child>)`` where each
-child is a bare token or a nested expression and labels are integers 0-4
-(very negative .. very positive).
+child is a bare token or a nested expression. A label is exactly one ASCII
+digit 0-4 (very negative .. very positive). A token is a run of characters
+that are neither whitespace (``str.isspace``) nor parentheses; whitespace
+separates items and is otherwise ignored. ``parse_tree`` reads a line in one
+linear pass and gives every node its ``span_text`` as the node closes.
 """
 
 from __future__ import annotations
 
 import json
+import re
+from collections import Counter
 from dataclasses import dataclass, field
 from enum import Enum
-from functools import cached_property
 from typing import Optional
 
 __all__ = [
@@ -39,7 +43,8 @@ __all__ = [
 LABEL_NAMES = ("very negative", "negative", "neutral", "positive", "very positive")
 
 # a binary tree over n tokens nests at most n deep, so this admits any sentence
-# of up to 128 tokens; the recursive tree code overflows at a few hundred levels
+# of up to 128 tokens; serialize_tree and tree equality recurse and overflow
+# at a few hundred levels
 MAX_TREE_DEPTH = 128
 
 
@@ -98,33 +103,41 @@ class BinaryLabel(Enum):
     POSITIVE = "positive"
 
 
+# a token is what parse_tree reads between whitespace and parentheses; in a
+# str pattern ``\s`` matches exactly the characters ``str.isspace`` accepts
+_TOKEN = re.compile(r"[^\s()]+")
+
+
 @dataclass(frozen=True)
 class PhraseTree:
-    """A labeled constituency node: either a leaf token or ≥1 children."""
+    """A labeled constituency node: either a leaf token or ≥1 children.
+
+    ``span_text`` is the node's leaf tokens joined by single spaces. It is
+    computed once, when the node is built, so reading it is an attribute
+    read; it takes no part in equality.
+    """
 
     label: SentimentLabel
     token: Optional[str] = None
     children: tuple = ()
+    span_text: str = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
         if self.token is not None:
             if self.children:
                 raise ValueError("a node is either a leaf or internal, not both")
-            if not self.token or any(c in self.token for c in " \t\n()"):
+            if not _TOKEN.fullmatch(self.token):
                 raise ValueError(f"bad leaf token {self.token!r}")
+            text = self.token
         elif not self.children:
             raise ValueError("internal node needs at least one child")
+        else:
+            text = " ".join([c.span_text for c in self.children])
+        object.__setattr__(self, "span_text", text)
 
     @property
     def is_leaf(self) -> bool:
         return self.token is not None
-
-    @cached_property
-    def span_text(self) -> str:
-        """The leaf tokens joined by spaces, computed once per node."""
-        if self.is_leaf:
-            return self.token
-        return " ".join(c.span_text for c in self.children)
 
     def nodes(self):
         """Pre-order iteration over all nodes."""
@@ -151,62 +164,88 @@ class PhraseRecord:
     is_root: bool = False
 
 
+# the parser's scan: every character that is not whitespace belongs to a
+# "(", a ")" or a token, so the items of a line are all of its non-space text
+_ITEM = re.compile(r"\(|\)|" + _TOKEN.pattern)
+_LABELS = {str(v): SentimentLabel(v) for v in range(5)}
+
+
+def _parsed(label, token, children, text):
+    """A PhraseTree the parser has already checked, built without checks."""
+    node = object.__new__(PhraseTree)
+    attrs = node.__dict__
+    attrs["label"] = label
+    attrs["token"] = token
+    attrs["children"] = children
+    attrs["span_text"] = text
+    return node
+
+
+def _offset(line, index):
+    """Offset of the line's ``index``-th item, or its length past the last."""
+    starts = [m.start() for m in _ITEM.finditer(line)]
+    return starts[index] if index < len(starts) else len(line)
+
+
 def parse_tree(line: str) -> PhraseTree:
-    """Parse one bracketed tree line. Errors carry the byte offset."""
-    s = line
-    n = len(s)
-    pos = 0
+    """Parse one bracketed tree line. Errors carry the byte offset.
 
-    def skip_ws(p):
-        while p < n and s[p].isspace():
-            p += 1
-        return p
-
-    def parse_node(p, depth):
-        p = skip_ws(p)
-        if p >= n or s[p] != "(":
-            raise UnbalancedParensError("expected '('", p)
-        if depth > MAX_TREE_DEPTH:
-            raise TreeTooDeepError(f"nodes nested deeper than {MAX_TREE_DEPTH}", p)
-        open_at = p
-        p = skip_ws(p + 1)
-        start = p
-        while p < n and not s[p].isspace() and s[p] not in "()":
-            p += 1
-        label_text = s[start:p]
-        if not label_text.isdigit() or not 0 <= int(label_text) <= 4:
-            raise InvalidLabelError(f"expected label digit 0-4, got {label_text!r}", start)
-        label = SentimentLabel(int(label_text))
-        children = []
-        token = None
-        while True:
-            p = skip_ws(p)
-            if p >= n:
-                raise UnbalancedParensError("unclosed '('", open_at)
-            if s[p] == ")":
-                p += 1
-                break
-            if s[p] == "(":
-                child, p = parse_node(p, depth + 1)
-                children.append(child)
+    One regex scan splits the line into "(", ")" and token items, and an
+    explicit stack of open nodes assembles them, so the cost is linear in
+    the line and no nesting depth reaches Python's recursion limit. Each
+    node's ``span_text`` is joined from its children's as it closes. Item
+    offsets are computed only to report an error.
+    """
+    items = _ITEM.findall(line)
+    n = len(items)
+    if not n or items[0] != "(":
+        raise UnbalancedParensError("expected '('", _offset(line, 0))
+    stack = []  # open nodes, innermost last: [item index of "(", label, token, children]
+    i = 0
+    while True:
+        item = items[i] if i < n else None
+        if item == "(":
+            if len(stack) == MAX_TREE_DEPTH:
+                raise TreeTooDeepError(f"nodes nested deeper than {MAX_TREE_DEPTH}", _offset(line, i))
+            label_text = items[i + 1] if i + 1 < n else ""
+            label = _LABELS.get(label_text)
+            if label is None:
+                label_text = "" if label_text in ("(", ")") else label_text
+                raise InvalidLabelError(f"expected label digit 0-4, got {label_text!r}",
+                                        _offset(line, i + 1))
+            if i + 3 < n and items[i + 3] == ")" and items[i + 2] not in ("(", ")"):
+                token = items[i + 2]  # the common "(label token)" leaf, read whole
+                node = _parsed(label, token, (), token)
+                i += 4
             else:
-                start = p
-                while p < n and not s[p].isspace() and s[p] not in "()":
-                    p += 1
-                if token is not None or children:
-                    raise EmptyNodeError("token mixed with other children", start)
-                token = s[start:p]
-        if token is None and not children:
-            raise EmptyNodeError("node has no token and no children", open_at)
-        if token is not None and children:
-            raise EmptyNodeError("token mixed with other children", open_at)
-        return PhraseTree(label, token=token, children=tuple(children)), p
-
-    tree, pos = parse_node(pos, 1)
-    pos = skip_ws(pos)
-    if pos != n:
-        raise TrailingGarbageError(f"trailing input {s[pos:pos + 20]!r}", pos)
-    return tree
+                stack.append([i, label, None, []])
+                i += 2
+                continue
+        elif item == ")":
+            open_at, label, token, children = stack.pop()
+            # a token followed by ")" was read as a leaf above, so a token
+            # here always came with children
+            if token is not None:
+                raise EmptyNodeError("token mixed with other children", _offset(line, open_at))
+            if not children:
+                raise EmptyNodeError("node has no token and no children", _offset(line, open_at))
+            node = _parsed(label, None, tuple(children), " ".join([c.span_text for c in children]))
+            i += 1
+        elif item is None:
+            raise UnbalancedParensError("unclosed '('", _offset(line, stack[-1][0]))
+        else:
+            frame = stack[-1]
+            if frame[2] is not None or frame[3]:
+                raise EmptyNodeError("token mixed with other children", _offset(line, i))
+            frame[2] = item
+            i += 1
+            continue
+        if not stack:
+            if i != n:
+                at = _offset(line, i)
+                raise TrailingGarbageError(f"trailing input {line[at:at + 20]!r}", at)
+            return node
+        stack[-1][3].append(node)
 
 
 def serialize_tree(tree: PhraseTree) -> str:
@@ -292,30 +331,27 @@ class StatsReport:
 def corpus_stats(corpora) -> StatsReport:
     """Sentence/node/unique-phrase counts and label histograms.
 
-    Uniqueness is on whitespace-normalized raw span text, case-sensitive,
-    before any model preprocessing.
+    Uniqueness is on raw span text, case-sensitive, before any model
+    preprocessing; span texts are already single-space joined tokens.
     """
-    sentences = 0
-    nodes = 0
+    labels = Counter()
+    root_labels = Counter()
     unique = set()
-    hist = {i: 0 for i in range(5)}
-    root_hist = {i: 0 for i in range(5)}
+    sentences = 0
     per_split = {}
     for corpus in corpora:
         per_split[corpus.split] = len(corpus.trees)
         sentences += len(corpus.trees)
+        root_labels.update([tree.label.value for tree in corpus.trees])
         for tree in corpus.trees:
-            for rec in extract_phrases(tree):
-                nodes += 1
-                unique.add(" ".join(rec.text.split()))
-                hist[rec.label.value] += 1
-                if rec.is_root:
-                    root_hist[rec.label.value] += 1
+            nodes = list(tree.nodes())
+            labels.update([node.label.value for node in nodes])
+            unique.update([node.span_text for node in nodes])
     return StatsReport(
         sentence_count=sentences,
-        node_count=nodes,
+        node_count=sum(labels.values()),
         unique_phrase_count=len(unique),
-        label_histogram=hist,
-        root_label_histogram=root_hist,
+        label_histogram={i: labels[i] for i in range(5)},
+        root_label_histogram={i: root_labels[i] for i in range(5)},
         per_split=per_split,
     )

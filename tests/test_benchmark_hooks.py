@@ -12,10 +12,12 @@ import inspect
 from pathlib import Path
 
 import numpy as np
+from test_cli import write_config
 from test_pretrain import batch_from, letter_vocab, sentence_corpus, tiny_state
 
 import treesent
-from treesent import autodiff, checkpoint, classify, encoder, optim, pretrain, tokenizer, treebank
+from treesent import (autodiff, checkpoint, classify, cli, encoder, optim, pretrain, synth,
+                      tokenizer, treebank)
 from treesent.optim import make_rng
 
 SPANS = Path(__file__).resolve().parent.parent / "perfbench" / "spans.py"
@@ -90,3 +92,18 @@ def test_probe_times_a_training_step():
     assert probe.rows == len(batch)
     assert probe.real_tokens == sum(ex.seq.n_real for ex, _ in batch)
     assert len(probe.losses) == 2 and np.isfinite(probe.losses).all()
+
+
+def test_tracer_counts_the_trees_cli_loads(tmp_path):
+    # the CLI must reach load_corpus through the treebank module attribute,
+    # where the tracer's span is, for treebank.load_s and treebank.trees
+    spans = load_spans()
+    data = tmp_path / "data"
+    data.mkdir()
+    synth.write_dataset(data, n_train=7, n_dev=3, n_test=2, seed=4)
+    cfg = write_config(tmp_path / "run.ini", data, tmp_path / "out")
+    tracer = spans.Tracer()
+    with spans.Patches() as patches:
+        tracer.install(patches, treesent)
+        assert cli.main(["prepare", "--config", cfg]) == 0
+    assert tracer.counts["treebank.trees"] == 7 + 3 + 2

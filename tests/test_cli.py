@@ -380,6 +380,32 @@ class TestFailureExitCodes:
         assert "max_positions 64" in err and "[model] max_len = 100" in err
         assert sorted(os.listdir(out)) == ["vocab.txt"]
 
+    # "²" passes str.isdigit but not int(); "٣" and "03" pass both; "((" has an
+    # empty label. Each command that reads the treebank names the bad line.
+    @pytest.mark.parametrize("bad", ["(² bad)", "(٣ bad)", "(03 bad)", "((2 bad))"])
+    def test_bad_label_exits_2_naming_the_line(self, pipeline, tmp_path, capsys, bad):
+        data = tmp_path / "data"
+        shutil.copytree(pipeline["data"], data)
+        line_no = {}
+        for split in ("train", "dev", "test"):
+            with open(data / f"{split}.txt", encoding="utf-8") as fh:
+                line_no[split] = len(fh.readlines()) + 1
+            with open(data / f"{split}.txt", "a", encoding="utf-8") as fh:
+                fh.write(bad + "\n")
+        out = tmp_path / "out"
+        out.mkdir()
+        shutil.copy(os.path.join(pipeline["out"], "vocab.txt"), out)
+        cfg = write_config(tmp_path / "run.ini", data, out)
+        pre = os.path.join(pipeline["out"], "pretrain.ckpt")
+        fine = os.path.join(pipeline["out"], "finetune_sst5.ckpt")
+        for argv, split in [(["prepare"], "train"), (["vocab", "--force"], "train"),
+                            (["pretrain"], "train"), (["finetune", "--init", pre], "train"),
+                            (["eval", "--checkpoint", fine], "test")]:
+            assert cli.main([argv[0], "--config", cfg, *argv[1:]]) == 2, argv
+            err = capsys.readouterr().err
+            assert f"{split}.txt:{line_no[split]}:" in err and "expected label digit 0-4" in err
+        assert sorted(os.listdir(out)) == ["vocab.txt"]
+
     def test_checkpoint_without_vocab_fingerprint_loads(self, pipeline, tmp_path):
         cfg, out = scratch_config(pipeline, tmp_path)
         config, params, prov = load_checkpoint(

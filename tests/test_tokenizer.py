@@ -1,5 +1,6 @@
 import itertools
 import unicodedata
+from collections import Counter
 
 import numpy as np
 import pytest
@@ -8,6 +9,7 @@ from hypothesis import strategies as st
 
 from treesent.optim import make_rng
 from treesent.tokenizer import (
+    MAX_WORD_CHARS,
     CLS,
     PAD,
     SEP,
@@ -160,6 +162,42 @@ class TestWordpiece:
                     word, sorted(set(chosen)))
 
 
+def reference_build_vocab(corpora, target_size):
+    """The per-candidate loop ``build_vocab`` replaced, as the oracle."""
+    word_freq = Counter()
+    for corpus in corpora:
+        for tree in corpus.trees:
+            for w in canonicalize(tree.span_text).split():
+                word_freq[w[:MAX_WORD_CHARS]] += 1
+
+    alphabet = sorted({ch for w in word_freq for ch in w})
+    base = list(SPECIAL_TOKENS) + alphabet + ["##" + ch for ch in alphabet]
+    if target_size < len(base):
+        raise TargetTooSmallError(target_size)
+
+    cand_freq = Counter()
+    for w, f in word_freq.items():
+        n = len(w)
+        cands = set()
+        for i in range(n):
+            for j in range(i + 2, n + 1):
+                piece = w[i:j]
+                cands.add(piece if i == 0 else "##" + piece)
+        for c in cands:
+            cand_freq[c] += f
+
+    tokens = list(base)
+    have = set(tokens)
+    ranked = sorted(cand_freq.items(), key=lambda kv: (-kv[1], kv[0]))
+    for tok, _ in ranked:
+        if len(tokens) >= target_size:
+            break
+        if tok not in have:
+            tokens.append(tok)
+            have.add(tok)
+    return Vocab(tokens)
+
+
 class TestBuildVocab:
     def test_hand_counted_example(self):
         # corpus "aa aa ab": alphabet {a, b}; the only multi-char candidates
@@ -187,6 +225,28 @@ class TestBuildVocab:
         v1 = build_vocab(synth_corpora[:1], 150)
         v2 = build_vocab(synth_corpora[:1], 150)
         assert v1.tokens == v2.tokens
+
+    @pytest.mark.parametrize("target", [120, 150, 400, 1000, 5000])
+    def test_matches_reference_on_synth(self, synth_corpora, target):
+        for corpora in (synth_corpora[:1], synth_corpora):
+            assert build_vocab(corpora, target).tokens == reference_build_vocab(corpora, target).tokens
+
+    def test_matches_reference_on_long_and_repeating_words(self):
+        corpus = word_corpus(" ".join(["x" * (MAX_WORD_CHARS + 30), "xy" * 60, "aaaa", "abab",
+                                       "Ab-ab", "ÉTÉ", "été", "x" * MAX_WORD_CHARS]))
+        for target in (20, 60, 400):
+            assert build_vocab([corpus], target).tokens == reference_build_vocab([corpus], target).tokens
+
+    @given(st.lists(st.text(alphabet="abAé1-", min_size=1, max_size=6), min_size=1, max_size=8),
+           st.lists(st.integers(0, 7), min_size=1, max_size=30), st.integers(0, 60))
+    @settings(max_examples=300, deadline=None)
+    def test_matches_reference_on_word_lists(self, pool, picks, extra):
+        # words drawn with repetition from a small pool over a small
+        # alphabet, so candidate counts tie often
+        corpus = word_corpus(" ".join(pool[i % len(pool)] for i in picks))
+        alphabet = set(canonicalize(" ".join(pool)).replace(" ", ""))
+        target = len(SPECIAL_TOKENS) + 2 * len(alphabet) + extra
+        assert build_vocab([corpus], target).tokens == reference_build_vocab([corpus], target).tokens
 
     def test_save_load_roundtrip(self, tmp_path, synth_corpora):
         v1 = build_vocab(synth_corpora[:1], 120)
