@@ -49,7 +49,8 @@ MAX_TREE_DEPTH = 128
 
 
 class TreeParseError(ValueError):
-    """Malformed tree line; ``offset`` is the byte offset of the problem."""
+    """Malformed tree line; ``offset`` is the index in the line (a character,
+    not a byte, offset) of the problem."""
 
     def __init__(self, message, offset):
         super().__init__(f"{message} (offset {offset})")
@@ -188,7 +189,7 @@ def _offset(line, index):
 
 
 def parse_tree(line: str) -> PhraseTree:
-    """Parse one bracketed tree line. Errors carry the byte offset.
+    """Parse one bracketed tree line. Errors carry the character offset.
 
     One regex scan splits the line into "(", ")" and token items, and an
     explicit stack of open nodes assembles them, so the cost is linear in

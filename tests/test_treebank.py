@@ -8,11 +8,13 @@ from hypothesis import strategies as st
 from treesent.treebank import (
     MAX_TREE_DEPTH,
     BinaryLabel,
+    Corpus,
     CorpusLoadError,
     EmptyNodeError,
     InvalidLabelError,
     PhraseTree,
     SentimentLabel,
+    StatsReport,
     TrailingGarbageError,
     TreeParseError,
     TreeTooDeepError,
@@ -176,6 +178,40 @@ def test_nesting_past_the_cap_names_the_first_deep_paren():
     assert exc.value.offset == 3 * MAX_TREE_DEPTH  # the 129th "("
 
 
+labels = st.integers(0, 4)
+tokens = st.text(alphabet="abcXYZ'!,", min_size=1, max_size=6)
+
+
+def trees(depth=3):
+    leaf = st.builds(lambda l, t: PhraseTree(SentimentLabel(l), token=t), labels, tokens)
+    return st.recursive(
+        leaf,
+        lambda child: st.builds(
+            lambda l, cs: PhraseTree(SentimentLabel(l), children=tuple(cs)),
+            labels,
+            st.lists(child, min_size=1, max_size=3),
+        ),
+        max_leaves=12,
+    )
+
+
+@given(trees())
+@settings(max_examples=200, deadline=None)
+def test_roundtrip_random_trees(tree):
+    line = serialize_tree(tree)
+    assert parse_tree(line) == tree
+    assert serialize_tree(parse_tree(line)) == line
+
+
+@given(trees())
+@settings(max_examples=100, deadline=None)
+def test_extract_matches_independent_node_count(tree):
+    records = extract_phrases(tree)
+    assert len(records) == count_nodes(tree)
+    assert sum(r.is_root for r in records) == 1
+    assert records[0].is_root and records[0].text == tree.span_text
+
+
 # whitespace the parser must skip like a space: str.isspace accepts each
 SPACES = (" ", "\t", "\xa0", "\x1c")
 # every label is a lone ASCII digit (0-4 valid, 7 not); the tokens include a
@@ -230,40 +266,6 @@ def test_parse_matches_recursive_reference(line):
             assert node.span_text == ref.span_text == reference_span_text(ref)
     else:
         assert got == want
-
-
-labels = st.integers(0, 4)
-tokens = st.text(alphabet="abcXYZ'!,", min_size=1, max_size=6)
-
-
-def trees(depth=3):
-    leaf = st.builds(lambda l, t: PhraseTree(SentimentLabel(l), token=t), labels, tokens)
-    return st.recursive(
-        leaf,
-        lambda child: st.builds(
-            lambda l, cs: PhraseTree(SentimentLabel(l), children=tuple(cs)),
-            labels,
-            st.lists(child, min_size=1, max_size=3),
-        ),
-        max_leaves=12,
-    )
-
-
-@given(trees())
-@settings(max_examples=200, deadline=None)
-def test_roundtrip_random_trees(tree):
-    line = serialize_tree(tree)
-    assert parse_tree(line) == tree
-    assert serialize_tree(parse_tree(line)) == line
-
-
-@given(trees())
-@settings(max_examples=100, deadline=None)
-def test_extract_matches_independent_node_count(tree):
-    records = extract_phrases(tree)
-    assert len(records) == count_nodes(tree)
-    assert sum(r.is_root for r in records) == 1
-    assert records[0].is_root and records[0].text == tree.span_text
 
 
 def test_extract_preorder():
@@ -333,14 +335,21 @@ class TestLoadCorpus:
         p.write_text("")
         assert len(load_corpus(p, "dev")) == 0
 
-    @pytest.mark.parametrize("bad", ["(9 bad)", "(² bad)", "(03 bad)"])
-    def test_error_names_line(self, tmp_path, bad):
+    def test_error_names_line(self, tmp_path):
+        p = tmp_path / "bad.txt"
+        p.write_text("(2 ok)\n(9 bad)\n")
+        with pytest.raises(CorpusLoadError) as exc:
+            load_corpus(p, "train")
+        assert exc.value.line_no == 2
+
+    @pytest.mark.parametrize("bad", ["(² bad)", "(٣ bad)", "(03 bad)"])
+    def test_label_error_names_line(self, tmp_path, bad):
         p = tmp_path / "bad.txt"
         p.write_text(f"(2 ok)\n{bad}\n", encoding="utf-8")
         with pytest.raises(CorpusLoadError) as exc:
             load_corpus(p, "train")
         assert exc.value.line_no == 2
-        assert isinstance(exc.value.inner, InvalidLabelError)
+        assert isinstance(exc.value.inner, InvalidLabelError) and exc.value.inner.offset == 1
 
 
 def test_corpus_stats_single_tree(tmp_path):
@@ -351,6 +360,39 @@ def test_corpus_stats_single_tree(tmp_path):
     assert stats.node_count == 1
     assert stats.label_histogram == {0: 0, 1: 0, 2: 1, 3: 0, 4: 0}
     assert stats.root_label_histogram[2] == 1
+
+
+def reference_corpus_stats(corpora):
+    """The per-record loop ``corpus_stats`` replaced, as the oracle."""
+    sentences = 0
+    nodes = 0
+    unique = set()
+    hist = {i: 0 for i in range(5)}
+    root_hist = {i: 0 for i in range(5)}
+    per_split = {}
+    for corpus in corpora:
+        per_split[corpus.split] = len(corpus.trees)
+        sentences += len(corpus.trees)
+        for tree in corpus.trees:
+            for rec in extract_phrases(tree):
+                nodes += 1
+                unique.add(" ".join(rec.text.split()))
+                hist[rec.label.value] += 1
+                if rec.is_root:
+                    root_hist[rec.label.value] += 1
+    return StatsReport(sentences, nodes, len(unique), hist, root_hist, per_split)
+
+
+@given(st.lists(trees(), max_size=6))
+@settings(max_examples=100, deadline=None)
+def test_corpus_stats_matches_reference(tree_list):
+    # repeated trees and splits give repeated phrases
+    corpora = [Corpus("train", tuple(tree_list)), Corpus("dev", tuple(tree_list[:2]))]
+    assert corpus_stats(corpora) == reference_corpus_stats(corpora)
+
+
+def test_corpus_stats_matches_reference_on_synth(synth_corpora):
+    assert corpus_stats(synth_corpora) == reference_corpus_stats(synth_corpora)
 
 
 def test_stats_serializations(synth_corpora):
