@@ -253,12 +253,12 @@ def finetune(train_records, dev_records, params, config, vocab, task: str,
             opt.step()
         dev_acc = _dev_root_accuracy(dev_records, params, config, vocab, hyper.max_len, task)
         if dev_acc is not None and (best is None or dev_acc > best[0]):
-            best = (dev_acc, epoch, {k_: p.data.copy() for k_, p in params.items()})
+            best = (dev_acc, epoch, {k_: p.data.copy() for k_, p in trainable.items()})
 
     if best is None:
         return params, {"best_epoch": hyper.epochs - 1, "best_dev_root_acc": None}
     for name, data in best[2].items():
-        params[name].data = data
+        params[name].data[...] = data  # into the optimizer's arena view
     return params, {"best_epoch": best[1], "best_dev_root_acc": best[0]}
 
 

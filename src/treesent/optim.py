@@ -33,6 +33,25 @@ class AdamW:
     ``total_steps`` the learning rate ramps up linearly over the first
     ``WARMUP_FRAC`` of them and then decays linearly to zero at
     ``total_steps``; without it the learning rate stays at ``lr``.
+
+    The parameters live in one flat arena. At construction every
+    parameter is copied into one buffer of the parameters' dtype (mixed
+    dtypes are refused) and each ``p.data`` is rebound to its view of it;
+    ``m`` and ``v`` are flat too, and ``opt.m[name]``/``opt.v[name]`` are
+    views. ``step`` gathers each ``p.grad`` into a flat gradient buffer and
+    runs the update as in-place ufuncs over each contiguous run of tensors
+    that have a gradient: a dozen ufunc passes over the arena, not a dozen
+    small ones for each of the model's 41-47 tensors. The operation order and dtypes are
+    those of the per-tensor update, so the results are bitwise the same.
+    A tensor whose ``grad`` is None is left alone, ``m`` and ``v``
+    included. The arena adds two flat buffers (gradient and one scratch);
+    once ``m`` and ``v`` are updated the gradient buffer is the second
+    scratch.
+
+    Code that replaces a trained parameter's values must write into its
+    view (``p.data[...] = x``): ``step`` raises if a ``p.data`` is no longer
+    its arena view, since the optimizer would train one array while a
+    checkpoint saves another.
     """
 
     def __init__(self, params, lr, total_steps=None):
@@ -41,8 +60,30 @@ class AdamW:
         self.warmup_steps = int((total_steps or 0) * WARMUP_FRAC)
         self.total_steps = total_steps
         self.t = 0
-        self.m = {k: np.zeros_like(p.data) for k, p in self.params.items()}
-        self.v = {k: np.zeros_like(p.data) for k, p in self.params.items()}
+        dtypes = {p.data.dtype for p in self.params.values()}
+        if len(dtypes) > 1:
+            raise TypeError(f"parameters of mixed dtypes {sorted(map(str, dtypes))}")
+        dtype = dtypes.pop() if dtypes else np.float32
+        bounds = np.cumsum([0] + [p.data.size for p in self.params.values()]).tolist()
+        self._bounds = list(zip(bounds[:-1], bounds[1:]))
+        n = bounds[-1]
+        self.arena = np.empty(n, dtype=dtype)
+        self._m = np.zeros(n, dtype=dtype)
+        self._v = np.zeros(n, dtype=dtype)
+        self._grad = np.empty(n, dtype=dtype)
+        self._scratch = np.empty(n, dtype=dtype)
+
+        def views(flat):
+            return [flat[lo:hi].reshape(p.data.shape)
+                    for p, (lo, hi) in zip(self.params.values(), self._bounds)]
+
+        self._views = views(self.arena)
+        for p, view in zip(self.params.values(), self._views):
+            view[...] = p.data
+            p.data = view
+        self._grad_views = views(self._grad)
+        self.m = dict(zip(self.params, views(self._m)))
+        self.v = dict(zip(self.params, views(self._v)))
 
     def _lr_at(self, t):
         lr = self.lr
@@ -53,25 +94,51 @@ class AdamW:
             return lr * max(frac, 0.0)
         return lr
 
+    def _runs(self):
+        """Gather the gradients into the flat buffer and return the
+        ``(lo, hi)`` spans of consecutive tensors that have one."""
+        runs = []
+        for (name, p), view, grad_view, (lo, hi) in zip(
+                self.params.items(), self._views, self._grad_views, self._bounds):
+            if p.data is not view:
+                raise RuntimeError(f"parameter {name}: .data was rebound away from "
+                                   "the optimizer's arena; write into p.data[...] instead")
+            if p.grad is None:
+                continue
+            np.copyto(grad_view, p.grad)
+            if runs and runs[-1][1] == lo:
+                runs[-1][1] = hi
+            else:
+                runs.append([lo, hi])
+        return runs
+
     def step(self):
         self.t += 1
         lr = self._lr_at(self.t)
         b1, b2 = BETAS
         bc1 = 1.0 - b1**self.t
         bc2 = 1.0 - b2**self.t
-        for name, p in self.params.items():
-            if p.grad is None:
-                continue
-            g = p.grad
-            m = self.m[name]
-            v = self.v[name]
+        for lo, hi in self._runs():
+            p, g = self.arena[lo:hi], self._grad[lo:hi]
+            m, v, s = self._m[lo:hi], self._v[lo:hi], self._scratch[lo:hi]
+            # m = b1 m + (1 - b1) g;  v = b2 v + (1 - b2) g g
             m *= b1
-            m += (1 - b1) * g
+            np.multiply(g, 1 - b1, out=s)
+            m += s
             v *= b2
-            v += (1 - b2) * g * g
-            update = (m / bc1) / (np.sqrt(v / bc2) + EPS)
-            update = update + WEIGHT_DECAY * p.data
-            p.data -= (lr * update).astype(p.data.dtype)
+            np.multiply(g, 1 - b2, out=s)
+            s *= g
+            v += s
+            # update = (m / bc1) / (sqrt(v / bc2) + eps) + wd p;  p -= lr update
+            np.divide(m, bc1, out=s)
+            np.divide(v, bc2, out=g)
+            np.sqrt(g, out=g)
+            g += EPS
+            s /= g
+            np.multiply(p, WEIGHT_DECAY, out=g)
+            s += g
+            s *= lr
+            p -= s
 
     def zero_grad(self):
         for p in self.params.values():

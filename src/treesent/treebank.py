@@ -281,8 +281,8 @@ def load_corpus(path, split: str) -> Corpus:
     trees = []
     with open(path, encoding="utf-8") as fh:
         for line_no, line in enumerate(fh, start=1):
-            line = line.strip()
-            if not line:
+            line = line.rstrip("\n")  # offsets count from the line's first character
+            if not line.strip():
                 continue
             try:
                 trees.append(parse_tree(line))

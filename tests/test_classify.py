@@ -310,6 +310,38 @@ class TestFinetune:
         assert len(after_epoch) == 3 and after_epoch[0] != after_epoch[2]
         assert {k: p.data.tobytes() for k, p in params.items()} == after_epoch[2]
 
+    @pytest.mark.parametrize("freeze", [False, True])
+    def test_best_epoch_is_restored_into_the_arena(self, synth_corpora, monkeypatch, freeze):
+        vocab, cfg, params = tiny_setup()
+        train = [r for t in synth_corpora[0].trees for r in extract_phrases(t)][:40]
+        dev = [r for t in synth_corpora[1].trees for r in extract_phrases(t)][:10]
+        scores = iter([0.2, 0.6, 0.6, 0.4])  # epoch 1 wins; the tie keeps it
+        after_epoch = []
+        optimizers = []
+
+        def scripted(dev_records, params, *args):
+            after_epoch.append({k: p.data.copy() for k, p in params.items()})
+            return next(scores)
+
+        class RecordingAdamW(cl.AdamW):
+            def __init__(self, *args, **kwargs):
+                super().__init__(*args, **kwargs)
+                optimizers.append(self)
+
+        monkeypatch.setattr(cl, "_dev_root_accuracy", scripted)
+        monkeypatch.setattr(cl, "AdamW", RecordingAdamW)
+        hyper = cl.FinetuneConfig(epochs=4, batch_size=16, lr=1e-3, head_lr=1e-2, seed=2,
+                                  max_len=16, freeze_encoder=freeze)
+        out, summary = cl.finetune(train, dev, params, cfg, vocab, "sst5", hyper)
+        assert summary == {"best_epoch": 1, "best_dev_root_acc": 0.6}
+        assert {k: p.data.tobytes() for k, p in out.items()} == {
+            k: x.tobytes() for k, x in after_epoch[1].items()}
+        assert after_epoch[1]["head.w"].tobytes() != after_epoch[3]["head.w"].tobytes()
+        # the restored values sit in the optimizer's own arena
+        (opt,) = optimizers
+        for name, p in opt.params.items():
+            assert p is out[name] and np.shares_memory(p.data, opt.arena)
+
     def test_head_lr_only_sets_a_frozen_encoder_run(self, synth_corpora):
         # a full fine-tune trains the head at lr, as BERT does
         train = [r for t in synth_corpora[0].trees for r in extract_phrases(t)][:40]

@@ -1,12 +1,17 @@
 import configparser
 import json
 import os
+import platform
+import resource
 import shutil
+import sys
 
 import numpy as np
 import pytest
 
 from treesent import classify, cli, encoder, synth
+from treesent import pretrain as pt
+from treesent import tokenizer as tok
 from treesent.autodiff import Tensor
 from treesent.checkpoint import load_checkpoint, save_checkpoint
 from treesent.encoder import _truncated_normal
@@ -150,6 +155,59 @@ class TestPretrain:
         assert len(rows) == 4
         steps = [int(r.split(",")[0]) for r in rows[1:]]
         assert steps == [1, 2, 3]
+
+    @pytest.mark.parametrize("epochs, max_steps, resume, saved", [
+        (2, 100, False, [3, 6]),  # one save per epoch, none after the last
+        (2, 4, False, [3, 4]),    # max_steps ends the second epoch early
+        (0, 100, False, [0]),     # no epoch ran: the untrained state is saved
+        (1, 3, True, [3]),        # resumed at max_steps: nothing runs, one save
+    ])
+    def test_each_checkpoint_is_saved_once(self, pipeline, tmp_path, monkeypatch,
+                                           epochs, max_steps, resume, saved):
+        # 40 train trees, batch 16: 3 steps an epoch
+        cfg, out = scratch_config(pipeline, tmp_path, pre_epochs=epochs, max_steps=max_steps)
+        steps = []
+
+        def counting(path, config, params, prov, real=cli.save_checkpoint):
+            steps.append(prov["step"])
+            return real(path, config, params, prov)
+
+        monkeypatch.setattr(cli, "save_checkpoint", counting)
+        argv = ["pretrain", "--config", cfg]
+        if resume:
+            argv += ["--resume", os.path.join(pipeline["out"], "pretrain.ckpt")]
+        assert cli.main(argv) == 0
+        assert steps == saved
+        _, _, prov = load_checkpoint(str(out / "pretrain.ckpt"), expect_extra=cli.HEAD_EXTRAS)
+        assert prov["step"] == saved[-1]
+
+    def test_resume_trains_the_loaded_parameters(self, pipeline, tmp_path, monkeypatch):
+        start = os.path.join(pipeline["out"], "pretrain.ckpt")  # step 3 of seed 3
+        _, loaded, _ = load_checkpoint(start, expect_extra=cli.HEAD_EXTRAS)
+        cfg, out = scratch_config(pipeline, tmp_path, max_steps=5)
+        states = []
+
+        def recording(*args, real=cli.pt.pretrain, **kwargs):
+            states.append(real(*args, **kwargs))
+            return states[-1]
+
+        monkeypatch.setattr(cli.pt, "pretrain", recording)
+        assert cli.main(["pretrain", "--config", cfg, "--resume", start]) == 0
+        _, saved, prov = load_checkpoint(str(out / "pretrain.ckpt"),
+                                         expect_extra=cli.HEAD_EXTRAS)
+        assert prov["step"] == 5
+        (state,) = states
+        opt = state.optimizer
+        assert opt.t == 2
+        # the checkpoint holds the arena the optimizer trained, in full
+        assert set(saved) == set(opt.params)
+        arena = np.concatenate([saved[name].data.ravel() for name in opt.params])
+        assert arena.tobytes() == opt.arena.tobytes()
+        # and that arena started from the loaded values: every tensor moved
+        # by a few steps of at most about lr each
+        for name, tensor in loaded.items():
+            moved = np.abs(saved[name].data - tensor.data).max()
+            assert 0 < moved < 3 * 1e-3 * 1.01, name
 
 
 class TestFinetuneEval:
@@ -660,3 +718,43 @@ class TestCheckpointHeads:
         assert cli.main(["eval", "--config", cfg, "--checkpoint", half]) == 2
         assert "only one of head.w and head.b" in capsys.readouterr().err
         assert sorted(os.listdir(out)) == ["vocab.txt"]
+
+
+class TestMallocPolicy:
+    @pytest.mark.skipif(sys.platform != "linux" or platform.libc_ver()[0] != "glibc",
+                        reason="the policy is glibc's mallopt")
+    def test_pretrain_step_takes_few_page_faults(self):
+        assert cli.set_malloc_policy()
+        words = [f"w{i}" for i in range(1995)]
+        vocab = tok.Vocab(list(SPECIAL_TOKENS) + words)
+        rng = make_rng(4)
+        config = encoder.preset("toy", vocab_size=len(vocab))
+        state = pt.init_pretrain_state(config, len(vocab), 0, pt.PretrainConfig(lr=1e-4))
+
+        def batch():  # 16 pairs of 64 pieces
+            rows = []
+            for row in range(16):
+                a, b = (" ".join(words[i] for i in rng.integers(0, len(words), 40))
+                        for _ in range(2))
+                seq = tok.encode_pair(a, b, vocab, 64)
+                rows.append((pt.mask_tokens(seq, 0.15, rng, vocab), row % 2))
+            return rows
+
+        batches = [batch() for _ in range(8)]
+        for rows in batches[:2]:  # warm-up: the heap grows to a step's peak
+            pt.pretrain_step(state, rows, rng)
+        before = resource.getrusage(resource.RUSAGE_SELF).ru_minflt
+        for rows in batches[2:]:
+            pt.pretrain_step(state, rows, rng)
+        faults = resource.getrusage(resource.RUSAGE_SELF).ru_minflt - before
+        # without the policy glibc trims and re-faults each step's
+        # temporaries: hundreds to thousands of faults per step
+        assert faults / 6 < 50
+
+    def test_without_mallopt_the_policy_does_nothing(self, monkeypatch):
+        class NoMallopt:  # a C library without mallopt, such as musl's or macOS's
+            def __init__(self, name):
+                pass
+
+        monkeypatch.setattr(cli.ctypes, "CDLL", NoMallopt)
+        assert cli.set_malloc_policy() is False

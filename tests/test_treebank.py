@@ -351,6 +351,26 @@ class TestLoadCorpus:
         assert exc.value.line_no == 2
         assert isinstance(exc.value.inner, InvalidLabelError) and exc.value.inner.offset == 1
 
+    @pytest.mark.parametrize("bad, offset", [
+        ("   (9 bad)", 4),           # label after leading spaces
+        ("\t(2 (9 bad))", 5),        # nested label after a tab
+        ("  (2 ok) x  ", 9),         # trailing garbage after leading spaces
+    ])
+    def test_error_offset_counts_from_the_line_start(self, tmp_path, bad, offset):
+        p = tmp_path / "bad.txt"
+        p.write_text(f"(2 ok)\n{bad}\n", encoding="utf-8")
+        with pytest.raises(CorpusLoadError) as exc:
+            load_corpus(p, "train")
+        assert exc.value.line_no == 2
+        assert exc.value.inner.offset == offset
+        assert bad[offset] not in " \t"
+
+    def test_indented_lines_load_as_stripped(self, tmp_path):
+        p = tmp_path / "ok.txt"
+        p.write_text("  (3 (2 It) (4 rocks))  \n\t\n(1 meh)\r\n", encoding="utf-8")
+        trees = load_corpus(p, "train").trees
+        assert trees == (parse_tree("(3 (2 It) (4 rocks))"), parse_tree("(1 meh)"))
+
 
 def test_corpus_stats_single_tree(tmp_path):
     p = tmp_path / "one.txt"
