@@ -41,10 +41,10 @@ class AdamW:
     views. ``step`` gathers each ``p.grad`` into a flat gradient buffer and
     runs the update as in-place ufuncs over each contiguous run of tensors
     that have a gradient: a dozen ufunc passes over the arena, not a dozen
-    small ones for each of the model's 41-47 tensors. The operation order and dtypes are
-    those of the per-tensor update, so the results are bitwise the same.
-    A tensor whose ``grad`` is None is left alone, ``m`` and ``v``
-    included. The arena adds two flat buffers (gradient and one scratch);
+    small ones for each of the model's 41-47 tensors. The operation order
+    and dtypes are those of the per-tensor update, so the results are
+    bitwise the same. A tensor whose ``grad`` is None is left alone, ``m``
+    and ``v`` included. The arena adds two flat buffers (gradient and one scratch);
     once ``m`` and ``v`` are updated the gradient buffer is the second
     scratch.
 
@@ -94,7 +94,7 @@ class AdamW:
             return lr * max(frac, 0.0)
         return lr
 
-    def _runs(self):
+    def _gather(self):
         """Gather the gradients into the flat buffer and return the
         ``(lo, hi)`` spans of consecutive tensors that have one."""
         runs = []
@@ -118,7 +118,7 @@ class AdamW:
         b1, b2 = BETAS
         bc1 = 1.0 - b1**self.t
         bc2 = 1.0 - b2**self.t
-        for lo, hi in self._runs():
+        for lo, hi in self._gather():
             p, g = self.arena[lo:hi], self._grad[lo:hi]
             m, v, s = self._m[lo:hi], self._v[lo:hi], self._scratch[lo:hi]
             # m = b1 m + (1 - b1) g;  v = b2 v + (1 - b2) g g
