@@ -104,7 +104,8 @@ def load_checkpoint(path, expect_extra=()):
 
     Names outside the encoder scheme must be listed in ``expect_extra``
     (e.g. ``head.w``, ``mlm.b``); only their byte counts are checked here,
-    so their shapes are the caller's to check.
+    so their shapes are the caller's to check. A tensor that is not finite
+    is refused, as ``save_checkpoint`` refuses to write one.
     """
     with open(path, "rb") as fh:
         if fh.read(4) != MAGIC:
@@ -129,6 +130,8 @@ def load_checkpoint(path, expect_extra=()):
                 raise CheckpointError(f"{path}: tensor {name} holds {nbytes} bytes, "
                                       f"shape {shape} needs {4 * math.prod(shape)}")
             data = np.frombuffer(_read_exact(fh, nbytes), dtype="<f4").reshape(shape)
+            if not np.isfinite(data).all():
+                raise CheckpointError(f"{path}: tensor {name} is not finite")
             params[name] = Tensor(data.copy(), requires_grad=True)
 
     expected = param_shapes(config)

@@ -55,10 +55,6 @@ class ModelConfig:
         if self.hidden % self.heads != 0:
             raise ValueError(f"hidden {self.hidden} not divisible by heads {self.heads}")
 
-    @property
-    def head_width(self):
-        return self.hidden // self.heads
-
 
 _PRESETS = {
     "base": dict(layers=12, hidden=768, heads=12, intermediate=3072,

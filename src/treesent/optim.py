@@ -37,16 +37,19 @@ class AdamW:
     The parameters live in one flat arena. At construction every
     parameter is copied into one buffer of the parameters' dtype (mixed
     dtypes are refused) and each ``p.data`` is rebound to its view of it;
-    ``m`` and ``v`` are flat too, and ``opt.m[name]``/``opt.v[name]`` are
-    views. ``step`` gathers each ``p.grad`` into a flat gradient buffer and
-    runs the update as in-place ufuncs over each contiguous run of tensors
-    that have a gradient: a dozen ufunc passes over the arena, not a dozen
-    small ones for each of the model's 41-47 tensors. The operation order
-    and dtypes are those of the per-tensor update, so the results are
-    bitwise the same. A tensor whose ``grad`` is None is left alone, ``m``
-    and ``v`` included. The arena adds two flat buffers (gradient and one scratch);
-    once ``m`` and ``v`` are updated the gradient buffer is the second
-    scratch.
+    ``m``, ``v`` and the gradients are flat too, and ``opt.m[name]`` and
+    ``opt.v[name]`` are views. ``zero_grad`` zero-fills the gradient buffer
+    and points each ``p.grad`` at its view, so a backward pass accumulates
+    every leaf gradient straight into the arena. Every trained tensor
+    therefore has a gradient: one the loss does not reach stays zero, and
+    the step still decays it and updates its ``m`` and ``v``. ``step`` raises
+    if a ``p.grad`` is None and copies in one a caller assigned as a fresh
+    array. The update is a dozen in-place ufunc passes over the whole arena,
+    not a dozen small ones for each of the model's 41-47 tensors, in the
+    operation order and dtypes of the per-tensor update, so the results are
+    bitwise the same. It works in two scratch buffers and leaves the
+    gradients as they were, so ``p.grad`` still reads the gradient after a
+    step.
 
     Code that replaces a trained parameter's values must write into its
     view (``p.data[...] = x``): ``step`` raises if a ``p.data`` is no longer
@@ -65,17 +68,16 @@ class AdamW:
             raise TypeError(f"parameters of mixed dtypes {sorted(map(str, dtypes))}")
         dtype = dtypes.pop() if dtypes else np.float32
         bounds = np.cumsum([0] + [p.data.size for p in self.params.values()]).tolist()
-        self._bounds = list(zip(bounds[:-1], bounds[1:]))
         n = bounds[-1]
         self.arena = np.empty(n, dtype=dtype)
         self._m = np.zeros(n, dtype=dtype)
         self._v = np.zeros(n, dtype=dtype)
-        self._grad = np.empty(n, dtype=dtype)
-        self._scratch = np.empty(n, dtype=dtype)
+        self._grad = np.zeros(n, dtype=dtype)
+        self._scratch = (np.empty(n, dtype=dtype), np.empty(n, dtype=dtype))
 
         def views(flat):
             return [flat[lo:hi].reshape(p.data.shape)
-                    for p, (lo, hi) in zip(self.params.values(), self._bounds)]
+                    for p, lo, hi in zip(self.params.values(), bounds[:-1], bounds[1:])]
 
         self._views = views(self.arena)
         for p, view in zip(self.params.values(), self._views):
@@ -94,52 +96,44 @@ class AdamW:
             return lr * max(frac, 0.0)
         return lr
 
-    def _gather(self):
-        """Gather the gradients into the flat buffer and return the
-        ``(lo, hi)`` spans of consecutive tensors that have one."""
-        runs = []
-        for (name, p), view, grad_view, (lo, hi) in zip(
-                self.params.items(), self._views, self._grad_views, self._bounds):
+    def step(self):
+        for (name, p), view, grad_view in zip(self.params.items(), self._views,
+                                              self._grad_views):
             if p.data is not view:
                 raise RuntimeError(f"parameter {name}: .data was rebound away from "
                                    "the optimizer's arena; write into p.data[...] instead")
             if p.grad is None:
-                continue
-            np.copyto(grad_view, p.grad)
-            if runs and runs[-1][1] == lo:
-                runs[-1][1] = hi
-            else:
-                runs.append([lo, hi])
-        return runs
-
-    def step(self):
+                raise RuntimeError(f"parameter {name} has no gradient; "
+                                   "call zero_grad() before the backward pass")
+            if p.grad is not grad_view:
+                np.copyto(grad_view, p.grad)
         self.t += 1
         lr = self._lr_at(self.t)
         b1, b2 = BETAS
         bc1 = 1.0 - b1**self.t
         bc2 = 1.0 - b2**self.t
-        for lo, hi in self._gather():
-            p, g = self.arena[lo:hi], self._grad[lo:hi]
-            m, v, s = self._m[lo:hi], self._v[lo:hi], self._scratch[lo:hi]
-            # m = b1 m + (1 - b1) g;  v = b2 v + (1 - b2) g g
-            m *= b1
-            np.multiply(g, 1 - b1, out=s)
-            m += s
-            v *= b2
-            np.multiply(g, 1 - b2, out=s)
-            s *= g
-            v += s
-            # update = (m / bc1) / (sqrt(v / bc2) + eps) + wd p;  p -= lr update
-            np.divide(m, bc1, out=s)
-            np.divide(v, bc2, out=g)
-            np.sqrt(g, out=g)
-            g += EPS
-            s /= g
-            np.multiply(p, WEIGHT_DECAY, out=g)
-            s += g
-            s *= lr
-            p -= s
+        p, g, m, v = self.arena, self._grad, self._m, self._v
+        s, d = self._scratch
+        # m = b1 m + (1 - b1) g;  v = b2 v + (1 - b2) g g
+        m *= b1
+        np.multiply(g, 1 - b1, out=s)
+        m += s
+        v *= b2
+        np.multiply(g, 1 - b2, out=s)
+        s *= g
+        v += s
+        # update = (m / bc1) / (sqrt(v / bc2) + eps) + wd p;  p -= lr update
+        np.divide(m, bc1, out=s)
+        np.divide(v, bc2, out=d)
+        np.sqrt(d, out=d)
+        d += EPS
+        s /= d
+        np.multiply(p, WEIGHT_DECAY, out=d)
+        s += d
+        s *= lr
+        p -= s
 
     def zero_grad(self):
-        for p in self.params.values():
-            p.grad = None
+        self._grad.fill(0)
+        for p, grad_view in zip(self.params.values(), self._grad_views):
+            p.grad = grad_view

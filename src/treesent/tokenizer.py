@@ -61,9 +61,6 @@ class Vocab:
     def id_of(self, token):
         return self.index[token]
 
-    def token_of(self, idx):
-        return self.tokens[idx]
-
     @property
     def special_ids(self):
         return frozenset(range(len(SPECIAL_TOKENS)))

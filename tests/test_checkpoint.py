@@ -16,6 +16,21 @@ def fresh_params(seed=0):
     return enc.init_params(CFG, make_rng(seed))
 
 
+def save_non_finite(path, config, params, name, value, provenance=None):
+    """Save ``params`` with ``value`` (NaN or inf) as the first element of
+    tensor ``name``. ``save_checkpoint`` refuses to write that, so a finite
+    marker is saved and then replaced in the file's bytes."""
+    marker = np.array(-1234.5, dtype="<f4")
+    params[name].data.flat[0] = marker
+    ck.save_checkpoint(path, config, params, provenance or {})
+    with open(path, "rb") as fh:
+        raw = fh.read()
+    assert raw.count(marker.tobytes()) == 1
+    with open(path, "wb") as fh:
+        fh.write(raw.replace(marker.tobytes(), np.array(value, dtype="<f4").tobytes()))
+    return str(path)
+
+
 class TestRoundTrip:
     def test_values_and_config_survive(self, tmp_path):
         params = fresh_params()
@@ -123,6 +138,13 @@ class TestRejection:
             ck.save_checkpoint(tmp_path / "new.ckpt", CFG, params, {})
         assert path.read_bytes() == before
         assert sorted(p.name for p in tmp_path.iterdir()) == ["n.ckpt"]
+
+    @pytest.mark.parametrize("value", [np.nan, np.inf, -np.inf])
+    def test_non_finite_parameters_not_loaded(self, tmp_path, value):
+        path = save_non_finite(tmp_path / "n.ckpt", CFG, fresh_params(),
+                               "layer.0.ffn.in.w", value)
+        with pytest.raises(ck.CheckpointError, match="layer.0.ffn.in.w is not finite"):
+            ck.load_checkpoint(path)
 
     def test_shape_mismatch_against_config(self, tmp_path):
         params = fresh_params()

@@ -8,6 +8,7 @@ import sys
 
 import numpy as np
 import pytest
+from test_checkpoint import save_non_finite
 
 from treesent import classify, cli, encoder, synth
 from treesent import pretrain as pt
@@ -659,6 +660,19 @@ class TestCheckpointHeads:
                                  tmp_path / "bad.ckpt", {"mlm.b": (7,)})
         assert cli.main(["pretrain", "--config", cfg, "--resume", bad]) == 2
         assert "mlm.b" in capsys.readouterr().err
+        assert sorted(os.listdir(out)) == ["vocab.txt"]
+
+    def test_non_finite_checkpoint_exits_2(self, pipeline, tmp_path, capsys):
+        cfg, out = scratch_config(pipeline, tmp_path)
+        config, params, prov = load_checkpoint(
+            os.path.join(pipeline["out"], "finetune_sst5.ckpt"), expect_extra=cli.HEAD_EXTRAS)
+        bad = save_non_finite(tmp_path / "nan.ckpt", config, params, "head.w", np.nan, prov)
+        assert cli.main(["eval", "--config", cfg, "--checkpoint", bad]) == 2
+        assert cli.main(["predict", "--config", cfg, "--checkpoint", bad,
+                         "--text", "a movie"]) == 2
+        captured = capsys.readouterr()
+        assert captured.err.count("head.w is not finite") == 2
+        assert "nan" not in captured.out
         assert sorted(os.listdir(out)) == ["vocab.txt"]
 
     def test_unknown_task_exits_2(self, pipeline, tmp_path, capsys):

@@ -133,7 +133,7 @@ def unfused_block(x, params, layer, config, mask, training=False, rng=None):
     """``attention_block`` as the generic ops compose it: the reference of
     the fused ``linear``, ``attention`` and ``add_layer_norm``."""
     prefix = f"layer.{layer}"
-    a, d = config.heads, config.head_width
+    a, d = config.heads, config.hidden // config.heads
     lead, n = x.shape[:-2], x.shape[-2]
     heads_first = tuple(range(len(lead))) + (len(lead) + 1, len(lead), len(lead) + 2)
 

@@ -1,8 +1,16 @@
 import numpy as np
 import pytest
+from test_classify import tiny_setup
+from test_pretrain import batch_from, letter_vocab, sentence_corpus
 
+from treesent import autodiff as ad
+from treesent import classify as cl
+from treesent import encoder as enc
+from treesent import pretrain as pt
+from treesent import tokenizer as tok
 from treesent.autodiff import Tensor
 from treesent.optim import BETAS, EPS, WEIGHT_DECAY, AdamW, make_rng
+from treesent.treebank import extract_phrases
 
 
 def lr_per_step(opt, steps):
@@ -11,7 +19,8 @@ def lr_per_step(opt, steps):
 
 class ReferenceAdamW:
     """The per-tensor update the arena replaced: a loop over the tensors,
-    a dozen temporaries each. Its parameters, ``m`` and ``v`` are the
+    a dozen temporaries each, reading the gradient arrays autodiff
+    allocates for each leaf. Its parameters, ``m`` and ``v`` are the
     oracle the arena must match bit for bit."""
 
     def __init__(self, params, lr, total_steps=None):
@@ -28,8 +37,6 @@ class ReferenceAdamW:
         bc1 = 1.0 - b1**self.t
         bc2 = 1.0 - b2**self.t
         for name, p in self.params.items():
-            if p.grad is None:
-                continue
             g = p.grad
             m = self.m[name]
             v = self.v[name]
@@ -41,8 +48,12 @@ class ReferenceAdamW:
             update = update + WEIGHT_DECAY * p.data
             p.data -= (lr * update).astype(p.data.dtype)
 
+    def zero_grad(self):
+        for p in self.params.values():
+            p.grad = None
 
-SHAPES = {"emb": (13, 8), "ln.g": (8,), "w": (8, 3, 2), "skip": (5,), "b": (3,),
+
+SHAPES = {"emb": (13, 8), "ln.g": (8,), "w": (8, 3, 2), "ln.b": (5,), "b": (3,),
           "scalar": (), "empty": (0, 4), "tail": (7, 7)}
 
 
@@ -72,16 +83,32 @@ def test_constant_lr_without_a_schedule():
     assert lr_per_step(AdamW({}, 0.3), 50) == [0.3] * 50
 
 
-def test_parameter_without_gradient_is_left_alone():
+def test_unreached_parameter_gets_a_zero_gradient():
     p = Tensor(np.ones(3, dtype=np.float32), requires_grad=True)
     q = Tensor(np.ones(3, dtype=np.float32), requires_grad=True)
     opt = AdamW({"p": p, "q": q}, 0.1)
-    p.grad = np.zeros(3, dtype=np.float32)
+    opt.zero_grad()
+    ad.backward(ad.tensor_sum(p))  # the loss does not reach q
     opt.step()
-    # a zero gradient still decays p; q had no gradient and is untouched
-    np.testing.assert_allclose(p.data, 1.0 - 0.1 * WEIGHT_DECAY, rtol=1e-6)
-    np.testing.assert_array_equal(q.data, np.ones(3, dtype=np.float32))
+    # q keeps the zero gradient zero_grad gave it, PyTorch's set_to_none=False
+    # rule: the step still decays q, and its m and v stay zero
+    np.testing.assert_array_equal(q.grad, 0.0)
+    np.testing.assert_allclose(q.data, 1.0 - 0.1 * WEIGHT_DECAY, rtol=1e-6)
     assert not opt.m["q"].any() and not opt.v["q"].any()
+    assert (p.data < q.data).all()
+
+
+def test_step_refuses_a_missing_gradient():
+    params, _ = twin_params(9)
+    opt = AdamW(params, 0.1)
+    before = opt.arena.copy()
+    with pytest.raises(RuntimeError, match="parameter emb has no gradient"):
+        opt.step()  # no zero_grad yet, so every grad is None
+    opt.zero_grad()
+    params["b"].grad = None
+    with pytest.raises(RuntimeError, match="parameter b has no gradient"):
+        opt.step()
+    assert opt.t == 0 and opt.arena.tobytes() == before.tobytes()
 
 
 @pytest.mark.parametrize("total_steps", [None, 12])
@@ -91,24 +118,26 @@ def test_arena_matches_per_tensor_reference(total_steps):
     ref = ReferenceAdamW(theirs, 3e-2, total_steps=total_steps)
     rng = make_rng(6)
     for step in range(12):
-        # "skip" never has a gradient; "b" misses every third step, which
-        # splits the update into several runs; the gradients are fresh
-        # arrays, of any memory layout, that both optimizers read
+        # on odd steps the gradients are fresh arrays, of any memory layout,
+        # that the step copies in; on even steps they are added into the
+        # views zero_grad hands out, as a backward pass adds them
+        if step % 2 == 0:
+            opt.zero_grad()
         for name, shape in SHAPES.items():
-            if name == "skip" or (name == "b" and step % 3 == 0):
-                mine[name].grad = theirs[name].grad = None
-                continue
             g = (rng.standard_normal(shape[::-1]).astype(np.float32).T
                  * np.float32(10.0 ** (step % 4 - 2)))
-            mine[name].grad, theirs[name].grad = g, g.copy()
+            theirs[name].grad = g.copy()
+            if step % 2 == 0:
+                mine[name].grad += g
+            else:
+                mine[name].grad = g
         opt.step()
         ref.step()
         for name in SHAPES:
+            assert_bitwise_equal(mine[name].grad, theirs[name].grad)
             assert_bitwise_equal(mine[name].data, theirs[name].data)
             assert_bitwise_equal(opt.m[name], ref.m[name])
             assert_bitwise_equal(opt.v[name], ref.v[name])
-    assert not opt.m["skip"].any() and not opt.v["skip"].any()
-    assert opt.m["b"].any()
 
 
 def test_parameters_are_views_of_one_arena():
@@ -138,17 +167,88 @@ def test_float64_parameters_get_a_float64_arena():
 def test_step_refuses_a_rebound_parameter():
     params, _ = twin_params(8)
     opt = AdamW(params, 0.1)
+    opt.zero_grad()
     params["w"].data = params["w"].data.copy()  # detaches w from the arena
-    params["emb"].grad = np.ones(SHAPES["emb"], dtype=np.float32)
     with pytest.raises(RuntimeError, match="parameter w"):
         opt.step()
     # writing into the view is the way to replace values
     params, _ = twin_params(8)
     opt = AdamW(params, 0.1)
+    opt.zero_grad()
     params["w"].data[...] = 0.5
     params["w"].grad = np.ones(SHAPES["w"], dtype=np.float32)
     opt.step()
     assert (params["w"].data < 0.5).all()
+
+
+# Whole words past the one-hot threshold, so that the token table's gradient
+# takes embedding_lookup's scatter into the leaf's array
+WORDS = [f"w{i}" for i in range(ad._ONE_HOT_MAX_ROWS)]
+
+
+def pretrain_twins(optimizer):
+    """A tiny pretraining state with dropout, trained by ``optimizer``,
+    and one masked batch of pairs over the whole-word vocab."""
+    vocab = tok.Vocab(letter_vocab().tokens + WORDS)
+    cfg = enc.ModelConfig(layers=1, hidden=16, heads=2, intermediate=32,
+                          vocab_size=len(vocab), max_positions=16, dropout_p=0.1)
+    state = pt.init_pretrain_state(cfg, len(vocab), 0, pt.PretrainConfig(lr=1e-2, seed=0))
+    state.optimizer = optimizer(state.params, 1e-2, total_steps=10)
+    rng = make_rng(10)
+    corpus = sentence_corpus([" ".join(rng.choice(WORDS, 5)) for _ in range(6)])
+    return state, batch_from(corpus, vocab, rng, max_len=16)
+
+
+def train_one_step(kind, optimizer, synth_corpora, monkeypatch):
+    """One real training step of ``kind`` whose optimizer is ``optimizer``;
+    returns that optimizer."""
+    made = []
+
+    def recording(*args, **kwargs):
+        made.append(optimizer(*args, **kwargs))
+        return made[-1]
+
+    if kind == "pretrain":
+        state, batch = pretrain_twins(recording)
+        pt.pretrain_step(state, batch, make_rng(11))
+    else:
+        vocab, cfg, params = tiny_setup(dropout_p=0.1)
+        train = [r for t in synth_corpora[0].trees for r in extract_phrases(t)][:24]
+        dev = [r for t in synth_corpora[1].trees for r in extract_phrases(t)][:5]
+        hyper = cl.FinetuneConfig(epochs=1, batch_size=32, lr=1e-2, head_lr=1e-2, seed=3,
+                                  max_len=16, freeze_encoder=kind == "frozen")
+        monkeypatch.setattr(cl, "AdamW", recording)
+        cl.finetune(train, dev, params, cfg, vocab, "sst5", hyper)
+    (opt,) = made
+    return opt
+
+
+KINDS = ["pretrain", "finetune", "frozen"]
+
+
+@pytest.mark.parametrize("kind", KINDS)
+def test_backward_accumulates_into_the_arena(kind, synth_corpora, monkeypatch):
+    # after zero_grad and a real step's backward pass each trained grad is
+    # the optimizer's own view: no leaf gradient lives outside the arena
+    opt = train_one_step(kind, AdamW, synth_corpora, monkeypatch)
+    for p, view in zip(opt.params.values(), opt._grad_views):
+        assert p.grad is view and np.shares_memory(view, opt._grad)
+
+
+@pytest.mark.parametrize("kind", KINDS)
+def test_training_step_matches_the_per_tensor_reference(kind, synth_corpora, monkeypatch):
+    opt = train_one_step(kind, AdamW, synth_corpora, monkeypatch)
+    ref = train_one_step(kind, ReferenceAdamW, synth_corpora, monkeypatch)
+    assert opt.params.keys() == ref.params.keys()
+    for name, p in opt.params.items():
+        q = ref.params[name]
+        # every trained tensor has a gradient, and a nonzero one
+        assert q.grad is not None and q.grad.any(), name
+        # p.grad still reads the backward pass's gradient after the step
+        assert_bitwise_equal(p.grad, q.grad)
+        assert_bitwise_equal(p.data, q.data)
+        assert_bitwise_equal(opt.m[name], ref.m[name])
+        assert_bitwise_equal(opt.v[name], ref.v[name])
 
 
 @pytest.mark.parametrize("seed", [0, 7])

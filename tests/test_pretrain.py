@@ -136,7 +136,7 @@ def reference_mask_tokens(seq, rate, rng, vocab):
     positions = [i for i in range(seq.n_real) if int(seq.ids[i]) not in special]
     words = []
     for i in positions:
-        piece = vocab.token_of(int(seq.ids[i]))
+        piece = vocab.tokens[int(seq.ids[i])]
         if piece.startswith("##") and words and words[-1][-1] == i - 1:
             words[-1].append(i)
         else:
@@ -189,7 +189,7 @@ class TestMaskTokensOracle:
             seen["forced"] += forced
             seen["single"] += n_maskable == 1
             seen["cont_after_special"] += any(
-                vocab.token_of(int(ids[i])).startswith("##")
+                vocab.tokens[int(ids[i])].startswith("##")
                 and int(ids[i - 1]) in (vocab.cls_id, vocab.sep_id)
                 for i in range(1, len(ids)))
         assert checked >= 1000
