@@ -99,13 +99,13 @@ def save_checkpoint(path, config: ModelConfig, params: dict, provenance: dict):
             fh.write(payload)
 
 
-def load_checkpoint(path, expect_extra=()):
+def load_checkpoint(path):
     """Read (config, params, provenance), validating shapes against config.
 
-    Names outside the encoder scheme must be listed in ``expect_extra``
-    (e.g. ``head.w``, ``mlm.b``); only their byte counts are checked here,
-    so their shapes are the caller's to check. A tensor that is not finite
-    is refused, as ``save_checkpoint`` refuses to write one.
+    Besides the encoder's, the tensors a checkpoint may hold are the
+    pretraining heads ``mlm.b`` (V,), ``nsp.w`` (H, 2) and ``nsp.b`` (2,)
+    and a classifier head, ``head.w`` (H, k) with ``head.b`` (k,). Any other
+    tensor, or one that is not finite, is refused.
     """
     with open(path, "rb") as fh:
         if fh.read(4) != MAGIC:
@@ -134,16 +134,18 @@ def load_checkpoint(path, expect_extra=()):
                 raise CheckpointError(f"{path}: tensor {name} is not finite")
             params[name] = Tensor(data.copy(), requires_grad=True)
 
-    expected = param_shapes(config)
+    if ("head.w" in params) != ("head.b" in params):
+        raise CheckpointError(f"{path} holds only one of head.w and head.b")
+    h, k = config.hidden, (params["head.b"].data.size if "head.b" in params else 0)
+    expected = {**param_shapes(config), "mlm.b": (config.vocab_size,), "nsp.w": (h, 2),
+                "nsp.b": (2,), "head.w": (h, k), "head.b": (k,)}
     for name, tensor in params.items():
-        if name in expected:
-            if tensor.shape != expected[name]:
-                raise CheckpointError(
-                    f"{path}: tensor {name} has shape {tensor.shape}, "
-                    f"config requires {expected[name]}")
-        elif name not in expect_extra:
+        if name not in expected:
             raise CheckpointError(f"{path}: unexpected tensor {name}")
-    missing = set(expected) - set(params)
+        if tensor.shape != expected[name]:
+            raise CheckpointError(f"{path}: tensor {name} has shape {tensor.shape}, "
+                                  f"config requires {expected[name]}")
+    missing = set(param_shapes(config)) - set(params)
     if missing:
         raise CheckpointError(f"{path}: missing tensors {sorted(missing)[:5]}")
     return config, params, provenance

@@ -149,15 +149,37 @@ def predict_texts(texts, params, config, vocab, max_len, batch_size=64):
                                  params)
 
 
+def _labeled(records, task):
+    """(record, label) for each record that ``task`` labels."""
+    return [(r, y) for r in records if (y := project_label(r.label, task)) is not None]
+
+
+def _score(records, cells, params, config, vocab, max_len) -> EvalReport:
+    """Accuracy over ``records`` of each (task, scope) cell; the cells share the head's task.
+
+    Only the nodes the cells read are predicted (roots alone when every
+    scope is ``root``), each distinct text once; an empty cell reports n=0.
+    """
+    report = EvalReport()
+    if not cells:
+        return report
+    if all(scope == "root" for _, scope in cells):
+        records = [r for r in records if r.is_root]
+    labeled = _labeled(records, cells[0][0])
+    distinct = list(dict.fromkeys(r.text for r, _ in labeled))
+    by_text = dict(zip(distinct, predict_texts(distinct, params, config, vocab, max_len)))
+    for task, scope in cells:
+        scored = [(by_text[r.text].label, y) for r, y in labeled if scope == "all" or r.is_root]
+        acc = accuracy([p for p, _ in scored], [y for _, y in scored]) if scored else 0.0
+        report.cells[(task, scope)] = (len(scored), acc)
+    return report
+
+
 def _dev_root_accuracy(dev_records, params, config, vocab, max_len, task):
     """Accuracy on the dev roots that ``task`` labels, or None if there are none."""
-    roots = [r for r in dev_records if r.is_root]
-    pairs = [(r, project_label(r.label, task)) for r in roots]
-    pairs = [(r, y) for r, y in pairs if y is not None]
-    if not pairs:
-        return None
-    preds = predict_texts([r.text for r, _ in pairs], params, config, vocab, max_len)
-    return accuracy([p.label for p in preds], [y for _, y in pairs])
+    report = _score(dev_records, [(task, "root")], params, config, vocab, max_len)
+    n, acc = report.cells[(task, "root")]
+    return acc if n else None
 
 
 def _bucketed_batches(lengths, batch_size, rng):
@@ -201,8 +223,7 @@ def finetune(train_records, dev_records, params, config, vocab, task: str,
     if task not in TASK_CLASSES:
         raise LabelSpaceMismatchError(f"unknown task {task!r}")
     k = TASK_CLASSES[task]
-    labeled = [(r, project_label(r.label, task)) for r in train_records]
-    labeled = [(r, y) for r, y in labeled if y is not None]
+    labeled = _labeled(train_records, task)
     if not labeled:
         raise EmptyTrainingSetError("no usable training samples after label projection")
 
@@ -273,31 +294,5 @@ def evaluate(params, config, vocab, corpora, cells, max_len=64) -> EvalReport:
     for task, _ in cells:
         if TASK_CLASSES.get(task) != k:
             raise LabelSpaceMismatchError(f"cell task {task} does not fit a {k}-class head")
-    report = EvalReport()
-    if not cells:
-        return report
-    task = cells[0][0]
-
-    records = []
-    for corpus in corpora:
-        for tree in corpus.trees:
-            records.extend(extract_phrases(tree))
-
-    golds = [project_label(r.label, task) for r in records]
-    usable = [(r, y) for r, y in zip(records, golds) if y is not None]
-    # phrase texts recur across node occurrences: predict each distinct one once
-    distinct = list(dict.fromkeys(r.text for r, _ in usable))
-    by_text = dict(zip(distinct, predict_texts(distinct, params, config, vocab, max_len)))
-    preds = [by_text[r.text] for r, _ in usable]
-
-    for task, scope in cells:
-        if scope == "root":
-            triple = [(p, y) for p, (r, y) in zip(preds, usable) if r.is_root]
-        else:
-            triple = list(zip(preds, [y for _, y in usable]))
-        if not triple:
-            report.cells[(task, scope)] = (0, 0.0)
-            continue
-        acc = accuracy([p.label for p, _ in triple], [y for _, y in triple])
-        report.cells[(task, scope)] = (len(triple), acc)
-    return report
+    records = [r for corpus in corpora for tree in corpus.trees for r in extract_phrases(tree)]
+    return _score(records, cells, params, config, vocab, max_len)

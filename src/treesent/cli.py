@@ -41,7 +41,6 @@ EXIT_NUMERIC = 3
 
 SPLITS = ("train", "dev", "test")
 PRETRAIN_HEADS = ("mlm.b", "nsp.w", "nsp.b")  # eval and predict never read these
-HEAD_EXTRAS = ("head.w", "head.b") + PRETRAIN_HEADS
 OVERRIDES = (("run", "seed"), ("model", "preset"), ("run", "task"), ("run", "scope"))
 
 
@@ -110,13 +109,13 @@ class RunConfig:
     max_len: int = _key("model", "max_len", _number(int, 2), default=32)  # [CLS] w [SEP]
     pretrain_epochs: int = _key("pretrain", "epochs", _number(int, -1), default=3)
     pretrain_batch_size: int = _key("pretrain", "batch_size", _number(int, 0), default=16)
-    pretrain_lr: float = _key("pretrain", "lr", float, default=1e-4)
+    pretrain_lr: float = _key("pretrain", "lr", _number(float, 0), default=1e-4)
     mask_rate: float = _key("pretrain", "mask_rate", _number(float, 0, 1), default=0.15)
     pretrain_max_steps: int | None = _key("pretrain", "max_steps", _number(int, -1), default=None)
     finetune_epochs: int = _key("finetune", "epochs", _number(int, -1), default=3)
     finetune_batch_size: int = _key("finetune", "batch_size", _number(int, 0), default=32)
-    finetune_lr: float = _key("finetune", "lr", float, default=2e-5)
-    head_lr: float = _key("finetune", "head_lr", float, default=1e-3)
+    finetune_lr: float = _key("finetune", "lr", _number(float, 0), default=2e-5)
+    head_lr: float = _key("finetune", "head_lr", _number(float, 0), default=1e-3)
     freeze_encoder: bool = _key("finetune", "freeze_encoder", _bool, default=False)
     seed: int = _key("run", "seed", _number(int, -1, 2**128), default=0)  # a Philox key
     task: str = _key("run", "task", _choice(*classify.TASK_CLASSES), default="sst5")
@@ -124,8 +123,8 @@ class RunConfig:
 
     @classmethod
     def load(cls, path, overrides=()):
-        """Read ``path`` and ``(section, key, text)`` overrides through the
-        field parsers; a missing or rejected value is a UsageError."""
+        """Read ``path`` and ``(section, key, text)`` overrides; an unknown section
+        or key, a missing required key or a value its parser refuses is a UsageError."""
         if not os.path.exists(path):
             raise UsageError(f"config file not found: {path}")
         parser = configparser.ConfigParser(inline_comment_prefixes=("#",))
@@ -135,6 +134,14 @@ class RunConfig:
                 parser.read_dict({section: {key: text}})
         except (ValueError, configparser.Error) as exc:
             raise UsageError(f"cannot read {path}: {exc}") from exc
+        known = {f.metadata["ini"][:2] for f in fields(cls)}
+        sections = {section for section, _ in known} | {parser.default_section}
+        for section, keys in parser.items():  # [DEFAULT] first: its keys are refused as its own
+            for key in keys:
+                if (section, key) not in known:
+                    raise UsageError(f"unknown config key [{section}] {key}")
+            if section not in sections:
+                raise UsageError(f"unknown config section [{section}]")
         values = {}
         for f in fields(cls):
             section, key, parse = f.metadata["ini"]
@@ -245,13 +252,13 @@ def _provenance(cfg, step, vocab, command):
 
 def _load_checkpoint(cfg, path, vocab):
     """``load_checkpoint``, refusing a checkpoint trained on another vocab,
-    for an unknown task, with head tensors of the wrong shape, or with
-    fewer position embeddings than ``[model] max_len`` needs.
+    for an unknown task, with a head of the wrong class count for its task,
+    or with fewer position embeddings than ``[model] max_len`` needs.
 
     A checkpoint without a stored fingerprint (written before they were
     recorded) is accepted as it stands.
     """
-    model_cfg, params, prov = load_checkpoint(path, expect_extra=HEAD_EXTRAS)
+    model_cfg, params, prov = load_checkpoint(path)
     stored = prov.get("vocab_sha256")
     if stored is not None and stored != _vocab_sha256(vocab):
         raise DataError(f"{path} was trained with a different vocab than {cfg.vocab_path}")
@@ -261,15 +268,10 @@ def _load_checkpoint(cfg, path, vocab):
     task = prov.get("task", cfg.task)
     if task not in classify.TASK_CLASSES:
         raise DataError(f"{path} was fine-tuned for an unknown task {task!r}")
-    if ("head.w" in params) != ("head.b" in params):
-        raise DataError(f"{path} holds only one of head.w and head.b")
-    h, k = model_cfg.hidden, classify.TASK_CLASSES[task]
-    shapes = {"head.w": (h, k), "head.b": (k,), "mlm.b": (model_cfg.vocab_size,),
-              "nsp.w": (h, 2), "nsp.b": (2,)}
-    for name, shape in shapes.items():
-        if name in params and params[name].shape != shape:
-            raise DataError(f"{path}: tensor {name} has shape {params[name].shape}, "
-                            f"its config and task {task} need {shape}")
+    k = classify.TASK_CLASSES[task]
+    if "head.b" in params and params["head.b"].shape != (k,):
+        raise DataError(f"{path} holds a {params['head.b'].shape[0]}-class head; "
+                        f"task {task} needs {k}")
     return model_cfg, params, prov
 
 

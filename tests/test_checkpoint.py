@@ -16,6 +16,16 @@ def fresh_params(seed=0):
     return enc.init_params(CFG, make_rng(seed))
 
 
+def with_heads(params, k):
+    """``params`` plus the pretraining heads and a ``k``-class classifier head."""
+    shapes = {"mlm.b": (CFG.vocab_size,), "nsp.w": (CFG.hidden, 2), "nsp.b": (2,),
+              "head.w": (CFG.hidden, k), "head.b": (k,)}
+    rng = make_rng(k)
+    for name, shape in shapes.items():
+        params[name] = Tensor(rng.normal(size=shape).astype(np.float32), requires_grad=True)
+    return params
+
+
 def save_non_finite(path, config, params, name, value, provenance=None):
     """Save ``params`` with ``value`` (NaN or inf) as the first element of
     tensor ``name``. ``save_checkpoint`` refuses to write that, so a finite
@@ -52,14 +62,14 @@ class TestRoundTrip:
         ck.save_checkpoint(p2, CFG, loaded, prov)
         assert p1.read_bytes() == p2.read_bytes()
 
-    def test_extra_tensors_roundtrip_when_declared(self, tmp_path):
-        params = fresh_params(2)
-        params["head.w"] = Tensor(np.ones((16, 5), dtype=np.float32), requires_grad=True)
-        params["head.b"] = Tensor(np.zeros(5, dtype=np.float32), requires_grad=True)
+    def test_head_tensors_roundtrip(self, tmp_path):
+        params = with_heads(fresh_params(2), 5)
         path = tmp_path / "head.ckpt"
         ck.save_checkpoint(path, CFG, params, {})
-        _, loaded, _ = ck.load_checkpoint(path, expect_extra=("head.w", "head.b"))
-        np.testing.assert_array_equal(loaded["head.w"].data, params["head.w"].data)
+        _, loaded, _ = ck.load_checkpoint(path)
+        assert set(loaded) == set(params)
+        for name in params:
+            np.testing.assert_array_equal(loaded[name].data, params[name].data)
 
     def test_file_starts_with_magic_and_version(self, tmp_path):
         path = tmp_path / "m.ckpt"
@@ -162,11 +172,31 @@ class TestRejection:
         with pytest.raises(ck.CheckpointError, match="missing"):
             ck.load_checkpoint(path)
 
-    def test_undeclared_extra_tensor(self, tmp_path):
+    def test_unknown_tensor(self, tmp_path):
         params = fresh_params()
         params["surprise"] = Tensor(np.zeros(3, dtype=np.float32), requires_grad=True)
         path = tmp_path / "x.ckpt"
         ck.save_checkpoint(path, CFG, params, {})
-        with pytest.raises(ck.CheckpointError, match="unexpected"):
+        with pytest.raises(ck.CheckpointError, match="unexpected tensor surprise"):
             ck.load_checkpoint(path)
-        ck.load_checkpoint(path, expect_extra=("surprise",))
+
+    @pytest.mark.parametrize("name, shape", [
+        ("mlm.b", (CFG.vocab_size + 1,)), ("nsp.w", (CFG.hidden, 3)), ("nsp.b", (2, 1)),
+        ("head.w", (CFG.hidden + 1, 5)), ("head.w", (CFG.hidden, 4)), ("head.b", (5, 1)),
+    ])
+    def test_wrong_shaped_head(self, tmp_path, name, shape):
+        params = with_heads(fresh_params(), 5)
+        params[name] = Tensor(np.zeros(shape, dtype=np.float32))
+        path = tmp_path / "h.ckpt"
+        ck.save_checkpoint(path, CFG, params, {})
+        with pytest.raises(ck.CheckpointError, match=f"tensor {name} has shape"):
+            ck.load_checkpoint(path)
+
+    @pytest.mark.parametrize("name", ["head.w", "head.b"])
+    def test_half_a_head(self, tmp_path, name):
+        params = with_heads(fresh_params(), 2)
+        del params[name]
+        path = tmp_path / "half.ckpt"
+        ck.save_checkpoint(path, CFG, params, {})
+        with pytest.raises(ck.CheckpointError, match="only one of head.w and head.b"):
+            ck.load_checkpoint(path)

@@ -1,3 +1,5 @@
+import zlib
+
 import numpy as np
 import pytest
 
@@ -466,3 +468,117 @@ class TestEvaluate:
         import json
 
         assert json.loads(report.to_json())["cells"]["sst2/root"]["accuracy"] is None
+
+
+# The two scoring paths that ``_score`` serves, kept as references: the dev
+# check projected and predicted the dev roots on its own, and ``evaluate``
+# predicted every labeled node whatever the requested scopes.
+def reference_dev_root_accuracy(dev_records, params, config, vocab, max_len, task):
+    roots = [r for r in dev_records if r.is_root]
+    pairs = [(r, cl.project_label(r.label, task)) for r in roots]
+    pairs = [(r, y) for r, y in pairs if y is not None]
+    if not pairs:
+        return None
+    preds = cl.predict_texts([r.text for r, _ in pairs], params, config, vocab, max_len)
+    return cl.accuracy([p.label for p in preds], [y for _, y in pairs])
+
+
+def reference_evaluate(params, config, vocab, corpora, cells, max_len=64):
+    k = params["head.b"].shape[0]
+    for task, _ in cells:
+        if cl.TASK_CLASSES.get(task) != k:
+            raise cl.LabelSpaceMismatchError(f"cell task {task} does not fit a {k}-class head")
+    report = cl.EvalReport()
+    if not cells:
+        return report
+    task = cells[0][0]
+    records = []
+    for corpus in corpora:
+        for tree in corpus.trees:
+            records.extend(extract_phrases(tree))
+    golds = [cl.project_label(r.label, task) for r in records]
+    usable = [(r, y) for r, y in zip(records, golds) if y is not None]
+    distinct = list(dict.fromkeys(r.text for r, _ in usable))
+    by_text = dict(zip(distinct, cl.predict_texts(distinct, params, config, vocab, max_len)))
+    preds = [by_text[r.text] for r, _ in usable]
+    for task, scope in cells:
+        if scope == "root":
+            triple = [(p, y) for p, (r, y) in zip(preds, usable) if r.is_root]
+        else:
+            triple = list(zip(preds, [y for _, y in usable]))
+        if not triple:
+            report.cells[(task, scope)] = (0, 0.0)
+            continue
+        acc = cl.accuracy([p.label for p, _ in triple], [y for _, y in triple])
+        report.cells[(task, scope)] = (len(triple), acc)
+    return report
+
+
+def recording_predictor(sent):
+    """A predictor whose label is a fixed function of the text, so every
+    path gets the same answer for a text however it batches; each call's
+    texts are appended to ``sent``."""
+    def predict(texts, params, config, vocab, max_len, batch_size=64):
+        sent.append(list(texts))
+        k = params["head.b"].shape[0]
+        return [cl.Prediction(probs=np.eye(k)[zlib.crc32(t.encode()) % k],
+                              label=zlib.crc32(t.encode()) % k) for t in texts]
+    return predict
+
+
+def neutral_roots_corpus():
+    from treesent.treebank import Corpus
+
+    trees = ("(2 (3 ab) (1 cd))", "(2 (4 ef) (2 gh))", "(2 (0 ab) (2 ij))")
+    return Corpus(split="test", trees=tuple(parse_tree(t) for t in trees))
+
+
+class TestScoringPath:
+    @pytest.mark.parametrize("task", ["sst5", "sst2"])
+    @pytest.mark.parametrize("scopes", [("all",), ("root",), ("all", "root"), ("root", "all")])
+    @pytest.mark.parametrize("neutral", [False, True])
+    def test_matches_the_reference_paths(self, synth_corpora, monkeypatch, task, scopes,
+                                         neutral):
+        vocab, cfg, params = tiny_setup()
+        params.update(zero_head(cl.TASK_CLASSES[task]))
+        corpora = [neutral_roots_corpus()] if neutral else synth_corpora[1:]
+        cells = [(task, scope) for scope in scopes]
+        monkeypatch.setattr(cl, "predict_texts", recording_predictor([]))
+        got = cl.evaluate(params, cfg, vocab, corpora, cells, max_len=16)
+        want = reference_evaluate(params, cfg, vocab, corpora, cells, max_len=16)
+        assert got.cells == want.cells and set(got.cells) == set(cells)
+        if neutral and task == "sst2" and "root" in scopes:
+            assert got.cells[(task, "root")] == (0, 0.0)
+        records = [r for c in corpora for t in c.trees for r in extract_phrases(t)]
+        assert (cl._dev_root_accuracy(records, params, cfg, vocab, 16, task)
+                == reference_dev_root_accuracy(records, params, cfg, vocab, 16, task))
+
+    def test_all_neutral_dev_roots_score_none(self):
+        vocab, cfg, params = tiny_setup()
+        params.update(zero_head(2))
+        records = [r for t in neutral_roots_corpus().trees for r in extract_phrases(t)]
+        assert cl._dev_root_accuracy(records, params, cfg, vocab, 16, "sst2") is None
+
+    def test_root_scope_predicts_roots_only(self, synth_corpora, monkeypatch):
+        vocab, cfg, params = tiny_setup()
+        params.update(zero_head(5))
+        sent = []
+        monkeypatch.setattr(cl, "predict_texts", recording_predictor(sent))
+        corpus = synth_corpora[2]
+        report = cl.evaluate(params, cfg, vocab, [corpus], [("sst5", "root")], max_len=16)
+        roots = [tree.span_text for tree in corpus.trees]
+        assert sent == [list(dict.fromkeys(roots))]
+        assert report.cells[("sst5", "root")][0] == len(roots)
+
+    def test_dev_roots_sharing_a_text_are_predicted_once(self, monkeypatch):
+        vocab, cfg, params = tiny_setup()
+        params.update(zero_head(5))
+        sent = []
+        monkeypatch.setattr(cl, "predict_texts", recording_predictor(sent))
+        trees = ("(3 (3 ab) (2 cd))", "(1 (3 ab) (2 cd))", "(4 ef)")
+        records = [r for t in trees for r in extract_phrases(parse_tree(t))]
+        acc = cl._dev_root_accuracy(records, params, cfg, vocab, 16, "sst5")
+        assert sent == [["ab cd", "ef"]]
+        golds = [3, 1, 4]
+        labels = [zlib.crc32(t.encode()) % 5 for t in ("ab cd", "ab cd", "ef")]
+        assert acc == sum(p == g for p, g in zip(labels, golds)) / 3

@@ -10,7 +10,7 @@ import numpy as np
 import pytest
 from test_checkpoint import save_non_finite
 
-from treesent import classify, cli, encoder, synth
+from treesent import classify, cli, encoder, synth, treebank
 from treesent import pretrain as pt
 from treesent import tokenizer as tok
 from treesent.autodiff import Tensor
@@ -147,8 +147,7 @@ class TestVocab:
 class TestPretrain:
     def test_checkpoint_and_loss_curve(self, pipeline):
         out = pipeline["out"]
-        config, params, prov = load_checkpoint(
-            os.path.join(out, "pretrain.ckpt"), expect_extra=cli.HEAD_EXTRAS)
+        config, params, prov = load_checkpoint(os.path.join(out, "pretrain.ckpt"))
         assert config.layers == 2 and config.hidden == 64
         assert prov["step"] == 3
         rows = open(os.path.join(out, "pretrain_loss.csv")).read().splitlines()
@@ -179,12 +178,12 @@ class TestPretrain:
             argv += ["--resume", os.path.join(pipeline["out"], "pretrain.ckpt")]
         assert cli.main(argv) == 0
         assert steps == saved
-        _, _, prov = load_checkpoint(str(out / "pretrain.ckpt"), expect_extra=cli.HEAD_EXTRAS)
+        _, _, prov = load_checkpoint(str(out / "pretrain.ckpt"))
         assert prov["step"] == saved[-1]
 
     def test_resume_trains_the_loaded_parameters(self, pipeline, tmp_path, monkeypatch):
         start = os.path.join(pipeline["out"], "pretrain.ckpt")  # step 3 of seed 3
-        _, loaded, _ = load_checkpoint(start, expect_extra=cli.HEAD_EXTRAS)
+        _, loaded, _ = load_checkpoint(start)
         cfg, out = scratch_config(pipeline, tmp_path, max_steps=5)
         states = []
 
@@ -194,8 +193,7 @@ class TestPretrain:
 
         monkeypatch.setattr(cli.pt, "pretrain", recording)
         assert cli.main(["pretrain", "--config", cfg, "--resume", start]) == 0
-        _, saved, prov = load_checkpoint(str(out / "pretrain.ckpt"),
-                                         expect_extra=cli.HEAD_EXTRAS)
+        _, saved, prov = load_checkpoint(str(out / "pretrain.ckpt"))
         assert prov["step"] == 5
         (state,) = states
         opt = state.optimizer
@@ -214,16 +212,14 @@ class TestPretrain:
 class TestFinetuneEval:
     def test_finetuned_checkpoint_has_head(self, pipeline):
         out = pipeline["out"]
-        _, params, prov = load_checkpoint(
-            os.path.join(out, "finetune_sst5.ckpt"), expect_extra=cli.HEAD_EXTRAS)
+        _, params, prov = load_checkpoint(os.path.join(out, "finetune_sst5.ckpt"))
         assert "head.w" in params and "head.b" in params
         assert params["head.w"].shape == (64, 5)
         assert prov["task"] == "sst5"
 
     def test_finetuned_checkpoint_holds_encoder_and_head_only(self, pipeline):
         # the pretraining heads (mlm.b, nsp.*) are dropped before training
-        config, params, _ = load_checkpoint(
-            os.path.join(pipeline["out"], "finetune_sst5.ckpt"), expect_extra=cli.HEAD_EXTRAS)
+        config, params, _ = load_checkpoint(os.path.join(pipeline["out"], "finetune_sst5.ckpt"))
         assert set(params) == set(encoder.param_shapes(config)) | {"head.w", "head.b"}
 
     def test_no_scorable_dev_root_is_reported(self, pipeline, tmp_path, capsys):
@@ -250,6 +246,25 @@ class TestFinetuneEval:
             assert cell["n"] == int(n)
             assert f"{100 * cell['accuracy']:.1f}" == shown
         assert payload["cells"]["sst5/root"]["n"] == 15
+
+    def test_root_scope_predicts_root_texts_only(self, pipeline, tmp_path, monkeypatch):
+        cfg, out = scratch_config(pipeline, tmp_path)
+        sent = []
+        predict_texts = classify.predict_texts
+
+        def counting(texts, *args, **kwargs):
+            sent.extend(texts)
+            return predict_texts(texts, *args, **kwargs)
+
+        monkeypatch.setattr(classify, "predict_texts", counting)
+        fine = os.path.join(pipeline["out"], "finetune_sst5.ckpt")
+        assert cli.main(["eval", "--config", cfg, "--scope", "root", "--checkpoint", fine]) == 0
+        test = treebank.load_corpus(os.path.join(pipeline["data"], "test.txt"), "test")
+        roots = [tree.span_text for tree in test.trees]
+        assert sorted(sent) == sorted(set(roots)) and len(roots) == 15
+        cells = json.load(open(out / "report_sst5.json"))["cells"]
+        both = json.load(open(os.path.join(pipeline["out"], "report_sst5.json")))["cells"]
+        assert cells == {"sst5/root": both["sst5/root"]}
 
     def test_eval_missing_checkpoint(self, pipeline, capsys):
         assert cli.main(["eval", "--config", pipeline["cfg"], "--force",
@@ -370,7 +385,7 @@ class TestRecords:
                 (["finetune", "--config", cfg, "--init", init, "--task", "sst5", "--scope", "root"],
                  "finetune_sst5.ckpt", "finetune --task sst5 --scope root")):
             assert cli.main(argv) == 0
-            _, _, prov = load_checkpoint(str(out / ckpt), expect_extra=cli.HEAD_EXTRAS)
+            _, _, prov = load_checkpoint(str(out / ckpt))
             assert prov["command"] == command
 
     def test_eval_config_copy_holds_the_checkpoint_task(self, pipeline, tmp_path):
@@ -467,8 +482,7 @@ class TestFailureExitCodes:
 
     def test_checkpoint_without_vocab_fingerprint_loads(self, pipeline, tmp_path):
         cfg, out = scratch_config(pipeline, tmp_path)
-        config, params, prov = load_checkpoint(
-            os.path.join(pipeline["out"], "finetune_sst5.ckpt"), expect_extra=cli.HEAD_EXTRAS)
+        config, params, prov = load_checkpoint(os.path.join(pipeline["out"], "finetune_sst5.ckpt"))
         del prov["vocab_sha256"]
         older = str(tmp_path / "older.ckpt")
         save_checkpoint(older, config, params, prov)
@@ -531,6 +545,8 @@ def set_key(path, section, key, value):
     """Rewrite the config file at ``path`` with ``[section] key = value``."""
     parser = configparser.ConfigParser()
     parser.read(path)
+    if section != parser.default_section and not parser.has_section(section):
+        parser.add_section(section)
     parser.set(section, key, value)
     with open(path, "w", encoding="utf-8") as fh:
         parser.write(fh)
@@ -589,6 +605,37 @@ class TestConfigTable:
         assert f"[{section}] {key}" in capsys.readouterr().err
         assert sorted(os.listdir(out)) == ["vocab.txt"]
 
+    @pytest.mark.parametrize("section, key, value", [
+        ("pretrain", "mask_rte", "0.5"), ("finetune", "lr_head", "5"),
+        ("bogus", "x", "1"), ("DEFAULT", "seed", "4"),
+    ])
+    def test_unknown_key_exits_1_naming_it(self, pipeline, tmp_path, capsys,
+                                           section, key, value):
+        cfg, out = scratch_config(pipeline, tmp_path)
+        set_key(cfg, section, key, value)
+        for command in ("prepare", "vocab"):
+            assert cli.main([command, "--config", cfg, "--force"]) == 1
+            assert f"unknown config key [{section}] {key}" in capsys.readouterr().err
+        assert sorted(os.listdir(out)) == ["vocab.txt"]
+
+    def test_unknown_empty_section_exits_1(self, pipeline, tmp_path, capsys):
+        cfg, out = scratch_config(pipeline, tmp_path)
+        with open(cfg, "a", encoding="utf-8") as fh:
+            fh.write("\n[bogus]\n")
+        assert cli.main(["prepare", "--config", cfg]) == 1
+        assert "unknown config section [bogus]" in capsys.readouterr().err
+        assert sorted(os.listdir(out)) == ["vocab.txt"]
+
+    @pytest.mark.parametrize("key", ["pretrain.lr", "finetune.lr", "finetune.head_lr"])
+    @pytest.mark.parametrize("value", ["0", "-1e-3", "nan", "inf"])
+    def test_learning_rate_must_be_positive(self, pipeline, tmp_path, capsys, key, value):
+        cfg, out = scratch_config(pipeline, tmp_path)
+        section, key = key.split(".")
+        set_key(cfg, section, key, value)
+        assert cli.main(["prepare", "--config", cfg]) == 1
+        assert f"bad config value [{section}] {key}" in capsys.readouterr().err
+        assert sorted(os.listdir(out)) == ["vocab.txt"]
+
     def test_bad_scope_override_exits_1(self, pipeline, tmp_path, capsys):
         cfg, out = scratch_config(pipeline, tmp_path)
         fine = os.path.join(pipeline["out"], "finetune_sst5.ckpt")
@@ -627,7 +674,7 @@ class TestConfigTable:
 def rewrite_checkpoint(src, dst, shapes=None, **provenance):
     """Copy checkpoint ``src`` to ``dst`` with zeroed tensors of the given
     shapes and the given provenance entries."""
-    config, params, prov = load_checkpoint(src, expect_extra=cli.HEAD_EXTRAS)
+    config, params, prov = load_checkpoint(src)
     for name, shape in (shapes or {}).items():
         params[name] = Tensor(np.zeros(shape, dtype=np.float32))
     prov.update(provenance)
@@ -664,8 +711,7 @@ class TestCheckpointHeads:
 
     def test_non_finite_checkpoint_exits_2(self, pipeline, tmp_path, capsys):
         cfg, out = scratch_config(pipeline, tmp_path)
-        config, params, prov = load_checkpoint(
-            os.path.join(pipeline["out"], "finetune_sst5.ckpt"), expect_extra=cli.HEAD_EXTRAS)
+        config, params, prov = load_checkpoint(os.path.join(pipeline["out"], "finetune_sst5.ckpt"))
         bad = save_non_finite(tmp_path / "nan.ckpt", config, params, "head.w", np.nan, prov)
         assert cli.main(["eval", "--config", cfg, "--checkpoint", bad]) == 2
         assert cli.main(["predict", "--config", cfg, "--checkpoint", bad,
@@ -695,15 +741,14 @@ class TestCheckpointHeads:
 
     def test_finetune_init_from_same_task_trains_stored_head(self, pipeline, tmp_path):
         fine = os.path.join(pipeline["out"], "finetune_sst5.ckpt")
-        _, stored, _ = load_checkpoint(fine, expect_extra=cli.HEAD_EXTRAS)
+        _, stored, _ = load_checkpoint(fine)
         fresh = _truncated_normal(make_rng(3, stream=2), (64, 5))  # seed 3's draw
         saved = {}
         for epochs in (0, 1):
             (tmp_path / str(epochs)).mkdir()
             cfg, out = scratch_config(pipeline, tmp_path / str(epochs), ft_epochs=epochs)
             assert cli.main(["finetune", "--config", cfg, "--init", fine]) == 0
-            _, saved[epochs], _ = load_checkpoint(str(out / "finetune_sst5.ckpt"),
-                                                  expect_extra=cli.HEAD_EXTRAS)
+            _, saved[epochs], _ = load_checkpoint(str(out / "finetune_sst5.ckpt"))
         # no epoch: the stored head comes back as it was, not a fresh draw
         for name in ("head.w", "head.b"):
             assert saved[0][name].data.tobytes() == stored[name].data.tobytes()
@@ -723,8 +768,7 @@ class TestCheckpointHeads:
 
     def test_half_a_head_exits_2(self, pipeline, tmp_path, capsys):
         cfg, out = scratch_config(pipeline, tmp_path)
-        config, params, prov = load_checkpoint(
-            os.path.join(pipeline["out"], "finetune_sst5.ckpt"), expect_extra=cli.HEAD_EXTRAS)
+        config, params, prov = load_checkpoint(os.path.join(pipeline["out"], "finetune_sst5.ckpt"))
         del params["head.b"]
         half = str(tmp_path / "half.ckpt")
         save_checkpoint(half, config, params, prov)
