@@ -80,7 +80,7 @@ def save_checkpoint(path, config: ModelConfig, params: dict, provenance: dict):
     parameter is not finite.
     """
     names = sorted(params)
-    tables = [np.ascontiguousarray(params[name].data, dtype="<f4") for name in names]
+    tables = [np.asarray(params[name].data, dtype="<f4") for name in names]  # a 0-d one stays 0-d
     for name, data in zip(names, tables):
         if not np.isfinite(data).all():
             raise FloatingPointError(f"refusing to save {path}: {name} is not finite")

@@ -17,23 +17,35 @@ from . import encoder as enc
 from .autodiff import Tensor
 from .optim import AdamW, check_finite_loss, make_rng
 from .tokenizer import encode, stack_batch
-from .treebank import BinaryLabel, extract_phrases, to_binary
+from .treebank import LABEL_NAMES, PhraseRecord, extract_phrases
 
 __all__ = [
-    "TASK_CLASSES",
+    "TASKS",
     "Prediction",
     "EvalReport",
     "FinetuneConfig",
     "EmptyTrainingSetError",
     "LabelSpaceMismatchError",
     "project_label",
+    "check_head",
     "finetune",
     "accuracy",
     "predict_texts",
     "evaluate",
 ]
 
-TASK_CLASSES = {"sst2": 2, "sst5": 5}
+
+@dataclass(frozen=True)
+class Task:
+    names: tuple    # the class names, in class order
+    classes: tuple  # the class of each treebank label 0-4; None leaves it out
+
+
+# SST-2 drops the neutral label and merges the two labels on each side of it
+TASKS = {
+    "sst2": Task(("negative", "positive"), (0, 0, None, 1, 1)),
+    "sst5": Task(LABEL_NAMES, (0, 1, 2, 3, 4)),
+}
 
 # training batches are length-sorted within chunks of this many batches
 BUCKET_CHUNK = 4
@@ -58,14 +70,14 @@ class EvalReport:
     """Accuracy per (task, scope) cell; ``cells[(task, scope)] = (n, acc)``."""
 
     cells: dict = field(default_factory=dict)
-    footer: str = "split: standard train/dev/test; every node occurrence scored"
+    FOOTER = "split: standard train/dev/test; every node occurrence scored"  # not a field
 
     def to_tsv(self) -> str:
         lines = ["task\tscope\tn\taccuracy"]
         for (task, scope), (n, acc) in sorted(self.cells.items()):
             shown = f"{100.0 * acc:.1f}" if n > 0 else "n/a"
             lines.append(f"{task}\t{scope}\t{n}\t{shown}")
-        lines.append(f"# {self.footer}")
+        lines.append(f"# {self.FOOTER}")
         return "\n".join(lines) + "\n"
 
     def to_json(self) -> str:
@@ -74,7 +86,7 @@ class EvalReport:
                 f"{task}/{scope}": {"n": n, "accuracy": acc if n > 0 else None}
                 for (task, scope), (n, acc) in sorted(self.cells.items())
             },
-            "footer": self.footer,
+            "footer": self.FOOTER,
         }
         return json.dumps(payload, indent=2, sort_keys=True) + "\n"
 
@@ -102,14 +114,22 @@ def _head_predictions(pooled, params):
 
 def project_label(label, task: str):
     """Task label index, or None when the sample is excluded (sst2 neutral)."""
-    if task == "sst5":
-        return label.value
-    if task == "sst2":
-        binary = to_binary(label)
-        if binary is None:
-            return None
-        return 0 if binary is BinaryLabel.NEGATIVE else 1
-    raise LabelSpaceMismatchError(f"unknown task {task!r}")
+    try:
+        return TASKS[task].classes[label.value]
+    except KeyError:
+        raise LabelSpaceMismatchError(f"unknown task {task!r}") from None
+
+
+def check_head(task, params) -> Task:
+    """``task``'s table entry; refuses an unknown task, and a head in
+    ``params`` whose class count does not fit the task."""
+    if task not in TASKS:
+        raise LabelSpaceMismatchError(f"unknown task {task!r}")
+    k = len(TASKS[task].names)
+    if "head.b" in params and params["head.b"].shape != (k,):
+        raise LabelSpaceMismatchError(
+            f"task {task} needs a {k}-class head, not head.b of shape {params['head.b'].shape}")
+    return TASKS[task]
 
 
 def accuracy(predictions, golds) -> float:
@@ -157,14 +177,12 @@ def _labeled(records, task):
 def _score(records, cells, params, config, vocab, max_len) -> EvalReport:
     """Accuracy over ``records`` of each (task, scope) cell; the cells share the head's task.
 
-    Only the nodes the cells read are predicted (roots alone when every
-    scope is ``root``), each distinct text once; an empty cell reports n=0.
+    Each distinct text of the labeled records is predicted once; an empty
+    cell reports n=0.
     """
     report = EvalReport()
     if not cells:
         return report
-    if all(scope == "root" for _, scope in cells):
-        records = [r for r in records if r.is_root]
     labeled = _labeled(records, cells[0][0])
     distinct = list(dict.fromkeys(r.text for r, _ in labeled))
     by_text = dict(zip(distinct, predict_texts(distinct, params, config, vocab, max_len)))
@@ -177,7 +195,8 @@ def _score(records, cells, params, config, vocab, max_len) -> EvalReport:
 
 def _dev_root_accuracy(dev_records, params, config, vocab, max_len, task):
     """Accuracy on the dev roots that ``task`` labels, or None if there are none."""
-    report = _score(dev_records, [(task, "root")], params, config, vocab, max_len)
+    roots = [r for r in dev_records if r.is_root]
+    report = _score(roots, [(task, "root")], params, config, vocab, max_len)
     n, acc = report.cells[(task, "root")]
     return acc if n else None
 
@@ -220,9 +239,7 @@ def finetune(train_records, dev_records, params, config, vocab, task: str,
     and ``best_dev_root_acc`` is None. Deterministic per seed. Raises
     ``FloatingPointError`` as soon as a batch loss is not finite.
     """
-    if task not in TASK_CLASSES:
-        raise LabelSpaceMismatchError(f"unknown task {task!r}")
-    k = TASK_CLASSES[task]
+    k = len(check_head(task, params).names)
     labeled = _labeled(train_records, task)
     if not labeled:
         raise EmptyTrainingSetError("no usable training samples after label projection")
@@ -232,9 +249,6 @@ def finetune(train_records, dev_records, params, config, vocab, task: str,
         w = enc._truncated_normal(rng, (config.hidden, k))
         params["head.w"] = Tensor(w, requires_grad=True)
         params["head.b"] = Tensor(np.zeros(k, dtype=np.float32), requires_grad=True)
-    elif params["head.b"].shape[0] != k:
-        raise LabelSpaceMismatchError(
-            f"head has {params['head.b'].shape[0]} classes, task needs {k}")
 
     if hyper.epochs == 0:
         return params, {"best_epoch": None, "best_dev_root_acc": None}
@@ -286,13 +300,16 @@ def finetune(train_records, dev_records, params, config, vocab, task: str,
 def evaluate(params, config, vocab, corpora, cells, max_len=64) -> EvalReport:
     """Score the requested (task, scope) cells over every node occurrence.
 
-    Every cell's task must fit the class count of the head in ``params``.
-    Empty cells (e.g. sst2 root on all-neutral roots) report n=0 and are
-    flagged rather than raising.
+    Only the nodes the cells read get a record: the roots alone when every
+    scope is ``root``. Every cell's task must fit the class count of the head
+    in ``params``. Empty cells (e.g. sst2 root on all-neutral roots) report
+    n=0 and are flagged rather than raising.
     """
-    k = params["head.b"].shape[0]
     for task, _ in cells:
-        if TASK_CLASSES.get(task) != k:
-            raise LabelSpaceMismatchError(f"cell task {task} does not fit a {k}-class head")
-    records = [r for corpus in corpora for tree in corpus.trees for r in extract_phrases(tree)]
+        check_head(task, params)
+    trees = [tree for corpus in corpora for tree in corpus.trees]
+    if all(scope == "root" for _, scope in cells):
+        records = [PhraseRecord(tree.span_text, tree.label, is_root=True) for tree in trees]
+    else:
+        records = [r for tree in trees for r in extract_phrases(tree)]
     return _score(records, cells, params, config, vocab, max_len)

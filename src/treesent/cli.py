@@ -118,7 +118,7 @@ class RunConfig:
     head_lr: float = _key("finetune", "head_lr", _number(float, 0), default=1e-3)
     freeze_encoder: bool = _key("finetune", "freeze_encoder", _bool, default=False)
     seed: int = _key("run", "seed", _number(int, -1, 2**128), default=0)  # a Philox key
-    task: str = _key("run", "task", _choice(*classify.TASK_CLASSES), default="sst5")
+    task: str = _key("run", "task", _choice(*classify.TASKS), default="sst5")
     scope: tuple = _key("run", "scope", _scope, default=("all", "root"))
 
     @classmethod
@@ -187,18 +187,11 @@ def _write(paths, texts):
             fh.write(text.encode("utf-8"))
 
 
-def _split_path(cfg, split):
+def _load_split(cfg, split):
     path = os.path.join(cfg.data_dir, f"{split}.txt")
     if not os.path.exists(path):
         raise DataError(f"missing treebank file: {path}")
-    return path
-
-
-def _load_split(cfg, split):
-    try:
-        return treebank.load_corpus(_split_path(cfg, split), split)
-    except treebank.CorpusLoadError as exc:
-        raise DataError(str(exc)) from exc
+    return treebank.load_corpus(path, split)
 
 
 def _model_config(cfg, vocab):
@@ -251,9 +244,10 @@ def _provenance(cfg, step, vocab, command):
 
 
 def _load_checkpoint(cfg, path, vocab):
-    """``load_checkpoint``, refusing a checkpoint trained on another vocab,
-    for an unknown task, with a head of the wrong class count for its task,
-    or with fewer position embeddings than ``[model] max_len`` needs.
+    """``load_checkpoint`` with the task resolved into ``prov["task"]`` (``[run]
+    task`` if none is recorded), refusing a checkpoint trained on another vocab,
+    for an unknown task or with a head that does not fit it, or with fewer
+    positions than ``[model] max_len`` needs.
 
     A checkpoint without a stored fingerprint (written before they were
     recorded) is accepted as it stands.
@@ -265,13 +259,7 @@ def _load_checkpoint(cfg, path, vocab):
     if cfg.max_len > model_cfg.max_positions:
         raise DataError(f"{path} has max_positions {model_cfg.max_positions}, "
                         f"below [model] max_len = {cfg.max_len}")
-    task = prov.get("task", cfg.task)
-    if task not in classify.TASK_CLASSES:
-        raise DataError(f"{path} was fine-tuned for an unknown task {task!r}")
-    k = classify.TASK_CLASSES[task]
-    if "head.b" in params and params["head.b"].shape != (k,):
-        raise DataError(f"{path} holds a {params['head.b'].shape[0]}-class head; "
-                        f"task {task} needs {k}")
+    classify.check_head(prov.setdefault("task", cfg.task), params)
     return model_cfg, params, prov
 
 
@@ -292,7 +280,7 @@ def cmd_pretrain(cfg, force, command, resume=None):
     state = None
     if resume is not None:
         model_cfg, params, prov = _load_checkpoint(cfg, resume, vocab)
-        state = pt.init_pretrain_state(model_cfg, len(vocab), cfg.seed, hyper)
+        state = pt.init_pretrain_state(model_cfg, cfg.seed, hyper)
         unknown = sorted(set(params) - set(state.params))
         if unknown:
             raise DataError(f"{resume} holds {unknown}, which pretraining does not train")
@@ -325,7 +313,7 @@ def cmd_finetune(cfg, force, command, init_ckpt):
                        os.path.join(cfg.out_dir, f"finetune_{cfg.task}.ckpt"))
     vocab = _load_vocab(cfg)
     model_cfg, params, prov = _load_checkpoint(cfg, init_ckpt, vocab)
-    if prov.get("task", cfg.task) != cfg.task:
+    if prov["task"] != cfg.task:
         raise DataError(f"{init_ckpt} was fine-tuned for {prov['task']}, "
                         f"but [run] task = {cfg.task}")
     expected = _model_config(cfg, vocab)
@@ -364,7 +352,7 @@ def _load_model(cfg, ckpt_path):
     model_cfg, params, prov = _load_checkpoint(cfg, ckpt_path, vocab)
     if "head.w" not in params:
         raise DataError(f"{ckpt_path} has no classifier head; fine-tune first")
-    return vocab, model_cfg, params, prov.get("task", cfg.task)
+    return vocab, model_cfg, params, prov["task"]
 
 
 def cmd_eval(cfg, force, ckpt_path):
@@ -385,14 +373,10 @@ def cmd_predict(cfg, ckpt_path, text):
     if not text.strip():
         print("warning: empty text; predicting on the bare [CLS][SEP] frame",
               file=sys.stderr)
-    preds = classify.predict_texts([text], params, model_cfg, vocab, cfg.max_len)
-    pred = preds[0]
-    if task == "sst5":
-        names = treebank.LABEL_NAMES
-    else:
-        names = ("negative", "positive")
-    for i, p in enumerate(pred.probs):
-        print(f"{names[i]}: {p:.3f}")
+    (pred,) = classify.predict_texts([text], params, model_cfg, vocab, cfg.max_len)
+    names = classify.TASKS[task].names
+    for name, p in zip(names, pred.probs):
+        print(f"{name}: {p:.3f}")
     print(f"label: {names[pred.label]}")
     return EXIT_OK
 
@@ -501,7 +485,9 @@ def main(argv=None):
     except UsageError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_USAGE
-    except (DataError, CheckpointError, OSError) as exc:
+    except (DataError, CheckpointError, OSError, treebank.CorpusLoadError, tokenizer.VocabError,
+            pt.CorpusTooSmallError, classify.EmptyTrainingSetError,
+            classify.LabelSpaceMismatchError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_DATA
     except (FloatingPointError, np.linalg.LinAlgError) as exc:

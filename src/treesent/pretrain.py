@@ -159,12 +159,11 @@ def make_nsp_pairs(sentences, pieces, vocab, max_len: int, rng) -> list:
     return pairs
 
 
-def init_pretrain_state(config, vocab_size, seed, hyper: PretrainConfig,
-                        total_steps=None) -> PretrainState:
+def init_pretrain_state(config, seed, hyper: PretrainConfig, total_steps=None) -> PretrainState:
     rng = make_rng(seed, stream=1)
     params = enc.init_params(config, rng)
     h = config.hidden
-    params["mlm.b"] = Tensor(np.zeros(vocab_size, dtype=np.float32), requires_grad=True)
+    params["mlm.b"] = Tensor(np.zeros(config.vocab_size, dtype=np.float32), requires_grad=True)
     params["nsp.w"] = Tensor(enc._truncated_normal(rng, (h, 2)), requires_grad=True)
     params["nsp.b"] = Tensor(np.zeros(2, dtype=np.float32), requires_grad=True)
     opt = AdamW(params, hyper.lr, total_steps=total_steps)
@@ -233,8 +232,7 @@ def pretrain(corpus, vocab, config, hyper: PretrainConfig,
     max_steps = math.inf if hyper.max_steps is None else hyper.max_steps
     total_steps = min(steps_per_epoch * hyper.epochs, max_steps)
     if state is None:
-        state = init_pretrain_state(config, len(vocab), hyper.seed, hyper,
-                                    total_steps=total_steps)
+        state = init_pretrain_state(config, hyper.seed, hyper, total_steps=total_steps)
     sentences = [tree.span_text for tree in corpus.trees]
     pieces = piece_ids(sentences, vocab)
     for epoch in range(hyper.epochs):

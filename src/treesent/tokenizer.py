@@ -18,7 +18,7 @@ import numpy as np
 
 __all__ = [
     "PAD", "UNK", "CLS", "SEP", "MASK", "SPECIAL_TOKENS",
-    "Vocab", "TokenSequence", "TargetTooSmallError",
+    "Vocab", "VocabError", "TokenSequence", "TargetTooSmallError",
     "canonicalize", "wordpiece", "build_vocab", "piece_ids", "encode",
     "assemble_pair", "encode_pair", "stack_batch",
 ]
@@ -33,15 +33,19 @@ class TargetTooSmallError(ValueError):
     pass
 
 
+class VocabError(ValueError):
+    pass
+
+
 class Vocab:
     """Ordered token list; id = position. Specials occupy ids 0-4."""
 
     def __init__(self, tokens):
         tokens = list(tokens)
         if tokens[: len(SPECIAL_TOKENS)] != list(SPECIAL_TOKENS):
-            raise ValueError("vocab must start with [PAD],[UNK],[CLS],[SEP],[MASK]")
+            raise VocabError("vocab must start with [PAD],[UNK],[CLS],[SEP],[MASK]")
         if len(set(tokens)) != len(tokens):
-            raise ValueError("duplicate tokens in vocab")
+            raise VocabError("duplicate tokens in vocab")
         self.tokens = tokens
         self.index = {t: i for i, t in enumerate(tokens)}
         self.pad_id = self.index[PAD]
@@ -71,8 +75,12 @@ class Vocab:
 
     @classmethod
     def load(cls, path):
-        with open(path, encoding="utf-8") as fh:
-            return cls([line.rstrip("\n") for line in fh if line.rstrip("\n")])
+        """The vocab ``dump`` wrote to ``path``; a VocabError names the file."""
+        try:
+            with open(path, encoding="utf-8") as fh:
+                return cls([line.rstrip("\n") for line in fh if line.rstrip("\n")])
+        except (UnicodeDecodeError, VocabError) as exc:
+            raise VocabError(f"{path}: {exc}") from exc
 
 
 @dataclass(frozen=True)

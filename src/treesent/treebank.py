@@ -10,17 +10,16 @@ linear pass and gives every node its ``span_text`` as the node closes.
 
 from __future__ import annotations
 
+import io
 import json
 import re
 from collections import Counter
 from dataclasses import dataclass, field
-from enum import Enum
 from typing import Optional
 
 __all__ = [
     "LABEL_NAMES",
     "SentimentLabel",
-    "BinaryLabel",
     "PhraseTree",
     "Corpus",
     "PhraseRecord",
@@ -35,7 +34,6 @@ __all__ = [
     "parse_tree",
     "serialize_tree",
     "extract_phrases",
-    "to_binary",
     "load_corpus",
     "corpus_stats",
 ]
@@ -97,11 +95,6 @@ class SentimentLabel:
     @property
     def name(self) -> str:
         return LABEL_NAMES[self.value]
-
-
-class BinaryLabel(Enum):
-    NEGATIVE = "negative"
-    POSITIVE = "positive"
 
 
 # a token is what parse_tree reads between whitespace and parentheses; in a
@@ -267,27 +260,24 @@ def extract_phrases(tree: PhraseTree) -> list:
     return records
 
 
-def to_binary(label: SentimentLabel) -> Optional[BinaryLabel]:
-    """Project to the binary task; neutral (2) maps to None (excluded)."""
-    if label.value <= 1:
-        return BinaryLabel.NEGATIVE
-    if label.value >= 3:
-        return BinaryLabel.POSITIVE
-    return None
-
-
 def load_corpus(path, split: str) -> Corpus:
-    """Load one tree per non-empty line; errors name the line number."""
+    """Load one tree per non-empty line of UTF-8 text; errors, a byte that
+    is not UTF-8 among them, name the line number."""
+    with open(path, "rb") as fh:
+        data = fh.read()
+    try:  # newline=None splits lines where text-mode open does: at \n, \r\n and \r
+        lines = io.StringIO(data.decode("utf-8"), newline=None)
+    except UnicodeDecodeError as exc:
+        raise CorpusLoadError(path, data.count(b"\n", 0, exc.start) + 1, exc) from exc
     trees = []
-    with open(path, encoding="utf-8") as fh:
-        for line_no, line in enumerate(fh, start=1):
-            line = line.rstrip("\n")  # offsets count from the line's first character
-            if not line.strip():
-                continue
-            try:
-                trees.append(parse_tree(line))
-            except TreeParseError as exc:
-                raise CorpusLoadError(path, line_no, exc) from exc
+    for line_no, line in enumerate(lines, start=1):
+        line = line.rstrip("\n")  # offsets count from the line's first character
+        if not line.strip():
+            continue
+        try:
+            trees.append(parse_tree(line))
+        except TreeParseError as exc:
+            raise CorpusLoadError(path, line_no, exc) from exc
     return Corpus(split=split, trees=tuple(trees))
 
 

@@ -192,6 +192,15 @@ class TestRejection:
         with pytest.raises(ck.CheckpointError, match=f"tensor {name} has shape"):
             ck.load_checkpoint(path)
 
+    def test_0d_tensor_keeps_its_shape(self, tmp_path):
+        # written as (1,), a 0-d head.b beside a (H, 1) head.w read back as a 1-class head
+        params = with_heads(fresh_params(), 1)
+        params["head.b"] = Tensor(np.zeros((), dtype=np.float32))
+        path = tmp_path / "scalar.ckpt"
+        ck.save_checkpoint(path, CFG, params, {})
+        with pytest.raises(ck.CheckpointError, match=r"tensor head.b has shape \(\)"):
+            ck.load_checkpoint(path)
+
     @pytest.mark.parametrize("name", ["head.w", "head.b"])
     def test_half_a_head(self, tmp_path, name):
         params = with_heads(fresh_params(), 2)

@@ -83,7 +83,7 @@ class TestHeadForward:
         vocab, cfg, params = tiny_setup()
         params.update(zero_head(3))
         records = extract_phrases(parse_tree("(3 ab)"))
-        for task in cl.TASK_CLASSES:
+        for task in cl.TASKS:
             with pytest.raises(cl.LabelSpaceMismatchError):
                 cl.evaluate(params, cfg, vocab, synth_corpora[2:], [(task, "all")])
             with pytest.raises(cl.LabelSpaceMismatchError):
@@ -486,7 +486,7 @@ def reference_dev_root_accuracy(dev_records, params, config, vocab, max_len, tas
 def reference_evaluate(params, config, vocab, corpora, cells, max_len=64):
     k = params["head.b"].shape[0]
     for task, _ in cells:
-        if cl.TASK_CLASSES.get(task) != k:
+        if len(cl.TASKS[task].names) != k:
             raise cl.LabelSpaceMismatchError(f"cell task {task} does not fit a {k}-class head")
     report = cl.EvalReport()
     if not cells:
@@ -540,7 +540,7 @@ class TestScoringPath:
     def test_matches_the_reference_paths(self, synth_corpora, monkeypatch, task, scopes,
                                          neutral):
         vocab, cfg, params = tiny_setup()
-        params.update(zero_head(cl.TASK_CLASSES[task]))
+        params.update(zero_head(len(cl.TASKS[task].names)))
         corpora = [neutral_roots_corpus()] if neutral else synth_corpora[1:]
         cells = [(task, scope) for scope in scopes]
         monkeypatch.setattr(cl, "predict_texts", recording_predictor([]))
@@ -564,6 +564,11 @@ class TestScoringPath:
         params.update(zero_head(5))
         sent = []
         monkeypatch.setattr(cl, "predict_texts", recording_predictor(sent))
+
+        def every_node(tree):
+            raise AssertionError("a root-only eval built a record for every node")
+
+        monkeypatch.setattr(cl, "extract_phrases", every_node)
         corpus = synth_corpora[2]
         report = cl.evaluate(params, cfg, vocab, [corpus], [("sst5", "root")], max_len=16)
         roots = [tree.span_text for tree in corpus.trees]

@@ -2,6 +2,7 @@ import configparser
 import json
 import os
 import platform
+import re
 import resource
 import shutil
 import sys
@@ -399,6 +400,18 @@ class TestRecords:
         assert not (out / "config.eval_sst2.ini").exists()
 
 
+# a damaged input, the command that reads it, and what its one error line says
+DATA_ERRORS = {
+    "vocab_duplicate": ("eval", "vocab.txt: duplicate tokens"),
+    "vocab_specials": ("eval", "vocab.txt: vocab must start with"),
+    "vocab_latin1": ("eval", "vocab.txt: 'utf-8' codec"),
+    "test_latin1": ("eval", "test.txt:{lines}: 'utf-8' codec"),
+    "train_one_tree": ("pretrain", "at least 2 sentences"),
+    "train_empty": ("pretrain", "empty corpus"),
+    "train_neutral": ("finetune", "no usable training samples"),
+}
+
+
 class TestFailureExitCodes:
     def test_divergence_exits_3_without_checkpoint(self, pipeline, tmp_path, capsys):
         cfg, out = scratch_config(pipeline, tmp_path, pre_lr=1e12, ft_lr=1e12)
@@ -480,6 +493,38 @@ class TestFailureExitCodes:
             assert f"{split}.txt:{line_no[split]}:" in err and "expected label digit 0-4" in err
         assert sorted(os.listdir(out)) == ["vocab.txt"]
 
+    @pytest.mark.parametrize("damage", DATA_ERRORS)
+    def test_library_data_error_exits_2(self, pipeline, tmp_path, capsys, damage):
+        command, named = DATA_ERRORS[damage]
+        data = tmp_path / "data"
+        shutil.copytree(pipeline["data"], data)
+        cfg, out = scratch_config({**pipeline, "data": str(data)}, tmp_path, task="sst2")
+        vocab, test, train = out / "vocab.txt", data / "test.txt", data / "train.txt"
+        lines = len(test.read_bytes().splitlines()) + 1
+        if damage == "vocab_duplicate":
+            vocab.write_bytes(vocab.read_bytes() + vocab.read_bytes().splitlines()[-1] + b"\n")
+        elif damage == "vocab_specials":
+            tokens = vocab.read_bytes().splitlines()
+            vocab.write_bytes(b"\n".join([tokens[1], tokens[0], *tokens[2:]]) + b"\n")
+        elif damage == "vocab_latin1":
+            vocab.write_bytes(vocab.read_bytes() + b"caf\xe9\n")
+        elif damage == "test_latin1":
+            test.write_bytes(test.read_bytes() + b"(2 caf\xe9)\n")
+        elif damage == "train_one_tree":
+            train.write_bytes(train.read_bytes().splitlines(keepends=True)[0])
+        elif damage == "train_empty":
+            train.write_bytes(b"")
+        else:  # sst2 leaves out every label of an all-neutral split
+            train.write_bytes(re.sub(rb"\(\d", b"(2", train.read_bytes()))
+        inputs = {"eval": ["--checkpoint", os.path.join(pipeline["out"], "finetune_sst5.ckpt")],
+                  "finetune": ["--init", os.path.join(pipeline["out"], "pretrain.ckpt")]}
+        before = snapshot(out)
+        assert cli.main([command, "--config", cfg, *inputs.get(command, [])]) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("error: ") and err.count("\n") == 1, err
+        assert named.format(lines=lines) in err and "Traceback" not in err
+        assert snapshot(out) == before
+
     def test_checkpoint_without_vocab_fingerprint_loads(self, pipeline, tmp_path):
         cfg, out = scratch_config(pipeline, tmp_path)
         config, params, prov = load_checkpoint(os.path.join(pipeline["out"], "finetune_sst5.ckpt"))
@@ -498,9 +543,21 @@ class TestPredict:
         assert code == 0
         lines = capsys.readouterr().out.strip().splitlines()
         assert len(lines) == 6
+        assert [line.split(": ")[0] for line in lines[:5]] == list(treebank.LABEL_NAMES)
         probs = [float(line.split(": ")[1]) for line in lines[:5]]
         assert abs(sum(probs) - 1.0) < 0.01
-        assert lines[5].startswith("label: ")
+        assert lines[5].split(": ")[1] in treebank.LABEL_NAMES
+
+    def test_sst2_class_names_printed(self, pipeline, tmp_path, capsys):
+        hidden = encoder.preset("toy").hidden
+        sst2 = rewrite_checkpoint(os.path.join(pipeline["out"], "finetune_sst5.ckpt"),
+                                  tmp_path / "sst2.ckpt",
+                                  {"head.w": (hidden, 2), "head.b": (2,)}, task="sst2")
+        assert cli.main(["predict", "--config", pipeline["cfg"], "--checkpoint", sst2,
+                         "--text", "a great movie"]) == 0
+        # a zeroed head ties the two classes, and argmax keeps the first
+        assert capsys.readouterr().out.splitlines() == [
+            "negative: 0.500", "positive: 0.500", "label: negative"]
 
 
 class TestUsageErrors:
@@ -787,7 +844,7 @@ class TestMallocPolicy:
         vocab = tok.Vocab(list(SPECIAL_TOKENS) + words)
         rng = make_rng(4)
         config = encoder.preset("toy", vocab_size=len(vocab))
-        state = pt.init_pretrain_state(config, len(vocab), 0, pt.PretrainConfig(lr=1e-4))
+        state = pt.init_pretrain_state(config, 0, pt.PretrainConfig(lr=1e-4))
 
         def batch():  # 16 pairs of 64 pieces
             rows = []

@@ -192,7 +192,7 @@ def pretrain_twins(optimizer):
     vocab = tok.Vocab(letter_vocab().tokens + WORDS)
     cfg = enc.ModelConfig(layers=1, hidden=16, heads=2, intermediate=32,
                           vocab_size=len(vocab), max_positions=16, dropout_p=0.1)
-    state = pt.init_pretrain_state(cfg, len(vocab), 0, pt.PretrainConfig(lr=1e-2, seed=0))
+    state = pt.init_pretrain_state(cfg, 0, pt.PretrainConfig(lr=1e-2, seed=0))
     state.optimizer = optimizer(state.params, 1e-2, total_steps=10)
     rng = make_rng(10)
     corpus = sentence_corpus([" ".join(rng.choice(WORDS, 5)) for _ in range(6)])

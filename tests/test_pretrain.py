@@ -280,7 +280,7 @@ def tiny_state(vocab, lr=1e-3, seed=0):
     cfg = enc.ModelConfig(layers=TINY.layers, hidden=TINY.hidden, heads=TINY.heads,
                           intermediate=TINY.intermediate, vocab_size=len(vocab),
                           max_positions=TINY.max_positions, dropout_p=0.0)
-    return pt.init_pretrain_state(cfg, len(vocab), seed, hyper)
+    return pt.init_pretrain_state(cfg, seed, hyper)
 
 
 def batch_from(corpus, vocab, rng, max_len=12, rate=0.15):
@@ -386,7 +386,7 @@ class TestPretrainLoop:
                               vocab_size=len(vocab), max_positions=16)
         state = pt.pretrain(corpus, vocab, cfg, hyper)
         assert state.step == 0 and state.loss_history == []
-        fresh = pt.init_pretrain_state(cfg, len(vocab), 5, hyper)
+        fresh = pt.init_pretrain_state(cfg, 5, hyper)
         np.testing.assert_array_equal(state.params["emb.tok"].data,
                                       fresh.params["emb.tok"].data)
 

@@ -7,7 +7,6 @@ from hypothesis import strategies as st
 
 from treesent.treebank import (
     MAX_TREE_DEPTH,
-    BinaryLabel,
     Corpus,
     CorpusLoadError,
     EmptyNodeError,
@@ -24,7 +23,6 @@ from treesent.treebank import (
     load_corpus,
     parse_tree,
     serialize_tree,
-    to_binary,
 )
 
 
@@ -312,14 +310,6 @@ def test_label_range_enforced():
         SentimentLabel(5)
     with pytest.raises(ValueError):
         SentimentLabel(-1)
-
-
-def test_to_binary():
-    assert to_binary(SentimentLabel(0)) is BinaryLabel.NEGATIVE
-    assert to_binary(SentimentLabel(1)) is BinaryLabel.NEGATIVE
-    assert to_binary(SentimentLabel(2)) is None
-    assert to_binary(SentimentLabel(3)) is BinaryLabel.POSITIVE
-    assert to_binary(SentimentLabel(4)) is BinaryLabel.POSITIVE
 
 
 class TestLoadCorpus:
