@@ -6,7 +6,7 @@ Run: python demos/05_finetune_and_eval.py  (takes a minute or two)
 import tempfile
 
 from treesent import classify, encoder, pretrain, synth, tokenizer
-from treesent.treebank import LABEL_NAMES, extract_phrases, load_corpus
+from treesent.treebank import LABEL_NAMES, extract_phrases, load_corpus, root_record
 
 with tempfile.TemporaryDirectory() as d:
     synth.write_dataset(d, n_train=120, n_dev=40, n_test=40, seed=5)
@@ -23,9 +23,9 @@ params = {k: v for k, v in state.params.items()
 
 # Fine-tuning adds a fresh head (head.w, head.b) to the parameters, trains
 # on every labeled phrase, not just whole sentences, and keeps the epoch
-# with the best dev root accuracy.
+# with the best dev root accuracy, so it needs only the dev roots.
 train_recs = [r for t in splits["train"].trees for r in extract_phrases(t)]
-dev_recs = [r for t in splits["dev"].trees for r in extract_phrases(t)]
+dev_recs = [root_record(t) for t in splits["dev"].trees]
 ft = classify.FinetuneConfig(epochs=10, batch_size=32, lr=2e-3, head_lr=1e-3,
                              max_len=24, seed=1)
 print("fine-tuning the five-way head...")

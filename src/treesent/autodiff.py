@@ -21,7 +21,8 @@ order, so only gradient sums may differ in the last bits.
 The ops take only the forms the encoder, its heads and the gradient checks
 use: ``matmul`` multiplies by a 2-D weight or by a batch of the same leading
 shape, and ``tensor_sum``/``tensor_mean`` reduce the whole tensor to a
-scalar.
+scalar. ``embedding_lookup`` and ``index_select`` differ only in the indices
+they accept: both are ``_gather``, one gather with one scatter-add backward.
 
 An op's result array becomes its output tensor's data without a copy, and
 an interior node keeps the first gradient it receives without a copy too.
@@ -609,68 +610,64 @@ def attention(q, k, v, key_bias, heads, p, training, rng=None):
     return _make(merge(kept @ vh), (q, k, v), bw)
 
 
-# Tables up to this many rows take the embedding gradient as one dense
-# one-hot (V, N) @ (N, H) product, whose cost grows with V * N; larger ones
-# as a segment sum over the sorted ids, whose cost grows with N. On 1-thread
-# BLAS the two meet between about 300 rows (N = 1024) and 500 rows (N = 192).
+# Axes up to this many slices take a gather's gradient as one dense one-hot
+# (n, N) @ (N, rest) product, whose cost grows with n * N; longer ones as a
+# segment sum over the sorted indices, whose cost grows with N. On 1-thread
+# BLAS the two meet between about 300 (N = 1024) and 500 slices (N = 192).
 _ONE_HOT_MAX_ROWS = 512
 
 
+def _gather(x, axis, indices):
+    """``np.take(x, indices, axis)`` for in-range, non-negative indices of any
+    shape, with the scatter-add backward of both public gathers: each slice
+    of ``x`` gets the sum of the output slices that read it, added into a
+    leaf's grad in place along axis 0, else into one fresh C-contiguous array.
+    """
+    shape = x.data.shape
+    axis %= len(shape)
+    pre, n, post = math.prod(shape[:axis]), shape[axis], math.prod(shape[axis + 1:])
+
+    def bw(g):
+        flat = indices.reshape(-1)
+        g3 = g.reshape(pre, flat.size, post)
+        if n <= _ONE_HOT_MAX_ROWS:
+            one_hot = np.zeros((n, flat.size), dtype=g.dtype)
+            one_hot[flat, np.arange(flat.size)] = 1
+            _accumulate(x, (one_hot @ g3).reshape(shape))
+            return
+        # one sum per distinct index, over the slices of its run in the sorted indices
+        order = np.argsort(flat, kind="stable")
+        starts = np.flatnonzero(np.diff(flat[order], prepend=-1))
+        rows = flat[order[starts]]
+        sums = np.add.reduceat(g3[:, order], starts, axis=1)
+        if axis == 0 and x._backward is None:  # a leaf owns its grad array: add into it
+            if x.grad is None:
+                x.grad = np.zeros_like(x.data)
+            x.grad[rows] += sums.reshape(rows.shape + shape[1:])
+        else:
+            gx = np.zeros(shape, dtype=x.data.dtype)
+            gx.reshape(pre, n, post)[:, rows] = sums
+            _accumulate(x, gx)
+
+    return _make(np.take(x.data, indices, axis=axis), (x,), bw)
+
+
 def embedding_lookup(table, ids):
-    """Gather rows of a (V, H) table by an integer id array of any shape."""
-    table = _as_tensor(table)
-    ids = np.asarray(ids)
+    """Gather rows of a (V, ...) table by an integer id array, in ``[0, V)``, of any shape."""
+    table, ids = _as_tensor(table), np.asarray(ids)
     v = table.data.shape[0]
     if ids.size and (ids.min() < 0 or ids.max() >= v):
         raise IndexOutOfRangeError(f"ids outside [0, {v})")
-    out_data = table.data[ids]
-
-    def bw(g):
-        if not table.requires_grad:
-            return
-        flat = ids.reshape(-1)
-        g2 = g.reshape(flat.size, table.data.shape[1])
-        if v <= _ONE_HOT_MAX_ROWS:
-            one_hot = np.zeros((v, flat.size), dtype=g2.dtype)
-            one_hot[flat, np.arange(flat.size)] = 1
-            _accumulate(table, one_hot @ g2)
-            return
-        # one sum per distinct id, over the rows of its run in the sorted ids
-        order = np.argsort(flat, kind="stable")
-        sorted_ids = flat[order]
-        starts = np.flatnonzero(np.diff(sorted_ids, prepend=-1))
-        rows = sorted_ids[starts]
-        sums = np.add.reduceat(g2[order], starts, axis=0)
-        if table._backward is None:  # a leaf owns its grad array: add into it
-            if table.grad is None:
-                table.grad = np.zeros_like(table.data)
-            table.grad[rows] += sums
-        else:
-            gt = np.zeros_like(table.data)
-            gt[rows] = sums
-            _accumulate(table, gt)
-
-    return _make(out_data, (table,), bw)
+    return _gather(table, 0, ids)
 
 
 def index_select(x, axis, indices):
-    """Take slices along an axis; gradient scatters (with accumulation) back."""
-    x = _as_tensor(x)
-    indices = np.asarray(indices)
+    """Take slices along ``axis`` by an integer index array, in ``[-n, n)``, of any shape."""
+    x, indices = _as_tensor(x), np.asarray(indices)
     n = x.data.shape[axis]
     if indices.size and (indices.min() < -n or indices.max() >= n):
         raise IndexOutOfRangeError(f"indices outside [0, {n}) on axis {axis}")
-    out_data = np.take(x.data, indices, axis=axis)
-
-    def bw(g):
-        if not x.requires_grad:
-            return
-        gx = np.zeros_like(x.data)
-        moved = np.moveaxis(gx, axis, 0)
-        np.add.at(moved, indices % n, np.moveaxis(g, axis, 0))
-        _accumulate(x, gx)
-
-    return _make(out_data, (x,), bw)
+    return _gather(x, axis, np.where(indices < 0, indices + n, indices))
 
 
 def softmax_cross_entropy(logits, labels):

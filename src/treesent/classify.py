@@ -17,7 +17,7 @@ from . import encoder as enc
 from .autodiff import Tensor
 from .optim import AdamW, check_finite_loss, make_rng
 from .tokenizer import encode, stack_batch
-from .treebank import LABEL_NAMES, PhraseRecord, extract_phrases
+from .treebank import LABEL_NAMES, extract_phrases, root_record
 
 __all__ = [
     "TASKS",
@@ -271,7 +271,7 @@ def finetune(train_records, dev_records, params, config, vocab, task: str,
         # is a fixed function of the phrase, so each is encoded once
         features = _pooled_features(seqs, params, config)
 
-    best = None  # (acc, epoch, params_data)
+    best = None  # (acc, epoch, a copy of the trained parameters' arena)
     for epoch in range(hyper.epochs):
         for sel in _bucketed_batches(lengths, hyper.batch_size, shuffle_rng):
             if hyper.freeze_encoder:
@@ -288,12 +288,11 @@ def finetune(train_records, dev_records, params, config, vocab, task: str,
             opt.step()
         dev_acc = _dev_root_accuracy(dev_records, params, config, vocab, hyper.max_len, task)
         if dev_acc is not None and (best is None or dev_acc > best[0]):
-            best = (dev_acc, epoch, {k_: p.data.copy() for k_, p in trainable.items()})
+            best = (dev_acc, epoch, opt.arena.copy())
 
     if best is None:
         return params, {"best_epoch": hyper.epochs - 1, "best_dev_root_acc": None}
-    for name, data in best[2].items():
-        params[name].data[...] = data  # into the optimizer's arena view
+    opt.arena[...] = best[2]
     return params, {"best_epoch": best[1], "best_dev_root_acc": best[0]}
 
 
@@ -309,7 +308,7 @@ def evaluate(params, config, vocab, corpora, cells, max_len=64) -> EvalReport:
         check_head(task, params)
     trees = [tree for corpus in corpora for tree in corpus.trees]
     if all(scope == "root" for _, scope in cells):
-        records = [PhraseRecord(tree.span_text, tree.label, is_root=True) for tree in trees]
+        records = [root_record(tree) for tree in trees]
     else:
         records = [r for tree in trees for r in extract_phrases(tree)]
     return _score(records, cells, params, config, vocab, max_len)

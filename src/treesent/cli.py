@@ -280,7 +280,7 @@ def cmd_pretrain(cfg, force, command, resume=None):
     state = None
     if resume is not None:
         model_cfg, params, prov = _load_checkpoint(cfg, resume, vocab)
-        state = pt.init_pretrain_state(model_cfg, cfg.seed, hyper)
+        state = pt.init_pretrain_state(model_cfg, hyper)
         unknown = sorted(set(params) - set(state.params))
         if unknown:
             raise DataError(f"{resume} holds {unknown}, which pretraining does not train")
@@ -327,7 +327,7 @@ def cmd_finetune(cfg, force, command, init_ckpt):
     train = _load_split(cfg, "train")
     dev = _load_split(cfg, "dev")
     train_records = [r for t in train.trees for r in treebank.extract_phrases(t)]
-    dev_records = [r for t in dev.trees for r in treebank.extract_phrases(t)]
+    dev_records = [treebank.root_record(t) for t in dev.trees]
     hyper = classify.FinetuneConfig(
         epochs=cfg.finetune_epochs, batch_size=cfg.finetune_batch_size,
         lr=cfg.finetune_lr, head_lr=cfg.head_lr, max_len=cfg.max_len,

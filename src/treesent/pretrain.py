@@ -159,8 +159,9 @@ def make_nsp_pairs(sentences, pieces, vocab, max_len: int, rng) -> list:
     return pairs
 
 
-def init_pretrain_state(config, seed, hyper: PretrainConfig, total_steps=None) -> PretrainState:
-    rng = make_rng(seed, stream=1)
+def init_pretrain_state(config, hyper: PretrainConfig, total_steps=None) -> PretrainState:
+    """Fresh encoder and pretraining heads, drawn from ``hyper.seed``, and their optimizer."""
+    rng = make_rng(hyper.seed, stream=1)
     params = enc.init_params(config, rng)
     h = config.hidden
     params["mlm.b"] = Tensor(np.zeros(config.vocab_size, dtype=np.float32), requires_grad=True)
@@ -225,14 +226,15 @@ def pretrain(corpus, vocab, config, hyper: PretrainConfig,
     need be; no epoch starts after that. ``checkpoint_fn(state, epoch)``,
     when given, is called after each epoch that ran.
     """
-    if len(corpus.trees) == 0:
-        raise CorpusTooSmallError("empty corpus")
-    n_pairs = max(len(corpus.trees) - 1, 1)
+    n_pairs = len(corpus.trees) - 1
+    if n_pairs < 1:
+        raise CorpusTooSmallError(f"{corpus.split} split has {n_pairs + 1} tree(s); "
+                                  "next-sentence pairs need at least 2")
     steps_per_epoch = max(1, (n_pairs + hyper.batch_size - 1) // hyper.batch_size)
     max_steps = math.inf if hyper.max_steps is None else hyper.max_steps
     total_steps = min(steps_per_epoch * hyper.epochs, max_steps)
     if state is None:
-        state = init_pretrain_state(config, hyper.seed, hyper, total_steps=total_steps)
+        state = init_pretrain_state(config, hyper, total_steps=total_steps)
     sentences = [tree.span_text for tree in corpus.trees]
     pieces = piece_ids(sentences, vocab)
     for epoch in range(hyper.epochs):

@@ -34,6 +34,7 @@ __all__ = [
     "parse_tree",
     "serialize_tree",
     "extract_phrases",
+    "root_record",
     "load_corpus",
     "corpus_stats",
 ]
@@ -252,12 +253,12 @@ def serialize_tree(tree: PhraseTree) -> str:
 
 def extract_phrases(tree: PhraseTree) -> list:
     """One PhraseRecord per node, pre-order; the first record is the root."""
-    records = []
-    first = True
-    for node in tree.nodes():
-        records.append(PhraseRecord(node.span_text, node.label, is_root=first))
-        first = False
-    return records
+    return [PhraseRecord(n.span_text, n.label, is_root=n is tree) for n in tree.nodes()]
+
+
+def root_record(tree: PhraseTree) -> PhraseRecord:
+    """The root's PhraseRecord alone: ``extract_phrases(tree)[0]``, without the nodes below."""
+    return PhraseRecord(tree.span_text, tree.label, is_root=True)
 
 
 def load_corpus(path, split: str) -> Corpus:

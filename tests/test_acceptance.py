@@ -225,7 +225,7 @@ def test_5_objective_statistics(capsys):
     cfg = enc.ModelConfig(layers=1, hidden=16, heads=2, intermediate=32,
                           vocab_size=len(vocab), max_positions=16, dropout_p=0.0)
     hyper = pt.PretrainConfig(lr=2e-3, seed=0)
-    state = pt.init_pretrain_state(cfg, 0, hyper)
+    state = pt.init_pretrain_state(cfg, hyper)
     letters = list("abcdefghijklmnopqrstuvwxyz")
     losses = []
     for _ in range(260):

@@ -243,30 +243,87 @@ class TestEmbeddingLookup:
             ad.embedding_lookup(t64(np.ones((2, 3))), np.array([2]))
 
 
-class TestSegmentSumGradient:
-    """Tables over ``_ONE_HOT_MAX_ROWS`` rows against an ``np.add.at`` oracle."""
+def gather(op, x, axis, indices):
+    if op == "embedding_lookup":
+        assert axis == 0
+        return ad.embedding_lookup(x, indices)
+    return ad.index_select(x, axis, indices)
+
+
+# (op, axis) pairs of the two gathers; embedding_lookup gathers along axis 0 only
+GATHERS = [("embedding_lookup", 0), ("index_select", 0), ("index_select", 1)]
+# gathered-axis lengths on both sides of the one-hot/segment-sum switch
+SIDES = [ad._ONE_HOT_MAX_ROWS, ad._ONE_HOT_MAX_ROWS + 1]
+
+
+class TestGatherGradient:
+    """The scatter-add backward both gathers share, against an ``np.add.at`` oracle."""
 
     ROWS, H = 2000, 8
 
-    def ids(self):
+    def ids(self, n=ROWS):
         # Zipf-like: many repeats of a few ids, a tail of rare ones, the last row
         rng = np.random.default_rng(3)
-        ids = np.minimum(rng.zipf(1.5, size=(16, 64)) - 1, self.ROWS - 1)
-        ids[0, :4] = self.ROWS - 1
-        assert self.ROWS > ad._ONE_HOT_MAX_ROWS and len(np.unique(ids)) < ids.size
+        ids = np.minimum(rng.zipf(1.5, size=(16, 64)) - 1, n - 1)
+        ids[0, :4] = n - 1
+        assert len(np.unique(ids)) < ids.size
         return ids
 
-    def test_matches_add_at(self):
-        ids = self.ids()
+    @pytest.mark.parametrize("n", [ad._ONE_HOT_MAX_ROWS, ROWS])
+    @pytest.mark.parametrize("op,axis", GATHERS)
+    @pytest.mark.parametrize("form", ["leaf", "interior"])
+    def test_matches_add_at(self, form, op, axis, n):
+        ids = self.ids(n)
+        if op == "index_select":  # the same slices, every other one counted from the end
+            ids[:, ::2] -= n
         rng = np.random.default_rng(4)
-        table = t64(rng.normal(size=(self.ROWS, self.H)), requires_grad=True)
-        w = rng.normal(size=ids.shape + (self.H,))
-        ad.backward(ad.tensor_sum(ad.mul(ad.embedding_lookup(table, ids), t64(w))))
-        want = np.zeros((self.ROWS, self.H))
-        np.add.at(want, ids.reshape(-1), w.reshape(-1, self.H))
-        np.testing.assert_allclose(table.grad, want, rtol=0, atol=1e-12)
-        untouched = np.setdiff1d(np.arange(self.ROWS), ids)
-        assert (table.grad[untouched] == 0).all()
+        shape = (n, self.H) if axis == 0 else (3, n, self.H)
+        leaf = t64(rng.normal(size=shape), requires_grad=True)
+        x = leaf if form == "leaf" else ad.reshape(leaf, shape)
+        out = gather(op, x, axis, ids)
+        w = rng.normal(size=out.shape)
+        ad.backward(ad.tensor_sum(ad.mul(out, t64(w))))
+        pre = shape[0] if axis else 1
+        want = np.zeros((pre, n, self.H))
+        np.add.at(want, (slice(None), ids.reshape(-1) % n), w.reshape(pre, ids.size, self.H))
+        np.testing.assert_allclose(leaf.grad, want.reshape(shape), rtol=0, atol=1e-12)
+        untouched = np.setdiff1d(np.arange(n), ids % n)
+        assert (np.take(leaf.grad, untouched, axis=axis) == 0).all()
+
+    @pytest.mark.parametrize("n", SIDES)
+    @pytest.mark.parametrize("op,axis", GATHERS)
+    @pytest.mark.parametrize("form", ["leaf", "interior"])
+    def test_empty_indices(self, form, op, axis, n):
+        shape = (n, 3) if axis == 0 else (2, n, 3)
+        for ids in (np.zeros(0, dtype=np.int64), np.zeros((2, 0), dtype=np.int64)):
+            leaf = t64(np.ones(shape), requires_grad=True)
+            x = leaf if form == "leaf" else ad.reshape(leaf, shape)
+            out = gather(op, x, axis, ids)
+            assert out.shape == shape[:axis] + ids.shape + shape[axis + 1:]
+            ad.backward(ad.tensor_sum(out))
+            np.testing.assert_array_equal(leaf.grad, np.zeros(shape))
+
+    @pytest.mark.parametrize("n", SIDES)
+    @pytest.mark.parametrize("op,axis", GATHERS)
+    def test_interior_gradient_is_c_contiguous(self, op, axis, n):
+        # a transposed input is an F-ordered view; its gradient comes back in C order
+        leaf = t64(np.ones((3, n) if axis == 0 else (3, n, 2)), requires_grad=True)
+        x = ad.transpose(leaf)
+        assert not x.data.flags.c_contiguous
+        seen = []
+        closure = x._backward
+
+        def spy(g):
+            seen.append(g)
+            closure(g)
+
+        x._backward = spy
+        ad.backward(ad.tensor_sum(gather(op, x, axis, np.array([[0, n - 1, 0]]))))
+        (g,) = seen
+        assert g.shape == x.shape and g.flags.c_contiguous
+        counts = np.zeros(n)
+        counts[[0, n - 1]] = 2, 1
+        np.testing.assert_array_equal(g[..., 0], np.broadcast_to(counts, g.shape[:-1]))
 
     def test_tied_head_matches_add_at(self):
         # the MLM head's case: the lookup also feeds a linear on the

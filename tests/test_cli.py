@@ -223,6 +223,24 @@ class TestFinetuneEval:
         config, params, _ = load_checkpoint(os.path.join(pipeline["out"], "finetune_sst5.ckpt"))
         assert set(params) == set(encoder.param_shapes(config)) | {"head.w", "head.b"}
 
+    def test_finetune_is_handed_one_dev_record_per_tree(self, pipeline, tmp_path, monkeypatch):
+        # fine-tuning reads only the dev roots, so the CLI builds no record below them
+        cfg, _ = scratch_config(pipeline, tmp_path)
+        handed = []
+        finetune = classify.finetune
+
+        def spy(train_records, dev_records, *args):
+            handed.append(dev_records)
+            return finetune(train_records, dev_records, *args)
+
+        monkeypatch.setattr(classify, "finetune", spy)
+        assert cli.main(["finetune", "--config", cfg, "--init",
+                         os.path.join(pipeline["out"], "pretrain.ckpt")]) == 0
+        dev = treebank.load_corpus(os.path.join(pipeline["data"], "dev.txt"), "dev")
+        (records,) = handed
+        assert len(records) == len(dev.trees)
+        assert [r.text for r in records] == [tree.span_text for tree in dev.trees]
+
     def test_no_scorable_dev_root_is_reported(self, pipeline, tmp_path, capsys):
         data = tmp_path / "data"
         shutil.copytree(pipeline["data"], data)
@@ -406,8 +424,8 @@ DATA_ERRORS = {
     "vocab_specials": ("eval", "vocab.txt: vocab must start with"),
     "vocab_latin1": ("eval", "vocab.txt: 'utf-8' codec"),
     "test_latin1": ("eval", "test.txt:{lines}: 'utf-8' codec"),
-    "train_one_tree": ("pretrain", "at least 2 sentences"),
-    "train_empty": ("pretrain", "empty corpus"),
+    "train_one_tree": ("pretrain", "train split has 1 tree"),
+    "train_empty": ("pretrain", "train split has 0 tree"),
     "train_neutral": ("finetune", "no usable training samples"),
 }
 
@@ -844,7 +862,7 @@ class TestMallocPolicy:
         vocab = tok.Vocab(list(SPECIAL_TOKENS) + words)
         rng = make_rng(4)
         config = encoder.preset("toy", vocab_size=len(vocab))
-        state = pt.init_pretrain_state(config, 0, pt.PretrainConfig(lr=1e-4))
+        state = pt.init_pretrain_state(config, pt.PretrainConfig(lr=1e-4))
 
         def batch():  # 16 pairs of 64 pieces
             rows = []

@@ -29,6 +29,12 @@ class ReferenceAdamW:
         self.t = 0
         self.m = {k: np.zeros_like(p.data) for k, p in self.params.items()}
         self.v = {k: np.zeros_like(p.data) for k, p in self.params.items()}
+        # finetune snapshots and restores the parameters as one flat buffer, so
+        # they sit in one here too; the update below still runs per tensor
+        self.arena = np.concatenate([p.data.reshape(-1) for p in self.params.values()])
+        bounds = np.cumsum([0] + [p.data.size for p in self.params.values()])
+        for p, lo, hi in zip(self.params.values(), bounds[:-1], bounds[1:]):
+            p.data = self.arena[lo:hi].reshape(p.data.shape)
 
     def step(self):
         self.t += 1
@@ -192,7 +198,7 @@ def pretrain_twins(optimizer):
     vocab = tok.Vocab(letter_vocab().tokens + WORDS)
     cfg = enc.ModelConfig(layers=1, hidden=16, heads=2, intermediate=32,
                           vocab_size=len(vocab), max_positions=16, dropout_p=0.1)
-    state = pt.init_pretrain_state(cfg, 0, pt.PretrainConfig(lr=1e-2, seed=0))
+    state = pt.init_pretrain_state(cfg, pt.PretrainConfig(lr=1e-2, seed=0))
     state.optimizer = optimizer(state.params, 1e-2, total_steps=10)
     rng = make_rng(10)
     corpus = sentence_corpus([" ".join(rng.choice(WORDS, 5)) for _ in range(6)])

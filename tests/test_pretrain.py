@@ -280,7 +280,7 @@ def tiny_state(vocab, lr=1e-3, seed=0):
     cfg = enc.ModelConfig(layers=TINY.layers, hidden=TINY.hidden, heads=TINY.heads,
                           intermediate=TINY.intermediate, vocab_size=len(vocab),
                           max_positions=TINY.max_positions, dropout_p=0.0)
-    return pt.init_pretrain_state(cfg, seed, hyper)
+    return pt.init_pretrain_state(cfg, hyper)
 
 
 def batch_from(corpus, vocab, rng, max_len=12, rate=0.15):
@@ -386,9 +386,19 @@ class TestPretrainLoop:
                               vocab_size=len(vocab), max_positions=16)
         state = pt.pretrain(corpus, vocab, cfg, hyper)
         assert state.step == 0 and state.loss_history == []
-        fresh = pt.init_pretrain_state(cfg, 5, hyper)
+        fresh = pt.init_pretrain_state(cfg, hyper)
         np.testing.assert_array_equal(state.params["emb.tok"].data,
                                       fresh.params["emb.tok"].data)
+
+    @pytest.mark.parametrize("sentences", [[], ["ab cd"]])
+    def test_too_small_corpus_names_its_split(self, sentences):
+        # checked up front, so it raises even when no epoch would run
+        vocab = letter_vocab()
+        cfg = enc.ModelConfig(layers=1, hidden=16, heads=2, intermediate=32,
+                              vocab_size=len(vocab), max_positions=16)
+        with pytest.raises(pt.CorpusTooSmallError, match=f"dev split has {len(sentences)} tree"):
+            pt.pretrain(sentence_corpus(sentences, split="dev"), vocab, cfg,
+                        pt.PretrainConfig(epochs=0))
 
     def test_seeded_determinism(self):
         vocab = letter_vocab()
