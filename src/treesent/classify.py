@@ -16,7 +16,7 @@ from . import autodiff as ad
 from . import encoder as enc
 from .autodiff import Tensor
 from .optim import AdamW, check_finite_loss, make_rng
-from .tokenizer import encode, stack_batch
+from .tokenizer import assemble, piece_ids, stack_batch
 from .treebank import LABEL_NAMES, extract_phrases, root_record
 
 __all__ = [
@@ -163,7 +163,7 @@ def _pooled_features(seqs, params, config, batch_size=64):
 
 def predict_texts(texts, params, config, vocab, max_len, batch_size=64):
     """Deterministic inference over a list of texts -> list of Prediction."""
-    seqs = [encode(t, vocab, max_len) for t in texts]
+    seqs = [assemble(ids, None, vocab, max_len) for ids in piece_ids(texts, vocab)]
     with ad.no_grad():
         return _head_predictions(Tensor(_pooled_features(seqs, params, config, batch_size)),
                                  params)
@@ -261,7 +261,8 @@ def finetune(train_records, dev_records, params, config, vocab, task: str,
     total = steps_per_epoch * hyper.epochs
     opt = AdamW(trainable, lr, total_steps=total)
 
-    seqs = [encode(r.text, vocab, hyper.max_len) for r, _ in labeled]
+    seqs = [assemble(ids, None, vocab, hyper.max_len)
+            for ids in piece_ids([r.text for r, _ in labeled], vocab)]
     labels = np.array([y for _, y in labeled], dtype=np.int64)
     lengths = np.array([s.n_real for s in seqs])
     shuffle_rng = make_rng(hyper.seed, stream=3)

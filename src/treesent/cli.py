@@ -13,16 +13,13 @@ claims its outputs before any work and exits 1 if one exists without
 fails writes nothing, except ``pretrain``'s per-epoch checkpoint for
 ``--resume``. A checkpoint whose head tensors do not fit its config and task
 exits 2, and so does ``finetune --init`` from a checkpoint fine-tuned for
-another task. ``main`` first fixes glibc's malloc thresholds
-(``set_malloc_policy``), so the temporaries a training step frees stay in
-the heap for the next step.
+another task.
 """
 
 from __future__ import annotations
 
 import argparse
 import configparser
-import ctypes
 import hashlib
 import math
 import os
@@ -42,14 +39,6 @@ EXIT_NUMERIC = 3
 SPLITS = ("train", "dev", "test")
 PRETRAIN_HEADS = ("mlm.b", "nsp.w", "nsp.b")  # eval and predict never read these
 OVERRIDES = (("run", "seed"), ("model", "preset"), ("run", "task"), ("run", "scope"))
-
-
-# glibc's mallopt parameters (malloc.h) and the values main sets; see
-# set_malloc_policy
-M_TRIM_THRESHOLD = -1
-M_MMAP_THRESHOLD = -3
-MMAP_THRESHOLD = 32 << 20
-TRIM_THRESHOLD = 256 << 20
 
 
 class UsageError(ValueError):
@@ -104,7 +93,7 @@ class RunConfig:
     data_dir: str = _key("paths", "data_dir", str)
     out_dir: str = _key("paths", "out_dir", str)
     vocab_path: str = _key("paths", "vocab", str, default="")  # "" = <out_dir>/vocab.txt
-    preset: str = _key("model", "preset", _choice("base", "large", "toy"), default="toy")
+    preset: str = _key("model", "preset", _choice(*encoder.PRESETS), default="toy")
     vocab_size: int = _key("model", "vocab_size", _number(int, 0), default=2000)
     max_len: int = _key("model", "max_len", _number(int, 2), default=32)  # [CLS] w [SEP]
     pretrain_epochs: int = _key("pretrain", "epochs", _number(int, -1), default=3)
@@ -195,9 +184,8 @@ def _load_split(cfg, split):
 
 
 def _model_config(cfg, vocab):
-    base = encoder.preset(cfg.preset)
-    return encoder.preset(cfg.preset, vocab_size=len(vocab),
-                          max_positions=max(cfg.max_len, base.max_positions))
+    positions = max(cfg.max_len, encoder.PRESETS[cfg.preset]["max_positions"])
+    return encoder.preset(cfg.preset, vocab_size=len(vocab), max_positions=positions)
 
 
 def cmd_prepare(cfg, force):
@@ -426,39 +414,7 @@ def _command(args):
     return " ".join(words)
 
 
-def set_malloc_policy():
-    """Fix glibc's malloc thresholds: blocks up to 32 MiB come from the
-    heap, and the heap top is returned to the kernel only past 256 MiB free.
-
-    A training step allocates and frees a few MB of temporaries. By default
-    glibc trims the freed top of the heap after each step, so the next step
-    faults the same pages in again. One threshold alone is not enough:
-    fixing either switches off glibc's dynamic mmap threshold, so freed
-    blocks of 128 KiB or more go back to ``mmap``. A toy pretraining step
-    at batch 16 x 64 took 160-700 minor page faults with glibc's defaults,
-    about 800 with the mmap threshold alone, about 3,400 with the trim
-    threshold alone, and about 10 with both; a 20 s ``perfbench``
-    ``pretrain-pairs`` run took 40k-225k faults and 0.5-1.0 s of system
-    time without the thresholds, 19k and 0.4 s with them (x86-64, 2 vCPUs,
-    glibc, numpy 2.4, 1 BLAS thread). The price is that the peak heap
-    stays resident.
-
-    Returns whether the policy was applied: where the C library has no
-    ``mallopt`` (not glibc) this does nothing.
-    """
-    try:
-        mallopt = ctypes.CDLL(None).mallopt
-    except (AttributeError, OSError, TypeError):
-        return False
-    mallopt.argtypes = (ctypes.c_int, ctypes.c_int)
-    mallopt.restype = ctypes.c_int
-    mallopt(M_MMAP_THRESHOLD, MMAP_THRESHOLD)
-    mallopt(M_TRIM_THRESHOLD, TRIM_THRESHOLD)
-    return True
-
-
 def main(argv=None):
-    set_malloc_policy()
     parser = build_parser()
     try:
         args = parser.parse_args(argv)

@@ -23,6 +23,7 @@ from .autodiff import Tensor
 __all__ = [
     "ModelConfig",
     "UnknownPresetError",
+    "PRESETS",
     "preset",
     "param_shapes",
     "init_params",
@@ -56,7 +57,7 @@ class ModelConfig:
             raise ValueError(f"hidden {self.hidden} not divisible by heads {self.heads}")
 
 
-_PRESETS = {
+PRESETS = {
     "base": dict(layers=12, hidden=768, heads=12, intermediate=3072,
                  vocab_size=30522, max_positions=512),
     "large": dict(layers=24, hidden=1024, heads=16, intermediate=4096,
@@ -67,9 +68,9 @@ _PRESETS = {
 
 
 def preset(name: str, **overrides) -> ModelConfig:
-    if name not in _PRESETS:
-        raise UnknownPresetError(f"unknown preset {name!r}; choose from {sorted(_PRESETS)}")
-    cfg = ModelConfig(**_PRESETS[name])
+    if name not in PRESETS:
+        raise UnknownPresetError(f"unknown preset {name!r}; choose from {sorted(PRESETS)}")
+    cfg = ModelConfig(**PRESETS[name])
     return replace(cfg, **overrides) if overrides else cfg
 
 

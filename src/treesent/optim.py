@@ -1,6 +1,8 @@
-"""Decoupled-weight-decay adaptive-moment optimizer with linear warmup."""
+"""Decoupled-weight-decay adaptive-moment optimizer with linear warmup, and its malloc policy."""
 
 from __future__ import annotations
+
+import ctypes
 
 import numpy as np
 
@@ -9,6 +11,12 @@ WARMUP_FRAC = 0.1  # share of the scheduled steps spent warming the learning rat
 BETAS = (0.9, 0.999)
 EPS = 1e-8
 WEIGHT_DECAY = 0.01
+
+# glibc's mallopt parameters (malloc.h) and the values set_malloc_policy sets
+M_TRIM_THRESHOLD = -1
+M_MMAP_THRESHOLD = -3
+MMAP_THRESHOLD = 32 << 20
+TRIM_THRESHOLD = 256 << 20
 
 
 def make_rng(seed: int, stream: int = 0) -> np.random.Generator:
@@ -24,6 +32,38 @@ def check_finite_loss(loss, step):
     """
     if not np.isfinite(loss.data).all():
         raise FloatingPointError(f"training diverged: loss is {float(loss.data)} at step {step}")
+
+
+def set_malloc_policy():
+    """Fix glibc's malloc thresholds: blocks up to 32 MiB come from the
+    heap, and the heap top is returned to the kernel only past 256 MiB free.
+
+    A training step allocates and frees a few MB of temporaries. By default
+    glibc trims the freed top of the heap after each step, so the next step
+    faults the same pages in again. One threshold alone is not enough:
+    fixing either switches off glibc's dynamic mmap threshold, so freed
+    blocks of 128 KiB or more go back to ``mmap``. A toy pretraining step
+    at batch 16 x 64 took 160-700 minor page faults with glibc's defaults,
+    about 800 with the mmap threshold alone, about 3,400 with the trim
+    threshold alone, and about 10 with both; a 20 s ``perfbench``
+    ``pretrain-pairs`` run took 40k-225k faults and 0.5-1.0 s of system
+    time without the thresholds, 19k and 0.4 s with them (x86-64, 2 vCPUs,
+    glibc, numpy 2.4, 1 BLAS thread). The price is that the peak heap
+    stays resident.
+
+    Importing ``treesent`` calls this once, so every caller of the package
+    runs under the policy. Returns whether it was applied: where the C
+    library has no ``mallopt`` (not glibc) this does nothing.
+    """
+    try:
+        mallopt = ctypes.CDLL(None).mallopt
+    except (AttributeError, OSError, TypeError):
+        return False
+    mallopt.argtypes = (ctypes.c_int, ctypes.c_int)
+    mallopt.restype = ctypes.c_int
+    mallopt(M_MMAP_THRESHOLD, MMAP_THRESHOLD)
+    mallopt(M_TRIM_THRESHOLD, TRIM_THRESHOLD)
+    return True
 
 
 class AdamW:

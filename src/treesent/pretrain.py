@@ -17,7 +17,7 @@ from . import autodiff as ad
 from . import encoder as enc
 from .autodiff import Tensor
 from .optim import AdamW, check_finite_loss, make_rng
-from .tokenizer import TokenSequence, assemble_pair, piece_ids, stack_batch
+from .tokenizer import TokenSequence, assemble, piece_ids, stack_batch
 
 __all__ = [
     "IS_NEXT",
@@ -135,8 +135,8 @@ def make_nsp_pairs(sentences, pieces, vocab, max_len: int, rng) -> list:
     ``pieces[i]`` holds the WordPiece ids of ``sentences[i]``, as
     ``tokenizer.piece_ids`` returns them, so each sentence is tokenized
     once per ``pretrain`` call, not once per pair and epoch: here each pair
-    is only truncated and assembled by sentence index, through
-    ``tokenizer.assemble_pair`` as ``encode_pair`` does. A random B is
+    is only truncated and framed by sentence index, through
+    ``tokenizer.assemble`` as ``encode_pair`` does. A random B is
     never a sentence whose text equals the true next one.
     """
     if len(sentences) < 2:
@@ -154,7 +154,7 @@ def make_nsp_pairs(sentences, pieces, vocab, max_len: int, rng) -> list:
                     break
             if j is None:  # every sentence equals the true next one
                 j, label = i + 1, IS_NEXT
-        seq = assemble_pair(pieces[i], pieces[j], vocab, max_len)
+        seq = assemble(pieces[i], pieces[j], vocab, max_len)
         pairs.append(NspPair(seq=seq, label=label, a_text=sentences[i], b_text=sentences[j]))
     return pairs
 

@@ -3,7 +3,9 @@
 Canonicalization lowercases and strips digits, punctuation, and accent
 marks. WordPiece uses greedy longest-match-first segmentation with "##"
 continuation pieces; the vocabulary is induced by frequency ranking (not
-likelihood training) at desk scale.
+likelihood training) at desk scale. ``piece_ids`` tokenizes a list of
+texts in one call and ``assemble`` frames one text's or pair's piece ids;
+``encode`` and ``encode_pair`` do both for a single input.
 """
 
 from __future__ import annotations
@@ -19,8 +21,8 @@ import numpy as np
 __all__ = [
     "PAD", "UNK", "CLS", "SEP", "MASK", "SPECIAL_TOKENS",
     "Vocab", "VocabError", "TokenSequence", "TargetTooSmallError",
-    "canonicalize", "wordpiece", "build_vocab", "piece_ids", "encode",
-    "assemble_pair", "encode_pair", "stack_batch",
+    "canonicalize", "wordpiece", "build_vocab", "piece_ids", "assemble",
+    "encode", "encode_pair", "stack_batch",
 ]
 
 PAD, UNK, CLS, SEP, MASK = "[PAD]", "[UNK]", "[CLS]", "[SEP]", "[MASK]"
@@ -214,7 +216,8 @@ def piece_ids(texts, vocab: Vocab) -> list:
 
     Every text is canonicalized once, and each distinct word is segmented
     once per call: the memo lives only as long as the call, so it never
-    outlives the vocab it was built from.
+    outlives the vocab it was built from. ``pretrain`` and ``classify``
+    pass each of their text lists in one call.
     """
     memo = {}
     out = []
@@ -229,43 +232,39 @@ def piece_ids(texts, vocab: Vocab) -> list:
     return out
 
 
-def _assemble(piece_ids_a, piece_ids_b, vocab):
-    ids = [vocab.cls_id] + piece_ids_a + [vocab.sep_id]
-    segs = [0] * len(ids)
-    if piece_ids_b is not None:
-        ids += piece_ids_b + [vocab.sep_id]
-        segs += [1] * (len(piece_ids_b) + 1)
-    return TokenSequence(ids=np.array(ids, dtype=np.int64),
-                         segment_ids=np.array(segs, dtype=np.int64))
+def assemble(ids_a: list, ids_b, vocab: Vocab, max_len: int) -> TokenSequence:
+    """[CLS] a [SEP], or [CLS] a [SEP] b [SEP] when ``ids_b`` is not None,
+    from piece ids truncated to ``max_len``.
+
+    The one place piece ids become a ``TokenSequence``. A single text keeps
+    its first ``max_len - 2`` pieces. A pair is truncated longest-first, as
+    BERT's ``_truncate_seq_pair``: while it is over ``max_len``, the longer
+    side loses its last piece (side b on a tie). So a side cut short keeps
+    at least half of the ``max_len - 3`` piece slots, a rounded up and b
+    rounded down. The input lists are not modified.
+    """
+    pair = ids_b is not None
+    if max_len < (5 if pair else 3):
+        raise ValueError(f"max_len must be at least {5 if pair else 3}")
+    budget = max_len - (3 if pair else 2)  # pieces left beside [CLS] and the [SEP]s
+    len_b = min(len(ids_b), max(budget - len(ids_a), budget // 2)) if pair else 0
+    len_a = min(len(ids_a), budget - len_b)
+    ids = [vocab.cls_id, *ids_a[:len_a], vocab.sep_id]
+    if pair:
+        ids += [*ids_b[:len_b], vocab.sep_id]
+    segs = np.zeros(len(ids), dtype=np.int64)
+    segs[len_a + 2:] = 1
+    return TokenSequence(ids=np.array(ids, dtype=np.int64), segment_ids=segs)
 
 
 def encode(text: str, vocab: Vocab, max_len: int) -> TokenSequence:
     """[CLS] pieces [SEP], truncated from the right to ``max_len``."""
-    if max_len < 3:
-        raise ValueError("max_len must be at least 3")
-    return _assemble(piece_ids([text], vocab)[0][: max_len - 2], None, vocab)
-
-
-def assemble_pair(ids_a: list, ids_b: list, vocab: Vocab, max_len: int) -> TokenSequence:
-    """[CLS] a [SEP] b [SEP] from piece ids, truncated longest-first.
-
-    While the pair is over ``max_len``, the longer side loses its last
-    piece (side b on a tie). The input lists are not modified.
-    """
-    if max_len < 5:
-        raise ValueError("max_len must be at least 5")
-    len_a, len_b = len(ids_a), len(ids_b)
-    while len_a + len_b > max_len - 3:
-        if len_a > len_b:
-            len_a -= 1
-        else:
-            len_b -= 1
-    return _assemble(ids_a[:len_a], ids_b[:len_b], vocab)
+    return assemble(piece_ids([text], vocab)[0], None, vocab, max_len)
 
 
 def encode_pair(a: str, b: str, vocab: Vocab, max_len: int) -> TokenSequence:
     """[CLS] a [SEP] b [SEP] with longest-first alternating truncation."""
-    return assemble_pair(*piece_ids([a, b], vocab), vocab, max_len)
+    return assemble(*piece_ids([a, b], vocab), vocab, max_len)
 
 
 def stack_batch(seqs):

@@ -14,6 +14,7 @@ from treesent.treebank import (
     SentimentLabel,
     extract_phrases,
     parse_tree,
+    root_record,
 )
 
 TINY = enc.ModelConfig(layers=1, hidden=16, heads=2, intermediate=32,
@@ -162,6 +163,28 @@ class TestPredictTexts:
         after = {k: p.data.tobytes() for k, p in params.items()}
         assert before == after
         assert all(p.grad is None for p in params.values())
+
+
+class TestTokenizeOnce:
+    def test_each_text_list_is_one_piece_ids_call(self, synth_corpora, monkeypatch):
+        vocab, cfg, params = tiny_setup()
+        train = [r for t in synth_corpora[0].trees for r in extract_phrases(t)][:40]
+        dev = [root_record(t) for t in synth_corpora[1].trees][:5]
+        calls = []
+
+        def counting(texts, vocab):
+            calls.append(list(texts))
+            return tok.piece_ids(texts, vocab)
+
+        monkeypatch.setattr(cl, "piece_ids", counting)
+        hyper = cl.FinetuneConfig(epochs=2, batch_size=16, seed=1, max_len=16)
+        cl.finetune(train, dev, params, cfg, vocab, "sst5", hyper)
+        # the training texts in one call, then one call per epoch's dev check
+        assert calls[0] == [r.text for r in train if cl.project_label(r.label, "sst5") is not None]
+        assert len(calls) == 1 + hyper.epochs
+        calls.clear()
+        cl.predict_texts(["ab cd", "ef", "gh"], params, cfg, vocab, 12)
+        assert calls == [["ab cd", "ef", "gh"]]
 
 
 def phrase_lengths(seed=0, n=360):

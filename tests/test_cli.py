@@ -5,13 +5,14 @@ import platform
 import re
 import resource
 import shutil
+import subprocess
 import sys
 
 import numpy as np
 import pytest
 from test_checkpoint import save_non_finite
 
-from treesent import classify, cli, encoder, synth, treebank
+from treesent import classify, cli, encoder, optim, synth, treebank
 from treesent import pretrain as pt
 from treesent import tokenizer as tok
 from treesent.autodiff import Tensor
@@ -720,7 +721,7 @@ class TestConfigTable:
         assert sorted(os.listdir(out)) == ["vocab.txt"]
 
     @pytest.mark.parametrize("section, key, value", [
-        ("run", "seed", "7"), ("model", "preset", "base"),
+        ("run", "seed", "7"), *(("model", "preset", name) for name in encoder.PRESETS),
         ("run", "task", "sst2"), ("run", "scope", "root"),
     ])
     def test_override_reaches_config_copy(self, pipeline, tmp_path, section, key, value):
@@ -853,11 +854,38 @@ class TestCheckpointHeads:
         assert sorted(os.listdir(out)) == ["vocab.txt"]
 
 
+# A library caller's process: it imports treesent.pretrain, not the CLI,
+# and runs the toy steps of test_pretrain_step_takes_few_page_faults.
+LIBRARY_PRETRAIN_STEPS = """
+import resource, sys
+import treesent.pretrain as pt
+from treesent import encoder, optim, tokenizer as tok  # loaded by treesent.pretrain
+assert "treesent.cli" not in sys.modules
+words = [f"w{i}" for i in range(1995)]
+vocab = tok.Vocab(list(tok.SPECIAL_TOKENS) + words)
+rng = optim.make_rng(4)
+state = pt.init_pretrain_state(encoder.preset("toy", vocab_size=len(vocab)),
+                               pt.PretrainConfig(lr=1e-4))
+def text():
+    return " ".join(words[i] for i in rng.integers(0, len(words), 40))
+batches = [[(pt.mask_tokens(tok.encode_pair(text(), text(), vocab, 64), 0.15, rng, vocab),
+             row % 2) for row in range(16)] for _ in range(8)]
+for rows in batches[:2]:
+    pt.pretrain_step(state, rows, rng)
+before = resource.getrusage(resource.RUSAGE_SELF).ru_minflt
+for rows in batches[2:]:
+    pt.pretrain_step(state, rows, rng)
+print((resource.getrusage(resource.RUSAGE_SELF).ru_minflt - before) / 6)
+"""
+
+glibc_only = pytest.mark.skipif(sys.platform != "linux" or platform.libc_ver()[0] != "glibc",
+                                reason="the policy is glibc's mallopt")
+
+
 class TestMallocPolicy:
-    @pytest.mark.skipif(sys.platform != "linux" or platform.libc_ver()[0] != "glibc",
-                        reason="the policy is glibc's mallopt")
+    @glibc_only
     def test_pretrain_step_takes_few_page_faults(self):
-        assert cli.set_malloc_policy()
+        assert optim.set_malloc_policy()
         words = [f"w{i}" for i in range(1995)]
         vocab = tok.Vocab(list(SPECIAL_TOKENS) + words)
         rng = make_rng(4)
@@ -889,5 +917,14 @@ class TestMallocPolicy:
             def __init__(self, name):
                 pass
 
-        monkeypatch.setattr(cli.ctypes, "CDLL", NoMallopt)
-        assert cli.set_malloc_policy() is False
+        monkeypatch.setattr(optim.ctypes, "CDLL", NoMallopt)
+        assert optim.set_malloc_policy() is False
+
+    @glibc_only
+    def test_importing_the_library_sets_the_policy(self):
+        src = os.path.dirname(os.path.dirname(os.path.abspath(treebank.__file__)))
+        env = dict(os.environ, PYTHONPATH=src, OPENBLAS_NUM_THREADS="1")
+        out = subprocess.run([sys.executable, "-c", LIBRARY_PRETRAIN_STEPS], env=env,
+                             capture_output=True, text=True, check=True).stdout
+        # glibc's defaults take thousands of faults per step here
+        assert float(out) < 50

@@ -18,6 +18,7 @@ from treesent.tokenizer import (
     TargetTooSmallError,
     TokenSequence,
     Vocab,
+    assemble,
     build_vocab,
     canonicalize,
     encode,
@@ -352,6 +353,48 @@ class TestEncodePair:
     def test_min_len_enforced(self, small_vocab):
         with pytest.raises(ValueError):
             encode_pair("a", "b", small_vocab, 4)
+
+
+def reference_single(ids, max_len):
+    """A lone text keeps its first max_len - 2 pieces, as a slice."""
+    return ids[: max_len - 2]
+
+
+def reference_pair(ids_a, ids_b, max_len):
+    """BERT's _truncate_seq_pair, stated as its loop: while the pair is over
+    max_len, the longer side loses its last piece (side b on a tie)."""
+    len_a, len_b = len(ids_a), len(ids_b)
+    while len_a + len_b > max_len - 3:
+        if len_a > len_b:
+            len_a -= 1
+        else:
+            len_b -= 1
+    return ids_a[:len_a], ids_b[:len_b]
+
+
+PIECES = st.lists(st.integers(len(SPECIAL_TOKENS), 56), max_size=40)
+
+
+class TestAssemble:
+    @given(PIECES, st.none() | PIECES, st.data())
+    @settings(max_examples=500, deadline=None)
+    def test_matches_the_reference_rules(self, ids_a, ids_b, data):
+        letters = [chr(c) for c in range(ord("a"), ord("z") + 1)]
+        vocab = Vocab(list(SPECIAL_TOKENS) + letters + ["##" + c for c in letters])
+        max_len = data.draw(st.integers(3 if ids_b is None else 5, 40))
+        given_a, given_b = list(ids_a), None if ids_b is None else list(ids_b)
+        seq = assemble(ids_a, ids_b, vocab, max_len)
+        if ids_b is None:
+            want = [vocab.cls_id, *reference_single(ids_a, max_len), vocab.sep_id]
+            want_segs = [0] * len(want)
+        else:
+            a, b = reference_pair(ids_a, ids_b, max_len)
+            want = [vocab.cls_id, *a, vocab.sep_id, *b, vocab.sep_id]
+            want_segs = [0] * (len(a) + 2) + [1] * (len(b) + 1)
+        assert seq.ids.tolist() == want
+        assert seq.segment_ids.tolist() == want_segs
+        assert seq.ids.dtype == seq.segment_ids.dtype == np.int64
+        assert ids_a == given_a and ids_b == given_b
 
 
 class TestStackBatch:
