@@ -105,7 +105,7 @@ def load_checkpoint(path):
     Besides the encoder's, the tensors a checkpoint may hold are the
     pretraining heads ``mlm.b`` (V,), ``nsp.w`` (H, 2) and ``nsp.b`` (2,)
     and a classifier head, ``head.w`` (H, k) with ``head.b`` (k,). Any other
-    tensor, or one that is not finite, is refused.
+    tensor, a non-finite one, or a byte past the last tensor is refused.
     """
     with open(path, "rb") as fh:
         if fh.read(4) != MAGIC:
@@ -133,6 +133,8 @@ def load_checkpoint(path):
             if not np.isfinite(data).all():
                 raise CheckpointError(f"{path}: tensor {name} is not finite")
             params[name] = Tensor(data.copy(), requires_grad=True)
+        if (extra := os.fstat(fh.fileno()).st_size - fh.tell()) > 0:
+            raise CheckpointError(f"{path}: {extra} trailing byte(s) after the last tensor")
 
     if ("head.w" in params) != ("head.b" in params):
         raise CheckpointError(f"{path} holds only one of head.w and head.b")

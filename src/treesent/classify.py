@@ -15,8 +15,8 @@ import numpy as np
 from . import autodiff as ad
 from . import encoder as enc
 from .autodiff import Tensor
-from .optim import AdamW, check_finite_loss, make_rng
-from .tokenizer import assemble, piece_ids, stack_batch
+from .optim import AdamW, make_rng
+from .tokenizer import assemble, length_batches, piece_ids, stack_batch
 from .treebank import LABEL_NAMES, extract_phrases, root_record
 
 __all__ = [
@@ -46,10 +46,6 @@ TASKS = {
     "sst2": Task(("negative", "positive"), (0, 0, None, 1, 1)),
     "sst5": Task(LABEL_NAMES, (0, 1, 2, 3, 4)),
 }
-
-# training batches are length-sorted within chunks of this many batches
-BUCKET_CHUNK = 4
-
 
 class EmptyTrainingSetError(ValueError):
     pass
@@ -201,24 +197,6 @@ def _dev_root_accuracy(dev_records, params, config, vocab, max_len, task):
     return acc if n else None
 
 
-def _bucketed_batches(lengths, batch_size, rng):
-    """One epoch of training batches, as arrays of example indices.
-
-    A "sortish" sampler: permute the examples, cut the permutation into
-    chunks of ``BUCKET_CHUNK`` batches, stable-sort each chunk by length,
-    split it into batches and shuffle the batch order. Only the last chunk
-    can be partial, so there are ``ceil(n / batch_size)`` batches and at
-    most one is short.
-    """
-    order = rng.permutation(len(lengths))
-    batches = []
-    for start in range(0, len(order), BUCKET_CHUNK * batch_size):
-        chunk = order[start:start + BUCKET_CHUNK * batch_size]
-        chunk = chunk[np.argsort(lengths[chunk], kind="stable")]
-        batches.extend(chunk[i:i + batch_size] for i in range(0, len(chunk), batch_size))
-    return [batches[i] for i in rng.permutation(len(batches))]
-
-
 def finetune(train_records, dev_records, params, config, vocab, task: str,
              hyper: FinetuneConfig):
     """Fine-tune encoder + head (or head only) with cross-entropy.
@@ -228,10 +206,11 @@ def finetune(train_records, dev_records, params, config, vocab, task: str,
 
     ``params`` without ``head.w`` gains a fresh head for ``task``; one with a
     head goes on training it. Each epoch's batches come from
-    ``_bucketed_batches``: rows of similar length share a batch, so little
-    of it is ``[PAD]``. The batches are drawn from their own random stream
-    (3), apart from the head init and dropout (stream 2), so the dropout
-    rate never changes which examples share a batch.
+    ``tokenizer.length_batches``, as pretraining's do: rows of similar
+    length share a batch, so little of it is ``[PAD]``. The batches are
+    drawn from their own random stream (3), apart from the head init and
+    dropout (stream 2), so the dropout rate never changes which examples
+    share a batch. Each batch is one ``AdamW.minimize`` call.
 
     Returns (params, summary); ``params`` is the dict given, head included.
     The checkpoint with the best dev root accuracy wins; ties keep the
@@ -274,7 +253,7 @@ def finetune(train_records, dev_records, params, config, vocab, task: str,
 
     best = None  # (acc, epoch, a copy of the trained parameters' arena)
     for epoch in range(hyper.epochs):
-        for sel in _bucketed_batches(lengths, hyper.batch_size, shuffle_rng):
+        for sel in length_batches(lengths, hyper.batch_size, shuffle_rng):
             if hyper.freeze_encoder:
                 pooled = Tensor(features[sel])
             else:
@@ -283,10 +262,7 @@ def finetune(train_records, dev_records, params, config, vocab, task: str,
                                              rng=rng, rows=np.zeros((len(sel), 1), dtype=np.int64))
             pooled = ad.dropout(pooled, config.dropout_p, True, rng)
             loss = ad.softmax_cross_entropy(_head_logits(pooled, params), labels[sel])
-            check_finite_loss(loss, opt.t + 1)
-            opt.zero_grad()
-            ad.backward(loss)
-            opt.step()
+            opt.minimize(loss, opt.t + 1)
         dev_acc = _dev_root_accuracy(dev_records, params, config, vocab, hyper.max_len, task)
         if dev_acc is not None and (best is None or dev_acc > best[0]):
             best = (dev_acc, epoch, opt.arena.copy())

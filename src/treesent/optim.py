@@ -6,6 +6,8 @@ import ctypes
 
 import numpy as np
 
+from . import autodiff as ad
+
 # BERT's fixed optimizer settings (Devlin et al., arXiv 1810.04805)
 WARMUP_FRAC = 0.1  # share of the scheduled steps spent warming the learning rate up
 BETAS = (0.9, 0.999)
@@ -22,16 +24,6 @@ TRIM_THRESHOLD = 256 << 20
 def make_rng(seed: int, stream: int = 0) -> np.random.Generator:
     """Seeded counter-based generator; distinct streams never overlap."""
     return np.random.Generator(np.random.Philox(key=seed, counter=stream << 64))
-
-
-def check_finite_loss(loss, step):
-    """Raise FloatingPointError when a training loss is NaN or infinite.
-
-    NumPy only warns on overflow, so without this a diverged run would go
-    on training, and saving, NaN parameters.
-    """
-    if not np.isfinite(loss.data).all():
-        raise FloatingPointError(f"training diverged: loss is {float(loss.data)} at step {step}")
 
 
 def set_malloc_policy():
@@ -172,6 +164,15 @@ class AdamW:
         s += d
         s *= lr
         p -= s
+
+    def minimize(self, loss, step_number):
+        """Refuse a NaN or infinite ``loss`` (NumPy only warns), then zero_grad, backward, step."""
+        if not np.isfinite(loss.data).all():
+            raise FloatingPointError(
+                f"training diverged: loss is {float(loss.data)} at step {step_number}")
+        self.zero_grad()
+        ad.backward(loss)
+        self.step()
 
     def zero_grad(self):
         self._grad.fill(0)

@@ -16,8 +16,8 @@ import numpy as np
 from . import autodiff as ad
 from . import encoder as enc
 from .autodiff import Tensor
-from .optim import AdamW, check_finite_loss, make_rng
-from .tokenizer import TokenSequence, assemble, piece_ids, stack_batch
+from .optim import AdamW, make_rng
+from .tokenizer import TokenSequence, assemble, length_batches, piece_ids, stack_batch
 
 __all__ = [
     "IS_NEXT",
@@ -204,10 +204,7 @@ def pretrain_step(state: PretrainState, batch, rng):
     nsp_loss = ad.softmax_cross_entropy(nsp_logits, nsp_labels)
 
     total = mlm_loss + nsp_loss
-    check_finite_loss(total, state.step + 1)
-    state.optimizer.zero_grad()
-    ad.backward(total)
-    state.optimizer.step()
+    state.optimizer.minimize(total, state.step + 1)
     state.step += 1
     mlm_val, nsp_val = float(mlm_loss.data), float(nsp_loss.data)
     state.loss_history.append((state.step, mlm_val, nsp_val))
@@ -221,10 +218,12 @@ def pretrain(corpus, vocab, config, hyper: PretrainConfig,
 
     Each sentence is tokenized once per call, before the first epoch. Each
     epoch rebuilds sentence pairs from those piece ids (fresh pairing
-    randomness), masks them, and runs shuffled batches. Deterministic for
-    a fixed seed. Training ends at ``hyper.max_steps`` steps, mid-epoch if
-    need be; no epoch starts after that. ``checkpoint_fn(state, epoch)``,
-    when given, is called after each epoch that ran.
+    randomness), masks them, and draws its batches from
+    ``tokenizer.length_batches`` on the epoch's stream, so pairs of similar
+    length share a batch. Deterministic for a fixed seed. Training ends at
+    ``hyper.max_steps`` steps, mid-epoch if need be; no epoch starts after
+    that. ``checkpoint_fn(state, epoch)``, when given, is called after each
+    epoch that ran.
     """
     n_pairs = len(corpus.trees) - 1
     if n_pairs < 1:
@@ -249,12 +248,11 @@ def pretrain(corpus, vocab, config, hyper: PretrainConfig,
             except NoMaskablePositionsError:
                 continue
             examples.append((ex, pair.label))
-        order = rng.permutation(len(examples))
-        for start in range(0, len(examples), hyper.batch_size):
+        lengths = np.array([ex.seq.n_real for ex, _ in examples])
+        for sel in length_batches(lengths, hyper.batch_size, rng):
             if state.step >= max_steps:
                 break
-            batch = [examples[i] for i in order[start:start + hyper.batch_size]]
-            pretrain_step(state, batch, rng)
+            pretrain_step(state, [examples[i] for i in sel], rng)
         if checkpoint_fn is not None:
             checkpoint_fn(state, epoch)
     return state

@@ -6,6 +6,8 @@ continuation pieces; the vocabulary is induced by frequency ranking (not
 likelihood training) at desk scale. ``piece_ids`` tokenizes a list of
 texts in one call and ``assemble`` frames one text's or pair's piece ids;
 ``encode`` and ``encode_pair`` do both for a single input.
+``length_batches`` draws every training epoch's batches, pretraining's
+and fine-tuning's, and ``stack_batch`` pads a batch into arrays.
 """
 
 from __future__ import annotations
@@ -22,13 +24,16 @@ __all__ = [
     "PAD", "UNK", "CLS", "SEP", "MASK", "SPECIAL_TOKENS",
     "Vocab", "VocabError", "TokenSequence", "TargetTooSmallError",
     "canonicalize", "wordpiece", "build_vocab", "piece_ids", "assemble",
-    "encode", "encode_pair", "stack_batch",
+    "encode", "encode_pair", "length_batches", "stack_batch",
 ]
 
 PAD, UNK, CLS, SEP, MASK = "[PAD]", "[UNK]", "[CLS]", "[SEP]", "[MASK]"
 SPECIAL_TOKENS = (PAD, UNK, CLS, SEP, MASK)
 
 MAX_WORD_CHARS = 100  # longer words become [UNK] outright
+
+# training batches are length-sorted within chunks of this many batches
+BUCKET_CHUNK = 4
 
 
 class TargetTooSmallError(ValueError):
@@ -265,6 +270,24 @@ def encode(text: str, vocab: Vocab, max_len: int) -> TokenSequence:
 def encode_pair(a: str, b: str, vocab: Vocab, max_len: int) -> TokenSequence:
     """[CLS] a [SEP] b [SEP] with longest-first alternating truncation."""
     return assemble(*piece_ids([a, b], vocab), vocab, max_len)
+
+
+def length_batches(lengths, batch_size, rng):
+    """One epoch of training batches, as arrays of example indices.
+
+    A "sortish" sampler: permute the examples, cut the permutation into
+    chunks of ``BUCKET_CHUNK`` batches, stable-sort each chunk by length,
+    split it into batches and shuffle the batch order. Only the last chunk
+    can be partial, so there are ``ceil(n / batch_size)`` batches and at
+    most one is short.
+    """
+    order = rng.permutation(len(lengths))
+    batches = []
+    for start in range(0, len(order), BUCKET_CHUNK * batch_size):
+        chunk = order[start:start + BUCKET_CHUNK * batch_size]
+        chunk = chunk[np.argsort(lengths[chunk], kind="stable")]
+        batches.extend(chunk[i:i + batch_size] for i in range(0, len(chunk), batch_size))
+    return [batches[i] for i in rng.permutation(len(batches))]
 
 
 def stack_batch(seqs):

@@ -112,6 +112,14 @@ class TestRejection:
             with pytest.raises(ck.CheckpointError):
                 ck.load_checkpoint(path)
 
+    @pytest.mark.parametrize("extra", [b"\x00", b"SSTB\x01\x00\x00\x00"])
+    def test_trailing_bytes(self, tmp_path, extra):
+        path = tmp_path / "long.ckpt"
+        ck.save_checkpoint(path, CFG, fresh_params(), {})
+        path.write_bytes(path.read_bytes() + extra)
+        with pytest.raises(ck.CheckpointError, match=f"{len(extra)} trailing byte\\(s\\) after"):
+            ck.load_checkpoint(path)
+
     def test_corrupt_tensor_length(self, tmp_path):
         path = tmp_path / "c.ckpt"
         params = {"emb.ln.b": Tensor(np.zeros(16, dtype=np.float32))}

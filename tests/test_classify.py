@@ -200,10 +200,12 @@ def pad_fraction(batches, lengths):
 
 
 class TestBucketedBatches:
+    """``tokenizer.length_batches``, the sampler of fine-tuning and pretraining."""
+
     def test_every_index_once_per_epoch(self):
         lengths = phrase_lengths()
         rng = make_rng(1)
-        epochs = [cl._bucketed_batches(lengths, 32, rng) for _ in range(3)]
+        epochs = [tok.length_batches(lengths, 32, rng) for _ in range(3)]
         for batches in epochs:
             np.testing.assert_array_equal(np.sort(np.concatenate(batches)),
                                           np.arange(len(lengths)))
@@ -212,7 +214,7 @@ class TestBucketedBatches:
     @pytest.mark.parametrize("n", [1, 31, 32, 33, 127, 128, 129, 360])
     @pytest.mark.parametrize("batch_size", [1, 7, 32])
     def test_step_count_and_one_short_batch(self, n, batch_size):
-        batches = cl._bucketed_batches(phrase_lengths(n=n), batch_size, make_rng(n))
+        batches = tok.length_batches(phrase_lengths(n=n), batch_size, make_rng(n))
         assert len(batches) == -(-n // batch_size)
         assert all(1 <= len(b) <= batch_size for b in batches)
         assert sum(len(b) < batch_size for b in batches) <= 1
@@ -222,7 +224,7 @@ class TestBucketedBatches:
         rng, plain_rng = make_rng(2), make_rng(2)
         sortish, plain = [], []
         for _ in range(20):
-            sortish += cl._bucketed_batches(lengths, 32, rng)
+            sortish += tok.length_batches(lengths, 32, rng)
             order = plain_rng.permutation(len(lengths))
             plain += [order[i:i + 32] for i in range(0, len(order), 32)]
         assert pad_fraction(sortish, lengths) < pad_fraction(plain, lengths)

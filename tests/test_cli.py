@@ -453,6 +453,18 @@ class TestFailureExitCodes:
         assert "truncated" in capsys.readouterr().err
         assert sorted(os.listdir(out)) == ["vocab.txt"]
 
+    def test_trailing_bytes_in_checkpoint_exit_2(self, pipeline, tmp_path, capsys):
+        cfg, out = scratch_config(pipeline, tmp_path)
+        raw = open(os.path.join(pipeline["out"], "finetune_sst5.ckpt"), "rb").read()
+        long_path = str(tmp_path / "long.ckpt")
+        with open(long_path, "wb") as fh:
+            fh.write(raw + b"\x00")
+        assert cli.main(["eval", "--config", cfg, "--checkpoint", long_path]) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("error: ") and err.count("\n") == 1, err
+        assert "1 trailing byte(s) after the last tensor" in err
+        assert sorted(os.listdir(out)) == ["vocab.txt"]
+
     def test_vocab_mismatch_exits_2(self, pipeline, tmp_path, capsys):
         cfg, out = scratch_config(pipeline, tmp_path)
         vocab_path = os.path.join(out, "vocab.txt")

@@ -58,6 +58,10 @@ class ReferenceAdamW:
         for p in self.params.values():
             p.grad = None
 
+    # the training loops call minimize: the same check, zero_grad, backward
+    # pass and step sequence, around the per-tensor update above
+    minimize = AdamW.minimize
+
 
 SHAPES = {"emb": (13, 8), "ln.g": (8,), "w": (8, 3, 2), "ln.b": (5,), "b": (3,),
           "scalar": (), "empty": (0, 4), "tail": (7, 7)}
@@ -255,6 +259,51 @@ def test_training_step_matches_the_per_tensor_reference(kind, synth_corpora, mon
         assert_bitwise_equal(p.data, q.data)
         assert_bitwise_equal(opt.m[name], ref.m[name])
         assert_bitwise_equal(opt.v[name], ref.v[name])
+
+
+def optimizer_state(opt):
+    return [opt.arena.tobytes(), opt._m.tobytes(), opt._v.tobytes(), opt._grad.tobytes(), opt.t]
+
+
+@pytest.mark.parametrize("kind", ["pretrain", "finetune"])
+def test_a_non_finite_loss_changes_nothing(kind, synth_corpora, monkeypatch):
+    # the first update trains; the second one's loss reads NaN, and the
+    # update refuses it before zero_grad, so the parameters, m, v, the
+    # gradients and t stay as the first update left them. Pretraining,
+    # resumed here at step 5, numbers its steps from the checkpoint's step.
+    made, before = [], []
+    loss_fn = ad.softmax_cross_entropy
+
+    def poisoned(*args, **kwargs):
+        out = loss_fn(*args, **kwargs)
+        if made[0].t == 1:
+            before.append(optimizer_state(made[0]))
+            out.data = np.full_like(out.data, np.nan)
+        return out
+
+    def recording(*args, **kwargs):
+        made.append(AdamW(*args, **kwargs))
+        return made[-1]
+
+    if kind == "pretrain":
+        vocab = tok.build_vocab(synth_corpora[:1], 120)
+        cfg = enc.ModelConfig(layers=1, hidden=16, heads=2, intermediate=32,
+                              vocab_size=len(vocab), max_positions=16, dropout_p=0.1)
+        hyper = pt.PretrainConfig(epochs=1, batch_size=8, seed=1, max_len=16)
+        state = pt.init_pretrain_state(cfg, hyper)
+        state.step = 5
+        made.append(state.optimizer)
+        run, step = lambda: pt.pretrain(synth_corpora[0], vocab, cfg, hyper, state=state), 7
+    else:
+        vocab, cfg, params = tiny_setup(dropout_p=0.1)
+        train = [r for t in synth_corpora[0].trees for r in extract_phrases(t)][:24]
+        hyper = cl.FinetuneConfig(epochs=1, batch_size=8, lr=1e-2, seed=3, max_len=16)
+        monkeypatch.setattr(cl, "AdamW", recording)
+        run, step = lambda: cl.finetune(train, [], params, cfg, vocab, "sst5", hyper), 2
+    monkeypatch.setattr(ad, "softmax_cross_entropy", poisoned)
+    with pytest.raises(FloatingPointError, match=f"loss is nan at step {step}$"):
+        run()
+    assert before and optimizer_state(made[0]) == before[0]
 
 
 @pytest.mark.parametrize("seed", [0, 7])

@@ -3,6 +3,8 @@ import math
 import numpy as np
 import pytest
 
+from test_classify import pad_fraction
+
 from treesent import encoder as enc
 from treesent import pretrain as pt
 from treesent import tokenizer as tok
@@ -452,6 +454,43 @@ class TestPretrainLoop:
         assert three.step == 2
         assert calls == {"pairs": 1, "checkpoint": 1}
         assert three.loss_history == one.loss_history
+
+    def test_batches_come_from_the_shared_sampler(self, monkeypatch):
+        # pairs of 2-12 words: each epoch steps through the sampler's
+        # batches, ceil(n / batch_size) of them, and they hold less [PAD]
+        # than slices of a plain permutation of the same examples
+        vocab = letter_vocab()
+        rng = make_rng(3)
+        sentences = [" ".join(rng.choice(list("abcdefgh"), int(rng.integers(1, 7))))
+                     for _ in range(41)]
+        cfg = enc.ModelConfig(layers=1, hidden=16, heads=2, intermediate=32,
+                              vocab_size=len(vocab), max_positions=16)
+        sampled, stepped = [], []
+        pretrain_step = pt.pretrain_step
+
+        def sampler(lengths, batch_size, rng):
+            sampled.append((lengths, tok.length_batches(lengths, batch_size, rng)))
+            return sampled[-1][1]
+
+        def recording_step(state, batch, rng):
+            stepped.append([ex.seq.n_real for ex, _ in batch])
+            return pretrain_step(state, batch, rng)
+
+        monkeypatch.setattr(pt, "length_batches", sampler)
+        monkeypatch.setattr(pt, "pretrain_step", recording_step)
+        state = pt.pretrain(sentence_corpus(sentences), vocab, cfg,
+                            pt.PretrainConfig(epochs=3, batch_size=4, seed=2, max_len=16))
+        assert len(sampled) == 3 and state.step == 3 * 10
+        assert stepped == [lengths[sel].tolist() for lengths, batches in sampled
+                           for sel in batches]
+        plain_rng = make_rng(4)
+        for lengths, batches in sampled:
+            assert len(lengths) == 40 and len(batches) == 10
+            plain = []
+            for _ in range(20):
+                order = plain_rng.permutation(len(lengths))
+                plain.append(pad_fraction([order[i:i + 4] for i in range(0, 40, 4)], lengths))
+            assert pad_fraction(batches, lengths) < np.mean(plain)
 
     def test_tokenizes_each_sentence_once(self, monkeypatch):
         # three epochs, a repeated sentence and repeated words: one
