@@ -34,9 +34,8 @@ print("  masked positions:", ex.mask_positions.tolist())
 # Train a small encoder for a few epochs and watch both losses fall.
 cfg = encoder.ModelConfig(layers=1, hidden=32, heads=2, intermediate=64,
                           vocab_size=len(vocab), max_positions=24)
-hyper = pretrain.PretrainConfig(epochs=8, batch_size=16, lr=5e-3,
-                                seed=4, max_len=20)
-state = pretrain.pretrain(train, vocab, cfg, hyper)
+hyper = pretrain.PretrainConfig(epochs=8, batch_size=16, lr=5e-3)
+state = pretrain.pretrain(train, vocab, cfg, hyper, max_len=20, seed=4)
 
 steps = [s for s, _, _ in state.loss_history]
 mlm = [m for _, m, _ in state.loss_history]

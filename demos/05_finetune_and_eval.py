@@ -16,8 +16,8 @@ vocab = tokenizer.build_vocab([splits["train"]], 150)
 cfg = encoder.preset("toy", vocab_size=len(vocab), max_positions=64)
 
 print("pretraining the toy encoder...")
-hyper = pretrain.PretrainConfig(epochs=3, batch_size=16, lr=1e-3, seed=0, max_len=24)
-state = pretrain.pretrain(splits["train"], vocab, cfg, hyper)
+hyper = pretrain.PretrainConfig(epochs=3, batch_size=16, lr=1e-3)
+state = pretrain.pretrain(splits["train"], vocab, cfg, hyper, max_len=24, seed=0)
 params = {k: v for k, v in state.params.items()
           if not k.startswith(("mlm.", "nsp."))}
 
@@ -26,11 +26,10 @@ params = {k: v for k, v in state.params.items()
 # with the best dev root accuracy, so it needs only the dev roots.
 train_recs = [r for t in splits["train"].trees for r in extract_phrases(t)]
 dev_recs = [root_record(t) for t in splits["dev"].trees]
-ft = classify.FinetuneConfig(epochs=10, batch_size=32, lr=2e-3, head_lr=1e-3,
-                             max_len=24, seed=1)
+ft = classify.FinetuneConfig(epochs=10, batch_size=32, lr=2e-3, head_lr=1e-3)
 print("fine-tuning the five-way head...")
 params, summary = classify.finetune(train_recs, dev_recs, params, cfg,
-                                    vocab, "sst5", ft)
+                                    vocab, "sst5", ft, max_len=24, seed=1)
 print("best dev root accuracy:", summary["best_dev_root_acc"],
       "at epoch", summary["best_epoch"])
 

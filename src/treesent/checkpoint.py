@@ -120,6 +120,9 @@ def load_checkpoint(path):
         except (TypeError, ValueError) as exc:  # bad JSON, or a config of the wrong form
             raise CheckpointError(f"{path}: corrupt header: {exc}") from exc
         count = _read_uint(fh, "<I")
+        if config.layers > count:  # before param_shapes lists every layer's tensors
+            raise CheckpointError(f"{path}: corrupt header: {config.layers} layers, "
+                                  f"but {count} tensors")
         params = {}
         for _ in range(count):
             name = _read_block(fh).decode("utf-8", errors="replace")

@@ -89,12 +89,12 @@ class EvalReport:
 
 @dataclass(frozen=True)
 class FinetuneConfig:
+    """The run config's ``[finetune]`` section: one field per key."""
+
     epochs: int = 3
     batch_size: int = 32
     lr: float = 2e-5
     head_lr: float = 1e-3
-    max_len: int = 64
-    seed: int = 0
     freeze_encoder: bool = False
 
 
@@ -198,11 +198,13 @@ def _dev_root_accuracy(dev_records, params, config, vocab, max_len, task):
 
 
 def finetune(train_records, dev_records, params, config, vocab, task: str,
-             hyper: FinetuneConfig):
+             hyper: FinetuneConfig, *, max_len, seed):
     """Fine-tune encoder + head (or head only) with cross-entropy.
 
-    A full fine-tune trains every parameter at ``hyper.lr``, as BERT does;
-    ``hyper.head_lr`` is the learning rate of a frozen-encoder run.
+    ``hyper`` is the ``[finetune]`` section; ``max_len`` and ``seed`` are
+    the run's ``[model]`` and ``[run]`` keys. A full fine-tune trains every
+    parameter at ``hyper.lr``, as BERT does; ``hyper.head_lr`` is the
+    learning rate of a frozen-encoder run.
 
     ``params`` without ``head.w`` gains a fresh head for ``task``; one with a
     head goes on training it. Each epoch's batches come from
@@ -223,7 +225,7 @@ def finetune(train_records, dev_records, params, config, vocab, task: str,
     if not labeled:
         raise EmptyTrainingSetError("no usable training samples after label projection")
 
-    rng = make_rng(hyper.seed, stream=2)
+    rng = make_rng(seed, stream=2)
     if "head.w" not in params:
         w = enc._truncated_normal(rng, (config.hidden, k))
         params["head.w"] = Tensor(w, requires_grad=True)
@@ -240,11 +242,11 @@ def finetune(train_records, dev_records, params, config, vocab, task: str,
     total = steps_per_epoch * hyper.epochs
     opt = AdamW(trainable, lr, total_steps=total)
 
-    seqs = [assemble(ids, None, vocab, hyper.max_len)
+    seqs = [assemble(ids, None, vocab, max_len)
             for ids in piece_ids([r.text for r, _ in labeled], vocab)]
     labels = np.array([y for _, y in labeled], dtype=np.int64)
     lengths = np.array([s.n_real for s in seqs])
-    shuffle_rng = make_rng(hyper.seed, stream=3)
+    shuffle_rng = make_rng(seed, stream=3)
 
     if hyper.freeze_encoder:
         # BERT's feature-based approach: the frozen encoder's pooled output
@@ -263,7 +265,7 @@ def finetune(train_records, dev_records, params, config, vocab, task: str,
             pooled = ad.dropout(pooled, config.dropout_p, True, rng)
             loss = ad.softmax_cross_entropy(_head_logits(pooled, params), labels[sel])
             opt.minimize(loss, opt.t + 1)
-        dev_acc = _dev_root_accuracy(dev_records, params, config, vocab, hyper.max_len, task)
+        dev_acc = _dev_root_accuracy(dev_records, params, config, vocab, max_len, task)
         if dev_acc is not None and (best is None or dev_acc > best[0]):
             best = (dev_acc, epoch, opt.arena.copy())
 
@@ -273,7 +275,7 @@ def finetune(train_records, dev_records, params, config, vocab, task: str,
     return params, {"best_epoch": best[1], "best_dev_root_acc": best[0]}
 
 
-def evaluate(params, config, vocab, corpora, cells, max_len=64) -> EvalReport:
+def evaluate(params, config, vocab, corpora, cells, max_len) -> EvalReport:
     """Score the requested (task, scope) cells over every node occurrence.
 
     Only the nodes the cells read get a record: the roots alone when every

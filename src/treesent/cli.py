@@ -1,14 +1,15 @@
 """Command-line surface: prepare / vocab / pretrain / finetune / eval / predict.
 
 Exit codes: 0 success, 1 usage error, 2 data error, 3 numeric failure.
-The run config is an INI file. ``RunConfig``'s fields are its one table of
-``[section] key`` entries, each with the parser that range-checks its value;
-``--seed``, ``--preset``, ``--task`` and ``--scope`` set their keys through
-the same parsers, so a bad value from either exits 1. A resolved copy is
-written next to each command's artifacts as ``config.<command>.ini``
-(``config.finetune_<task>.ini``, ``config.eval_<task>.ini``, each holding
-the task it was made for). A command
-claims its outputs before any work and exits 1 if one exists without
+The run config is an INI file. ``RunConfig`` holds one frozen dataclass per
+``[section]``, whose fields are that section's keys; ``PARSERS`` is the one
+table of ``[section] key`` entries, each with the parser that range-checks
+its value. ``--seed``, ``--preset``, ``--task`` and ``--scope`` set their
+keys through the same parsers, so a bad value from either exits 1. A
+resolved copy is written next to each command's artifacts as
+``config.<command>.ini`` (``config.finetune_<task>.ini``,
+``config.eval_<task>.ini``, each holding the task it was made for). A
+command claims its outputs before any work and exits 1 if one exists without
 ``--force``. Each file is written whole or not at all, and a command that
 fails writes nothing, except ``pretrain``'s per-epoch checkpoint for
 ``--resume``. A checkpoint whose head tensors do not fit its config and task
@@ -24,7 +25,8 @@ import hashlib
 import math
 import os
 import sys
-from dataclasses import MISSING, dataclass, field, fields, replace
+from dataclasses import MISSING, dataclass, fields, replace
+from typing import get_type_hints
 
 import numpy as np
 
@@ -81,34 +83,54 @@ def _scope(text):
     return scope
 
 
-def _key(section, key, parse, **default):
-    """A RunConfig field read from, and dumped as, ``[section] key``."""
-    return field(metadata={"ini": (section, key, parse)}, **default)
+# every [section] key with the parser that range-checks its value, in dump
+# order; a section's keys are the field names of its dataclass in RunConfig
+PARSERS = {
+    "paths": {"data_dir": str, "out_dir": str, "vocab": str},
+    "model": {"preset": _choice(*encoder.PRESETS), "vocab_size": _number(int, 0),
+              "max_len": _number(int, 2)},
+    "pretrain": {"epochs": _number(int, -1), "batch_size": _number(int, 0),
+                 "lr": _number(float, 0), "mask_rate": _number(float, 0, 1),
+                 "max_steps": _number(int, -1)},
+    "finetune": {"epochs": _number(int, -1), "batch_size": _number(int, 0),
+                 "lr": _number(float, 0), "head_lr": _number(float, 0),
+                 "freeze_encoder": _bool},
+    "run": {"seed": _number(int, -1, 2**128), "task": _choice(*classify.TASKS),
+            "scope": _scope},
+}
 
 
-@dataclass
+@dataclass(frozen=True)
+class PathsSection:
+    data_dir: str
+    out_dir: str
+    vocab: str = ""  # load reads "" as <out_dir>/vocab.txt
+
+
+@dataclass(frozen=True)
+class ModelSection:
+    preset: str = "toy"
+    vocab_size: int = 2000
+    max_len: int = 32  # [CLS] w [SEP]
+
+
+@dataclass(frozen=True)
+class RunSection:
+    seed: int = 0  # a Philox key
+    task: str = "sst5"
+    scope: tuple = ("all", "root")
+
+
+@dataclass(frozen=True)
 class RunConfig:
-    """The run config; each field is one ``[section] key``, in dump order."""
+    """The run config, one field per ``[section]``; ``pretrain`` and ``finetune``
+    are passed to ``pretrain.pretrain`` and ``classify.finetune`` as they are."""
 
-    data_dir: str = _key("paths", "data_dir", str)
-    out_dir: str = _key("paths", "out_dir", str)
-    vocab_path: str = _key("paths", "vocab", str, default="")  # "" = <out_dir>/vocab.txt
-    preset: str = _key("model", "preset", _choice(*encoder.PRESETS), default="toy")
-    vocab_size: int = _key("model", "vocab_size", _number(int, 0), default=2000)
-    max_len: int = _key("model", "max_len", _number(int, 2), default=32)  # [CLS] w [SEP]
-    pretrain_epochs: int = _key("pretrain", "epochs", _number(int, -1), default=3)
-    pretrain_batch_size: int = _key("pretrain", "batch_size", _number(int, 0), default=16)
-    pretrain_lr: float = _key("pretrain", "lr", _number(float, 0), default=1e-4)
-    mask_rate: float = _key("pretrain", "mask_rate", _number(float, 0, 1), default=0.15)
-    pretrain_max_steps: int | None = _key("pretrain", "max_steps", _number(int, -1), default=None)
-    finetune_epochs: int = _key("finetune", "epochs", _number(int, -1), default=3)
-    finetune_batch_size: int = _key("finetune", "batch_size", _number(int, 0), default=32)
-    finetune_lr: float = _key("finetune", "lr", _number(float, 0), default=2e-5)
-    head_lr: float = _key("finetune", "head_lr", _number(float, 0), default=1e-3)
-    freeze_encoder: bool = _key("finetune", "freeze_encoder", _bool, default=False)
-    seed: int = _key("run", "seed", _number(int, -1, 2**128), default=0)  # a Philox key
-    task: str = _key("run", "task", _choice(*classify.TASKS), default="sst5")
-    scope: tuple = _key("run", "scope", _scope, default=("all", "root"))
+    paths: PathsSection
+    model: ModelSection
+    pretrain: pt.PretrainConfig
+    finetune: classify.FinetuneConfig
+    run: RunSection
 
     @classmethod
     def load(cls, path, overrides=()):
@@ -123,47 +145,50 @@ class RunConfig:
                 parser.read_dict({section: {key: text}})
         except (ValueError, configparser.Error) as exc:
             raise UsageError(f"cannot read {path}: {exc}") from exc
-        known = {f.metadata["ini"][:2] for f in fields(cls)}
-        sections = {section for section, _ in known} | {parser.default_section}
         for section, keys in parser.items():  # [DEFAULT] first: its keys are refused as its own
             for key in keys:
-                if (section, key) not in known:
+                if key not in PARSERS.get(section, {}):
                     raise UsageError(f"unknown config key [{section}] {key}")
-            if section not in sections:
+            if section not in PARSERS and section != parser.default_section:
                 raise UsageError(f"unknown config section [{section}]")
-        values = {}
-        for f in fields(cls):
-            section, key, parse = f.metadata["ini"]
-            if not parser.has_option(section, key):
-                if f.default is MISSING:
-                    raise UsageError(f"config missing [{section}] {key}")
-                continue
-            try:
-                values[f.name] = parse(parser.get(section, key))
-            except (ValueError, configparser.Error) as exc:
-                raise UsageError(f"bad config value [{section}] {key}: {exc}") from exc
-        cfg = cls(**values)
-        if not cfg.vocab_path:
-            cfg.vocab_path = os.path.join(cfg.out_dir, "vocab.txt")
-        return cfg
+        sections = {}
+        for section, section_cls in get_type_hints(cls).items():
+            defaults = {f.name: f.default for f in fields(section_cls)}
+            values = {}
+            for key, parse in PARSERS[section].items():
+                if not parser.has_option(section, key):
+                    if defaults[key] is MISSING:
+                        raise UsageError(f"config missing [{section}] {key}")
+                    continue
+                try:
+                    values[key] = parse(parser.get(section, key))
+                except (ValueError, configparser.Error) as exc:
+                    raise UsageError(f"bad config value [{section}] {key}: {exc}") from exc
+            sections[section] = section_cls(**values)
+        paths = sections["paths"]
+        if not paths.vocab:
+            sections["paths"] = replace(paths, vocab=os.path.join(paths.out_dir, "vocab.txt"))
+        return cls(**sections)
 
     def dump(self) -> str:
         """The config as ``load`` reads it; unset optional keys are left out."""
-        sections = {}
-        for f in fields(self):
-            section, key, _ = f.metadata["ini"]
-            value = getattr(self, f.name)
-            if value is not None:
-                text = ",".join(value) if isinstance(value, tuple) else str(value)
-                text = text.replace("%", "%%")  # load reads "%%" as "%"
-                sections.setdefault(section, [f"[{section}]"]).append(f"{key} = {text}")
-        return "\n\n".join("\n".join(lines) for lines in sections.values()) + "\n"
+        blocks = []
+        for section, keys in PARSERS.items():
+            lines = [f"[{section}]"]
+            for key in keys:
+                value = getattr(getattr(self, section), key)
+                if value is not None:
+                    text = ",".join(value) if isinstance(value, tuple) else str(value)
+                    text = text.replace("%", "%%")  # load reads "%%" as "%"
+                    lines.append(f"{key} = {text}")
+            blocks.append("\n".join(lines))
+        return "\n\n".join(blocks) + "\n"
 
 
 def _outputs(cfg, force, name, *paths):
     """``paths`` then ``config.<name>.ini``: a command's outputs, claimed
     before it does any work; a UsageError if one exists without ``force``."""
-    outputs = [*paths, os.path.join(cfg.out_dir, f"config.{name}.ini")]
+    outputs = [*paths, os.path.join(cfg.paths.out_dir, f"config.{name}.ini")]
     for path in outputs:
         if os.path.exists(path) and not force:
             raise UsageError(f"refusing to overwrite {path} (use --force)")
@@ -177,20 +202,20 @@ def _write(paths, texts):
 
 
 def _load_split(cfg, split):
-    path = os.path.join(cfg.data_dir, f"{split}.txt")
+    path = os.path.join(cfg.paths.data_dir, f"{split}.txt")
     if not os.path.exists(path):
         raise DataError(f"missing treebank file: {path}")
     return treebank.load_corpus(path, split)
 
 
 def _model_config(cfg, vocab):
-    positions = max(cfg.max_len, encoder.PRESETS[cfg.preset]["max_positions"])
-    return encoder.preset(cfg.preset, vocab_size=len(vocab), max_positions=positions)
+    positions = max(cfg.model.max_len, encoder.PRESETS[cfg.model.preset]["max_positions"])
+    return encoder.preset(cfg.model.preset, vocab_size=len(vocab), max_positions=positions)
 
 
 def cmd_prepare(cfg, force):
     names = [f"sentences_{s}.txt" for s in SPLITS] + ["stats.txt", "stats.json"]
-    outputs = _outputs(cfg, force, "prepare", *(os.path.join(cfg.out_dir, n) for n in names))
+    outputs = _outputs(cfg, force, "prepare", *(os.path.join(cfg.paths.out_dir, n) for n in names))
     corpora = [_load_split(cfg, s) for s in SPLITS]
     stats = treebank.corpus_stats(corpora)
     sentences = ["".join(tree.span_text + "\n" for tree in c.trees) for c in corpora]
@@ -203,23 +228,23 @@ def cmd_prepare(cfg, force):
 
 
 def cmd_vocab(cfg, force):
-    outputs = _outputs(cfg, force, "vocab", cfg.vocab_path)
+    outputs = _outputs(cfg, force, "vocab", cfg.paths.vocab)
     train = _load_split(cfg, "train")
     try:
-        vocab = tokenizer.build_vocab([train], cfg.vocab_size)
+        vocab = tokenizer.build_vocab([train], cfg.model.vocab_size)
     except tokenizer.TargetTooSmallError as exc:
         raise UsageError(str(exc)) from exc
     if len(vocab) == len(tokenizer.SPECIAL_TOKENS):
         print("warning: vocab contains only special tokens", file=sys.stderr)
     _write(outputs, [vocab.dump(), cfg.dump()])
-    print(f"vocab size: {len(vocab)} -> {cfg.vocab_path}")
+    print(f"vocab size: {len(vocab)} -> {cfg.paths.vocab}")
     return EXIT_OK
 
 
 def _load_vocab(cfg):
-    if not os.path.exists(cfg.vocab_path):
-        raise DataError(f"vocab file not found: {cfg.vocab_path} (run the vocab command)")
-    return tokenizer.Vocab.load(cfg.vocab_path)
+    if not os.path.exists(cfg.paths.vocab):
+        raise DataError(f"vocab file not found: {cfg.paths.vocab} (run the vocab command)")
+    return tokenizer.Vocab.load(cfg.paths.vocab)
 
 
 def _vocab_sha256(vocab):
@@ -227,7 +252,7 @@ def _vocab_sha256(vocab):
 
 
 def _provenance(cfg, step, vocab, command):
-    return {"seed": cfg.seed, "step": step, "command": command,
+    return {"seed": cfg.run.seed, "step": step, "command": command,
             "vocab_sha256": _vocab_sha256(vocab)}
 
 
@@ -243,32 +268,27 @@ def _load_checkpoint(cfg, path, vocab):
     model_cfg, params, prov = load_checkpoint(path)
     stored = prov.get("vocab_sha256")
     if stored is not None and stored != _vocab_sha256(vocab):
-        raise DataError(f"{path} was trained with a different vocab than {cfg.vocab_path}")
-    if cfg.max_len > model_cfg.max_positions:
+        raise DataError(f"{path} was trained with a different vocab than {cfg.paths.vocab}")
+    if cfg.model.max_len > model_cfg.max_positions:
         raise DataError(f"{path} has max_positions {model_cfg.max_positions}, "
-                        f"below [model] max_len = {cfg.max_len}")
-    classify.check_head(prov.setdefault("task", cfg.task), params)
+                        f"below [model] max_len = {cfg.model.max_len}")
+    classify.check_head(prov.setdefault("task", cfg.run.task), params)
     return model_cfg, params, prov
 
 
 def cmd_pretrain(cfg, force, command, resume=None):
-    outputs = _outputs(cfg, force, "pretrain", os.path.join(cfg.out_dir, "pretrain.ckpt"),
-                       os.path.join(cfg.out_dir, "pretrain_loss.csv"))
+    outputs = _outputs(cfg, force, "pretrain", os.path.join(cfg.paths.out_dir, "pretrain.ckpt"),
+                       os.path.join(cfg.paths.out_dir, "pretrain_loss.csv"))
     ckpt_path = outputs[0]
-    if cfg.max_len < 5:
+    if cfg.model.max_len < 5:
         raise UsageError("[model] max_len must be at least 5 to pretrain on sentence pairs")
     vocab = _load_vocab(cfg)
     train = _load_split(cfg, "train")
     model_cfg = _model_config(cfg, vocab)
-    hyper = pt.PretrainConfig(
-        epochs=cfg.pretrain_epochs, batch_size=cfg.pretrain_batch_size,
-        lr=cfg.pretrain_lr, mask_rate=cfg.mask_rate, max_len=cfg.max_len,
-        seed=cfg.seed, max_steps=cfg.pretrain_max_steps,
-    )
     state = None
     if resume is not None:
         model_cfg, params, prov = _load_checkpoint(cfg, resume, vocab)
-        state = pt.init_pretrain_state(model_cfg, hyper)
+        state = pt.init_pretrain_state(model_cfg, cfg.pretrain, seed=cfg.run.seed)
         unknown = sorted(set(params) - set(state.params))
         if unknown:
             raise DataError(f"{resume} holds {unknown}, which pretraining does not train")
@@ -283,8 +303,8 @@ def cmd_pretrain(cfg, force, command, resume=None):
                         _provenance(cfg, st.step, vocab, command))
         saved_step = st.step
 
-    state = pt.pretrain(train, vocab, model_cfg, hyper, state=state,
-                        checkpoint_fn=checkpoint_fn)
+    state = pt.pretrain(train, vocab, model_cfg, cfg.pretrain, max_len=cfg.model.max_len,
+                        seed=cfg.run.seed, state=state, checkpoint_fn=checkpoint_fn)
     if saved_step != state.step:  # no epoch ran, so no epoch saved
         save_checkpoint(ckpt_path, state.config, state.params,
                         _provenance(cfg, state.step, vocab, command))
@@ -297,37 +317,33 @@ def cmd_pretrain(cfg, force, command, resume=None):
 
 
 def cmd_finetune(cfg, force, command, init_ckpt):
-    outputs = _outputs(cfg, force, f"finetune_{cfg.task}",
-                       os.path.join(cfg.out_dir, f"finetune_{cfg.task}.ckpt"))
+    outputs = _outputs(cfg, force, f"finetune_{cfg.run.task}",
+                       os.path.join(cfg.paths.out_dir, f"finetune_{cfg.run.task}.ckpt"))
     vocab = _load_vocab(cfg)
     model_cfg, params, prov = _load_checkpoint(cfg, init_ckpt, vocab)
-    if prov["task"] != cfg.task:
+    if prov["task"] != cfg.run.task:
         raise DataError(f"{init_ckpt} was fine-tuned for {prov['task']}, "
-                        f"but [run] task = {cfg.task}")
+                        f"but [run] task = {cfg.run.task}")
     expected = _model_config(cfg, vocab)
     if (model_cfg.layers, model_cfg.hidden, model_cfg.heads) != (
             expected.layers, expected.hidden, expected.heads):
         raise DataError(
             f"checkpoint config {model_cfg.layers}L/{model_cfg.hidden}H/{model_cfg.heads}A "
-            f"does not match preset {cfg.preset}")
+            f"does not match preset {cfg.model.preset}")
     for name in PRETRAIN_HEADS:
         params.pop(name, None)
     train = _load_split(cfg, "train")
     dev = _load_split(cfg, "dev")
     train_records = [r for t in train.trees for r in treebank.extract_phrases(t)]
     dev_records = [treebank.root_record(t) for t in dev.trees]
-    hyper = classify.FinetuneConfig(
-        epochs=cfg.finetune_epochs, batch_size=cfg.finetune_batch_size,
-        lr=cfg.finetune_lr, head_lr=cfg.head_lr, max_len=cfg.max_len,
-        seed=cfg.seed, freeze_encoder=cfg.freeze_encoder,
-    )
     params, summary = classify.finetune(
-        train_records, dev_records, params, model_cfg, vocab, cfg.task, hyper)
+        train_records, dev_records, params, model_cfg, vocab, cfg.run.task, cfg.finetune,
+        max_len=cfg.model.max_len, seed=cfg.run.seed)
     prov = _provenance(cfg, 0, vocab, command)
-    prov["task"] = cfg.task
+    prov["task"] = cfg.run.task
     save_checkpoint(outputs[0], model_cfg, params, prov)
     _write(outputs[1:], [cfg.dump()])
-    if summary["best_dev_root_acc"] is None and cfg.finetune_epochs > 0:
+    if summary["best_dev_root_acc"] is None and cfg.finetune.epochs > 0:
         print("warning: no dev root could be scored; kept the last epoch", file=sys.stderr)
     print(f"best dev root accuracy: {summary['best_dev_root_acc']}"
           f" (epoch {summary['best_epoch']})")
@@ -346,12 +362,13 @@ def _load_model(cfg, ckpt_path):
 def cmd_eval(cfg, force, ckpt_path):
     vocab, model_cfg, params, task = _load_model(cfg, ckpt_path)
     outputs = _outputs(cfg, force, f"eval_{task}", *(
-        os.path.join(cfg.out_dir, f"report_{task}.{ext}") for ext in ("tsv", "json")))
+        os.path.join(cfg.paths.out_dir, f"report_{task}.{ext}") for ext in ("tsv", "json")))
     test = _load_split(cfg, "test")
-    cells = [(task, scope) for scope in cfg.scope]
+    cells = [(task, scope) for scope in cfg.run.scope]
     report = classify.evaluate(params, model_cfg, vocab, [test], cells,
-                               max_len=cfg.max_len)
-    _write(outputs, [report.to_tsv(), report.to_json(), replace(cfg, task=task).dump()])
+                               max_len=cfg.model.max_len)
+    _write(outputs, [report.to_tsv(), report.to_json(),
+                     replace(cfg, run=replace(cfg.run, task=task)).dump()])
     sys.stdout.write(report.to_tsv())
     return EXIT_OK
 
@@ -361,7 +378,7 @@ def cmd_predict(cfg, ckpt_path, text):
     if not text.strip():
         print("warning: empty text; predicting on the bare [CLS][SEP] frame",
               file=sys.stderr)
-    (pred,) = classify.predict_texts([text], params, model_cfg, vocab, cfg.max_len)
+    (pred,) = classify.predict_texts([text], params, model_cfg, vocab, cfg.model.max_len)
     names = classify.TASKS[task].names
     for name, p in zip(names, pred.probs):
         print(f"{name}: {p:.3f}")

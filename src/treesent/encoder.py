@@ -51,8 +51,16 @@ class ModelConfig:
     dropout_p: float = 0.1
 
     def __post_init__(self):
-        if self.layers < 1:  # encode_batch's rows run in the last block
-            raise ValueError(f"layers {self.layers} < 1")
+        """Refuse sizes that are not positive integers (``layers`` ≥ 1, since
+        ``encode_batch``'s rows run in the last block) and a ``dropout_p``
+        outside [0, 1), as a checkpoint's corrupt header may hold them."""
+        for name in ("layers", "hidden", "heads", "intermediate", "vocab_size",
+                     "max_positions", "segment_types"):
+            value = getattr(self, name)
+            if type(value) is not int or value < 1:
+                raise ValueError(f"{name} {value!r} is not a positive integer")
+        if type(self.dropout_p) not in (int, float) or not 0 <= self.dropout_p < 1:
+            raise ValueError(f"dropout_p {self.dropout_p!r} is outside [0, 1)")
         if self.hidden % self.heads != 0:
             raise ValueError(f"hidden {self.hidden} not divisible by heads {self.heads}")
 

@@ -73,12 +73,12 @@ class PretrainState:
 
 @dataclass(frozen=True)
 class PretrainConfig:
+    """The run config's ``[pretrain]`` section: one field per key."""
+
     epochs: int = 3
     batch_size: int = 16
     lr: float = 1e-4
     mask_rate: float = 0.15
-    max_len: int = 32
-    seed: int = 0
     max_steps: int | None = None
 
 
@@ -159,9 +159,10 @@ def make_nsp_pairs(sentences, pieces, vocab, max_len: int, rng) -> list:
     return pairs
 
 
-def init_pretrain_state(config, hyper: PretrainConfig, total_steps=None) -> PretrainState:
-    """Fresh encoder and pretraining heads, drawn from ``hyper.seed``, and their optimizer."""
-    rng = make_rng(hyper.seed, stream=1)
+def init_pretrain_state(config, hyper: PretrainConfig, *, seed,
+                        total_steps=None) -> PretrainState:
+    """Fresh encoder and pretraining heads, drawn from ``seed``, and their optimizer."""
+    rng = make_rng(seed, stream=1)
     params = enc.init_params(config, rng)
     h = config.hidden
     params["mlm.b"] = Tensor(np.zeros(config.vocab_size, dtype=np.float32), requires_grad=True)
@@ -211,19 +212,20 @@ def pretrain_step(state: PretrainState, batch, rng):
     return mlm_val, nsp_val
 
 
-def pretrain(corpus, vocab, config, hyper: PretrainConfig,
+def pretrain(corpus, vocab, config, hyper: PretrainConfig, *, max_len, seed,
              state: PretrainState | None = None,
              checkpoint_fn=None) -> PretrainState:
     """Toy-scale joint pretraining over a treebank corpus.
 
-    Each sentence is tokenized once per call, before the first epoch. Each
-    epoch rebuilds sentence pairs from those piece ids (fresh pairing
-    randomness), masks them, and draws its batches from
-    ``tokenizer.length_batches`` on the epoch's stream, so pairs of similar
-    length share a batch. Deterministic for a fixed seed. Training ends at
-    ``hyper.max_steps`` steps, mid-epoch if need be; no epoch starts after
-    that. ``checkpoint_fn(state, epoch)``, when given, is called after each
-    epoch that ran.
+    ``hyper`` is the ``[pretrain]`` section; ``max_len`` and ``seed`` are
+    the run's ``[model]`` and ``[run]`` keys. Each sentence is tokenized
+    once per call, before the first epoch. Each epoch rebuilds sentence
+    pairs from those piece ids (fresh pairing randomness), masks them, and
+    draws its batches from ``tokenizer.length_batches`` on the epoch's
+    stream, so pairs of similar length share a batch. Deterministic for a
+    fixed seed. Training ends at ``hyper.max_steps`` steps, mid-epoch if need
+    be; no epoch starts after that. ``checkpoint_fn(state, epoch)``, when
+    given, is called after each epoch that ran.
     """
     n_pairs = len(corpus.trees) - 1
     if n_pairs < 1:
@@ -233,14 +235,14 @@ def pretrain(corpus, vocab, config, hyper: PretrainConfig,
     max_steps = math.inf if hyper.max_steps is None else hyper.max_steps
     total_steps = min(steps_per_epoch * hyper.epochs, max_steps)
     if state is None:
-        state = init_pretrain_state(config, hyper, total_steps=total_steps)
+        state = init_pretrain_state(config, hyper, seed=seed, total_steps=total_steps)
     sentences = [tree.span_text for tree in corpus.trees]
     pieces = piece_ids(sentences, vocab)
     for epoch in range(hyper.epochs):
         if state.step >= max_steps:
             break
-        rng = make_rng(hyper.seed, stream=1000 + epoch)
-        pairs = make_nsp_pairs(sentences, pieces, vocab, hyper.max_len, rng)
+        rng = make_rng(seed, stream=1000 + epoch)
+        pairs = make_nsp_pairs(sentences, pieces, vocab, max_len, rng)
         examples = []
         for pair in pairs:
             try:

@@ -224,8 +224,8 @@ def test_5_objective_statistics(capsys):
 
     cfg = enc.ModelConfig(layers=1, hidden=16, heads=2, intermediate=32,
                           vocab_size=len(vocab), max_positions=16, dropout_p=0.0)
-    hyper = pt.PretrainConfig(lr=2e-3, seed=0)
-    state = pt.init_pretrain_state(cfg, hyper)
+    hyper = pt.PretrainConfig(lr=2e-3)
+    state = pt.init_pretrain_state(cfg, hyper, seed=0)
     letters = list("abcdefghijklmnopqrstuvwxyz")
     losses = []
     for _ in range(260):
@@ -262,8 +262,8 @@ def _training_corpus(tmp_path_factory):
 
 def _pretrained_toy(train, vocab):
     cfg = enc.preset("toy", vocab_size=len(vocab), max_positions=64)
-    hyper = pt.PretrainConfig(epochs=3, batch_size=16, lr=1e-3, seed=0, max_len=24)
-    state = pt.pretrain(train, vocab, cfg, hyper)
+    hyper = pt.PretrainConfig(epochs=3, batch_size=16, lr=1e-3)
+    state = pt.pretrain(train, vocab, cfg, hyper, max_len=24, seed=0)
     params = {k: v for k, v in state.params.items()
               if not k.startswith(("mlm.", "nsp."))}
     return cfg, params
@@ -281,9 +281,9 @@ def test_6_learning_sanity(capsys, tmp_path_factory):
     cfg, params = _pretrained_toy(train, vocab)
 
     subset = [tb.extract_phrases(t)[0] for t in train.trees[:64]]
-    hyper = cl.FinetuneConfig(epochs=50, batch_size=16, lr=2e-3, head_lr=2e-3,
-                              max_len=24, seed=1)
-    params, _ = cl.finetune(subset, subset, params, cfg, vocab, "sst5", hyper)
+    hyper = cl.FinetuneConfig(epochs=50, batch_size=16, lr=2e-3, head_lr=2e-3)
+    params, _ = cl.finetune(subset, subset, params, cfg, vocab, "sst5", hyper,
+                            max_len=24, seed=1)
     preds = cl.predict_texts([r.text for r in subset], params, cfg, vocab, 24)
     golds = [cl.project_label(r.label, "sst5") for r in subset]
     acc = cl.accuracy([p.label for p in preds], golds)
@@ -309,8 +309,9 @@ def test_7_generalization_direction(capsys, tmp_path_factory):
     for freeze in (False, True):
         params = _copy_params(base_params)
         hyper = cl.FinetuneConfig(epochs=10, batch_size=32, lr=2e-3, head_lr=1e-3,
-                                  max_len=24, seed=1, freeze_encoder=freeze)
-        params, _ = cl.finetune(train_recs, dev_recs, params, cfg, vocab, "sst5", hyper)
+                                  freeze_encoder=freeze)
+        params, _ = cl.finetune(train_recs, dev_recs, params, cfg, vocab, "sst5", hyper,
+                                max_len=24, seed=1)
         preds = cl.predict_texts([r.text for r in dev_roots], params, cfg, vocab, 24)
         accs[freeze] = cl.accuracy([p.label for p in preds], golds)
 

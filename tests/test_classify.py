@@ -86,10 +86,10 @@ class TestHeadForward:
         records = extract_phrases(parse_tree("(3 ab)"))
         for task in cl.TASKS:
             with pytest.raises(cl.LabelSpaceMismatchError):
-                cl.evaluate(params, cfg, vocab, synth_corpora[2:], [(task, "all")])
+                cl.evaluate(params, cfg, vocab, synth_corpora[2:], [(task, "all")], max_len=64)
             with pytest.raises(cl.LabelSpaceMismatchError):
                 cl.finetune(records, records, params, cfg, vocab, task,
-                            cl.FinetuneConfig(epochs=1))
+                            cl.FinetuneConfig(epochs=1), max_len=64, seed=0)
 
 
 class TestProjectLabel:
@@ -177,8 +177,8 @@ class TestTokenizeOnce:
             return tok.piece_ids(texts, vocab)
 
         monkeypatch.setattr(cl, "piece_ids", counting)
-        hyper = cl.FinetuneConfig(epochs=2, batch_size=16, seed=1, max_len=16)
-        cl.finetune(train, dev, params, cfg, vocab, "sst5", hyper)
+        hyper = cl.FinetuneConfig(epochs=2, batch_size=16)
+        cl.finetune(train, dev, params, cfg, vocab, "sst5", hyper, max_len=16, seed=1)
         # the training texts in one call, then one call per epoch's dev check
         assert calls[0] == [r.text for r in train if cl.project_label(r.label, "sst5") is not None]
         assert len(calls) == 1 + hyper.epochs
@@ -236,9 +236,9 @@ class TestFinetune:
         train = [r for t in synth_corpora[0].trees for r in extract_phrases(t)]
         dev = [r for t in synth_corpora[1].trees for r in extract_phrases(t)]
         snapshot = {k: p.data.copy() for k, p in params.items()}
-        hyper = cl.FinetuneConfig(epochs=0, seed=1)
+        hyper = cl.FinetuneConfig(epochs=0)
         out_params, summary = cl.finetune(train[:20], dev[:10], params, cfg,
-                                          vocab, "sst5", hyper)
+                                          vocab, "sst5", hyper, max_len=64, seed=1)
         assert out_params is params
         assert summary == {"best_epoch": None, "best_dev_root_acc": None}
         for k in snapshot:
@@ -256,9 +256,8 @@ class TestFinetune:
         snapshot = {k: p.data.tobytes() for k, p in params.items()}
         params.update(drawn_head(5, make_rng(4), cfg.hidden))
         w0 = params["head.w"].data.copy()
-        hyper = cl.FinetuneConfig(epochs=2, batch_size=16, seed=1, max_len=16,
-                                  freeze_encoder=True)
-        cl.finetune(train[:40], dev[:10], params, cfg, vocab, "sst5", hyper)
+        hyper = cl.FinetuneConfig(epochs=2, batch_size=16, freeze_encoder=True)
+        cl.finetune(train[:40], dev[:10], params, cfg, vocab, "sst5", hyper, max_len=16, seed=1)
         assert {k: params[k].data.tobytes() for k in snapshot} == snapshot
         assert (params["head.w"].data != w0).any()
 
@@ -269,8 +268,9 @@ class TestFinetune:
         results = []
         for _ in range(2):
             _, cfg, params = tiny_setup()
-            hyper = cl.FinetuneConfig(epochs=1, batch_size=16, seed=7, max_len=16)
-            cl.finetune(train[:40], dev[:10], params, cfg, vocab, "sst5", hyper)
+            hyper = cl.FinetuneConfig(epochs=1, batch_size=16)
+            cl.finetune(train[:40], dev[:10], params, cfg, vocab, "sst5", hyper,
+                        max_len=16, seed=7)
             results.append((params["head.w"].data.tobytes(),
                             {k: p.data.tobytes() for k, p in params.items()}))
         assert results[0] == results[1]
@@ -292,8 +292,8 @@ class TestFinetune:
         for dropout_p in (0.0, 0.1):
             seen.append([])
             vocab, cfg, params = tiny_setup(dropout_p=dropout_p)
-            hyper = cl.FinetuneConfig(epochs=3, batch_size=16, seed=5, max_len=16)
-            cl.finetune(train, dev, params, cfg, vocab, "sst5", hyper)
+            hyper = cl.FinetuneConfig(epochs=3, batch_size=16)
+            cl.finetune(train, dev, params, cfg, vocab, "sst5", hyper, max_len=16, seed=5)
         assert len(seen[0]) == 3 * 3
         assert seen[0] == seen[1]
 
@@ -307,9 +307,9 @@ class TestFinetune:
         results = []
         for max_len in (40, 64):
             _, cfg, params = tiny_setup(vocab=vocab, max_positions=64, dropout_p=0.1)
-            hyper = cl.FinetuneConfig(epochs=2, batch_size=16, lr=1e-3, seed=3,
-                                      max_len=max_len)
-            _, summary = cl.finetune(train, dev, params, cfg, vocab, "sst5", hyper)
+            hyper = cl.FinetuneConfig(epochs=2, batch_size=16, lr=1e-3)
+            _, summary = cl.finetune(train, dev, params, cfg, vocab, "sst5", hyper,
+                                     max_len=max_len, seed=3)
             results.append((summary, params["head.w"].data.tobytes(),
                             params["head.b"].data.tobytes(),
                             {k: p.data.tobytes() for k, p in params.items()}))
@@ -331,8 +331,9 @@ class TestFinetune:
             return dev_root_accuracy(dev_records, params, *args)
 
         monkeypatch.setattr(cl, "_dev_root_accuracy", recording)
-        hyper = cl.FinetuneConfig(epochs=3, batch_size=16, lr=1e-3, seed=2, max_len=16)
-        _, summary = cl.finetune(train, dev, params, cfg, vocab, "sst2", hyper)
+        hyper = cl.FinetuneConfig(epochs=3, batch_size=16, lr=1e-3)
+        _, summary = cl.finetune(train, dev, params, cfg, vocab, "sst2", hyper,
+                                 max_len=16, seed=2)
         assert summary == {"best_epoch": 2, "best_dev_root_acc": None}
         assert len(after_epoch) == 3 and after_epoch[0] != after_epoch[2]
         assert {k: p.data.tobytes() for k, p in params.items()} == after_epoch[2]
@@ -357,9 +358,10 @@ class TestFinetune:
 
         monkeypatch.setattr(cl, "_dev_root_accuracy", scripted)
         monkeypatch.setattr(cl, "AdamW", RecordingAdamW)
-        hyper = cl.FinetuneConfig(epochs=4, batch_size=16, lr=1e-3, head_lr=1e-2, seed=2,
-                                  max_len=16, freeze_encoder=freeze)
-        out, summary = cl.finetune(train, dev, params, cfg, vocab, "sst5", hyper)
+        hyper = cl.FinetuneConfig(epochs=4, batch_size=16, lr=1e-3, head_lr=1e-2,
+                                  freeze_encoder=freeze)
+        out, summary = cl.finetune(train, dev, params, cfg, vocab, "sst5", hyper,
+                                   max_len=16, seed=2)
         assert summary == {"best_epoch": 1, "best_dev_root_acc": 0.6}
         assert {k: p.data.tobytes() for k, p in out.items()} == {
             k: x.tobytes() for k, x in after_epoch[1].items()}
@@ -378,8 +380,8 @@ class TestFinetune:
             for head_lr in (1e-9, 1.0):
                 vocab, cfg, params = tiny_setup()
                 hyper = cl.FinetuneConfig(epochs=1, batch_size=16, lr=1e-3, head_lr=head_lr,
-                                          seed=4, max_len=16, freeze_encoder=freeze)
-                cl.finetune(train, dev, params, cfg, vocab, "sst5", hyper)
+                                          freeze_encoder=freeze)
+                cl.finetune(train, dev, params, cfg, vocab, "sst5", hyper, max_len=16, seed=4)
                 saved[freeze, head_lr] = {k: p.data.tobytes() for k, p in params.items()}
         assert saved[False, 1e-9] == saved[False, 1.0]
         assert saved[True, 1e-9]["head.w"] != saved[True, 1.0]["head.w"]
@@ -387,16 +389,16 @@ class TestFinetune:
     def test_all_neutral_binary_training_rejected(self):
         vocab, cfg, params = tiny_setup()
         records = extract_phrases(parse_tree("(2 (2 ab) (2 cd))"))
-        hyper = cl.FinetuneConfig(epochs=1, seed=0)
+        hyper = cl.FinetuneConfig(epochs=1)
         with pytest.raises(cl.EmptyTrainingSetError):
-            cl.finetune(records, records, params, cfg, vocab, "sst2", hyper)
+            cl.finetune(records, records, params, cfg, vocab, "sst2", hyper, max_len=64, seed=0)
 
     def test_unknown_task(self):
         vocab, cfg, params = tiny_setup()
         records = extract_phrases(parse_tree("(3 ab)"))
         with pytest.raises(cl.LabelSpaceMismatchError):
             cl.finetune(records, records, params, cfg, vocab, "sst7",
-                        cl.FinetuneConfig(epochs=1))
+                        cl.FinetuneConfig(epochs=1), max_len=64, seed=0)
 
     def test_head_class_mismatch(self):
         vocab, cfg, params = tiny_setup()
@@ -404,7 +406,7 @@ class TestFinetune:
         params.update(drawn_head(5, make_rng(0), cfg.hidden))
         with pytest.raises(cl.LabelSpaceMismatchError):
             cl.finetune(records, records, params, cfg, vocab, "sst2",
-                        cl.FinetuneConfig(epochs=1))
+                        cl.FinetuneConfig(epochs=1), max_len=64, seed=0)
 
 
 def oracle_predictor(corpora, task):
@@ -470,7 +472,7 @@ class TestEvaluate:
         params.update(drawn_head(5, make_rng(8), cfg.hidden))
         with pytest.raises(cl.LabelSpaceMismatchError):
             cl.evaluate(params, cfg, vocab, synth_corpora[2:],
-                        [("sst2", "root")])
+                        [("sst2", "root")], max_len=64)
 
     def test_report_formats_agree(self, synth_corpora, monkeypatch):
         import json

@@ -5,8 +5,11 @@ import platform
 import re
 import resource
 import shutil
+import struct
 import subprocess
 import sys
+from dataclasses import fields
+from typing import get_type_hints
 
 import numpy as np
 import pytest
@@ -230,9 +233,9 @@ class TestFinetuneEval:
         handed = []
         finetune = classify.finetune
 
-        def spy(train_records, dev_records, *args):
+        def spy(train_records, dev_records, *args, **kwargs):
             handed.append(dev_records)
-            return finetune(train_records, dev_records, *args)
+            return finetune(train_records, dev_records, *args, **kwargs)
 
         monkeypatch.setattr(classify, "finetune", spy)
         assert cli.main(["finetune", "--config", cfg, "--init",
@@ -758,6 +761,22 @@ class TestConfigTable:
         path = write_config(tmp_path / "c.ini", "data", "out")
         assert cli.RunConfig.load(path).dump() == WRITE_CONFIG_DUMP
 
+    def test_each_section_is_one_dataclass_of_its_keys(self):
+        sections = get_type_hints(cli.RunConfig)
+        assert list(sections) == list(cli.PARSERS)
+        for section, keys in cli.PARSERS.items():
+            assert [f.name for f in fields(sections[section])] == list(keys)
+        assert sections["pretrain"] is pt.PretrainConfig
+        assert sections["finetune"] is classify.FinetuneConfig
+        assert sum(len(keys) for keys in cli.PARSERS.values()) == 19
+
+    def test_paths_alone_give_the_library_defaults(self, tmp_path):
+        path = tmp_path / "c.ini"
+        path.write_text("[paths]\ndata_dir = data\nout_dir = out\n", encoding="utf-8")
+        cfg = cli.RunConfig.load(str(path))
+        assert cfg.pretrain == pt.PretrainConfig()
+        assert cfg.finetune == classify.FinetuneConfig()
+
 
 def rewrite_checkpoint(src, dst, shapes=None, **provenance):
     """Copy checkpoint ``src`` to ``dst`` with zeroed tensors of the given
@@ -767,6 +786,18 @@ def rewrite_checkpoint(src, dst, shapes=None, **provenance):
         params[name] = Tensor(np.zeros(shape, dtype=np.float32))
     prov.update(provenance)
     save_checkpoint(str(dst), config, params, prov)
+    return str(dst)
+
+
+def edit_config_header(src, dst, **changes):
+    """Copy checkpoint ``src`` to ``dst`` with ``changes`` made to the model
+    config in its header; every other byte is copied as it is."""
+    with open(src, "rb") as fh:
+        raw = fh.read()
+    (n,) = struct.unpack("<I", raw[8:12])
+    header = json.dumps({**json.loads(raw[12:12 + n]), **changes}, sort_keys=True).encode()
+    with open(dst, "wb") as fh:
+        fh.write(raw[:8] + struct.pack("<I", len(header)) + header + raw[12 + n:])
     return str(dst)
 
 
@@ -854,6 +885,34 @@ class TestCheckpointHeads:
         assert "sst5" in err and "sst2" in err
         assert sorted(os.listdir(out)) == ["vocab.txt"]
 
+    @pytest.mark.parametrize("changes", [{"heads": 0}, {"dropout_p": None}, {"dropout_p": 1.5}],
+                             ids=["no_heads", "null_dropout", "dropout_past_1"])
+    def test_corrupt_model_config_exits_2(self, pipeline, tmp_path, capsys, changes):
+        cfg, out = scratch_config(pipeline, tmp_path)
+        bad = edit_config_header(os.path.join(pipeline["out"], "finetune_sst5.ckpt"),
+                                 tmp_path / "bad.ckpt", **changes)
+        assert cli.main(["eval", "--config", cfg, "--checkpoint", bad]) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("error: ") and err.count("\n") == 1
+        assert "corrupt header" in err and next(iter(changes)) in err
+        assert sorted(os.listdir(out)) == ["vocab.txt"]
+
+    def test_layer_count_past_the_tensors_exits_2_before_listing_shapes(
+            self, pipeline, tmp_path, capsys, monkeypatch):
+        # param_shapes would list the tensors of 10**9 layers and exhaust memory
+        def unreachable(config):
+            raise AssertionError(f"param_shapes ran for {config.layers} layers")
+
+        monkeypatch.setattr("treesent.checkpoint.param_shapes", unreachable)
+        cfg, out = scratch_config(pipeline, tmp_path)
+        bad = edit_config_header(os.path.join(pipeline["out"], "finetune_sst5.ckpt"),
+                                 tmp_path / "bad.ckpt", layers=10**9)
+        assert cli.main(["eval", "--config", cfg, "--checkpoint", bad]) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("error: ") and err.count("\n") == 1
+        assert "1000000000 layers" in err
+        assert sorted(os.listdir(out)) == ["vocab.txt"]
+
     def test_half_a_head_exits_2(self, pipeline, tmp_path, capsys):
         cfg, out = scratch_config(pipeline, tmp_path)
         config, params, prov = load_checkpoint(os.path.join(pipeline["out"], "finetune_sst5.ckpt"))
@@ -877,7 +936,7 @@ words = [f"w{i}" for i in range(1995)]
 vocab = tok.Vocab(list(tok.SPECIAL_TOKENS) + words)
 rng = optim.make_rng(4)
 state = pt.init_pretrain_state(encoder.preset("toy", vocab_size=len(vocab)),
-                               pt.PretrainConfig(lr=1e-4))
+                               pt.PretrainConfig(lr=1e-4), seed=0)
 def text():
     return " ".join(words[i] for i in rng.integers(0, len(words), 40))
 batches = [[(pt.mask_tokens(tok.encode_pair(text(), text(), vocab, 64), 0.15, rng, vocab),
@@ -902,7 +961,7 @@ class TestMallocPolicy:
         vocab = tok.Vocab(list(SPECIAL_TOKENS) + words)
         rng = make_rng(4)
         config = encoder.preset("toy", vocab_size=len(vocab))
-        state = pt.init_pretrain_state(config, pt.PretrainConfig(lr=1e-4))
+        state = pt.init_pretrain_state(config, pt.PretrainConfig(lr=1e-4), seed=0)
 
         def batch():  # 16 pairs of 64 pieces
             rows = []

@@ -202,7 +202,7 @@ def pretrain_twins(optimizer):
     vocab = tok.Vocab(letter_vocab().tokens + WORDS)
     cfg = enc.ModelConfig(layers=1, hidden=16, heads=2, intermediate=32,
                           vocab_size=len(vocab), max_positions=16, dropout_p=0.1)
-    state = pt.init_pretrain_state(cfg, pt.PretrainConfig(lr=1e-2, seed=0))
+    state = pt.init_pretrain_state(cfg, pt.PretrainConfig(lr=1e-2), seed=0)
     state.optimizer = optimizer(state.params, 1e-2, total_steps=10)
     rng = make_rng(10)
     corpus = sentence_corpus([" ".join(rng.choice(WORDS, 5)) for _ in range(6)])
@@ -225,10 +225,10 @@ def train_one_step(kind, optimizer, synth_corpora, monkeypatch):
         vocab, cfg, params = tiny_setup(dropout_p=0.1)
         train = [r for t in synth_corpora[0].trees for r in extract_phrases(t)][:24]
         dev = [r for t in synth_corpora[1].trees for r in extract_phrases(t)][:5]
-        hyper = cl.FinetuneConfig(epochs=1, batch_size=32, lr=1e-2, head_lr=1e-2, seed=3,
-                                  max_len=16, freeze_encoder=kind == "frozen")
+        hyper = cl.FinetuneConfig(epochs=1, batch_size=32, lr=1e-2, head_lr=1e-2,
+                                  freeze_encoder=kind == "frozen")
         monkeypatch.setattr(cl, "AdamW", recording)
-        cl.finetune(train, dev, params, cfg, vocab, "sst5", hyper)
+        cl.finetune(train, dev, params, cfg, vocab, "sst5", hyper, max_len=16, seed=3)
     (opt,) = made
     return opt
 
@@ -289,17 +289,19 @@ def test_a_non_finite_loss_changes_nothing(kind, synth_corpora, monkeypatch):
         vocab = tok.build_vocab(synth_corpora[:1], 120)
         cfg = enc.ModelConfig(layers=1, hidden=16, heads=2, intermediate=32,
                               vocab_size=len(vocab), max_positions=16, dropout_p=0.1)
-        hyper = pt.PretrainConfig(epochs=1, batch_size=8, seed=1, max_len=16)
-        state = pt.init_pretrain_state(cfg, hyper)
+        hyper = pt.PretrainConfig(epochs=1, batch_size=8)
+        state = pt.init_pretrain_state(cfg, hyper, seed=1)
         state.step = 5
         made.append(state.optimizer)
-        run, step = lambda: pt.pretrain(synth_corpora[0], vocab, cfg, hyper, state=state), 7
+        run, step = lambda: pt.pretrain(synth_corpora[0], vocab, cfg, hyper, max_len=16,
+                                        seed=1, state=state), 7
     else:
         vocab, cfg, params = tiny_setup(dropout_p=0.1)
         train = [r for t in synth_corpora[0].trees for r in extract_phrases(t)][:24]
-        hyper = cl.FinetuneConfig(epochs=1, batch_size=8, lr=1e-2, seed=3, max_len=16)
+        hyper = cl.FinetuneConfig(epochs=1, batch_size=8, lr=1e-2)
         monkeypatch.setattr(cl, "AdamW", recording)
-        run, step = lambda: cl.finetune(train, [], params, cfg, vocab, "sst5", hyper), 2
+        run, step = lambda: cl.finetune(train, [], params, cfg, vocab, "sst5", hyper,
+                                        max_len=16, seed=3), 2
     monkeypatch.setattr(ad, "softmax_cross_entropy", poisoned)
     with pytest.raises(FloatingPointError, match=f"loss is nan at step {step}$"):
         run()

@@ -278,11 +278,11 @@ TINY = enc.ModelConfig(layers=1, hidden=16, heads=2, intermediate=32,
 
 
 def tiny_state(vocab, lr=1e-3, seed=0):
-    hyper = pt.PretrainConfig(lr=lr, seed=seed)
+    hyper = pt.PretrainConfig(lr=lr)
     cfg = enc.ModelConfig(layers=TINY.layers, hidden=TINY.hidden, heads=TINY.heads,
                           intermediate=TINY.intermediate, vocab_size=len(vocab),
                           max_positions=TINY.max_positions, dropout_p=0.0)
-    return pt.init_pretrain_state(cfg, hyper)
+    return pt.init_pretrain_state(cfg, hyper, seed=seed)
 
 
 def batch_from(corpus, vocab, rng, max_len=12, rate=0.15):
@@ -383,12 +383,12 @@ class TestPretrainLoop:
     def test_zero_epochs_returns_initial_state(self):
         vocab = letter_vocab()
         corpus = sentence_corpus(["ab cd", "ef gh", "ij kl"])
-        hyper = pt.PretrainConfig(epochs=0, seed=5)
+        hyper = pt.PretrainConfig(epochs=0)
         cfg = enc.ModelConfig(layers=1, hidden=16, heads=2, intermediate=32,
                               vocab_size=len(vocab), max_positions=16)
-        state = pt.pretrain(corpus, vocab, cfg, hyper)
+        state = pt.pretrain(corpus, vocab, cfg, hyper, max_len=32, seed=5)
         assert state.step == 0 and state.loss_history == []
-        fresh = pt.init_pretrain_state(cfg, hyper)
+        fresh = pt.init_pretrain_state(cfg, hyper, seed=5)
         np.testing.assert_array_equal(state.params["emb.tok"].data,
                                       fresh.params["emb.tok"].data)
 
@@ -400,7 +400,7 @@ class TestPretrainLoop:
                               vocab_size=len(vocab), max_positions=16)
         with pytest.raises(pt.CorpusTooSmallError, match=f"dev split has {len(sentences)} tree"):
             pt.pretrain(sentence_corpus(sentences, split="dev"), vocab, cfg,
-                        pt.PretrainConfig(epochs=0))
+                        pt.PretrainConfig(epochs=0), max_len=32, seed=0)
 
     def test_seeded_determinism(self):
         vocab = letter_vocab()
@@ -409,9 +409,9 @@ class TestPretrainLoop:
         corpus = sentence_corpus(sentences)
         cfg = enc.ModelConfig(layers=1, hidden=16, heads=2, intermediate=32,
                               vocab_size=len(vocab), max_positions=16)
-        hyper = pt.PretrainConfig(epochs=2, batch_size=8, seed=9, max_len=12)
-        s1 = pt.pretrain(corpus, vocab, cfg, hyper)
-        s2 = pt.pretrain(corpus, vocab, cfg, hyper)
+        hyper = pt.PretrainConfig(epochs=2, batch_size=8)
+        s1 = pt.pretrain(corpus, vocab, cfg, hyper, max_len=12, seed=9)
+        s2 = pt.pretrain(corpus, vocab, cfg, hyper, max_len=12, seed=9)
         assert s1.loss_history == s2.loss_history
         for name in s1.params:
             np.testing.assert_array_equal(s1.params[name].data, s2.params[name].data)
@@ -421,8 +421,8 @@ class TestPretrainLoop:
         vocab = tok.build_vocab([train], 150)
         cfg = enc.ModelConfig(layers=1, hidden=32, heads=2, intermediate=64,
                               vocab_size=len(vocab), max_positions=24)
-        hyper = pt.PretrainConfig(epochs=16, batch_size=16, lr=5e-3, seed=4, max_len=20)
-        state = pt.pretrain(train, vocab, cfg, hyper)
+        hyper = pt.PretrainConfig(epochs=16, batch_size=16, lr=5e-3)
+        state = pt.pretrain(train, vocab, cfg, hyper, max_len=20, seed=4)
         first_epoch = [m for _, m, _ in state.loss_history[:3]]
         last_epoch = [m for _, m, _ in state.loss_history[-3:]]
         assert np.mean(last_epoch) < 0.8 * np.mean(first_epoch)
@@ -446,10 +446,10 @@ class TestPretrainLoop:
 
         monkeypatch.setattr(pt, "make_nsp_pairs", counting)
         one = pt.pretrain(corpus, vocab, cfg, pt.PretrainConfig(
-            epochs=1, batch_size=8, seed=9, max_len=12, max_steps=2))
+            epochs=1, batch_size=8, max_steps=2), max_len=12, seed=9)
         calls.update(pairs=0, checkpoint=0)
         three = pt.pretrain(corpus, vocab, cfg, pt.PretrainConfig(
-            epochs=3, batch_size=8, seed=9, max_len=12, max_steps=2),
+            epochs=3, batch_size=8, max_steps=2), max_len=12, seed=9,
             checkpoint_fn=checkpoint_fn)
         assert three.step == 2
         assert calls == {"pairs": 1, "checkpoint": 1}
@@ -479,7 +479,7 @@ class TestPretrainLoop:
         monkeypatch.setattr(pt, "length_batches", sampler)
         monkeypatch.setattr(pt, "pretrain_step", recording_step)
         state = pt.pretrain(sentence_corpus(sentences), vocab, cfg,
-                            pt.PretrainConfig(epochs=3, batch_size=4, seed=2, max_len=16))
+                            pt.PretrainConfig(epochs=3, batch_size=4), max_len=16, seed=2)
         assert len(sampled) == 3 and state.step == 3 * 10
         assert stepped == [lengths[sel].tolist() for lengths, batches in sampled
                            for sel in batches]
@@ -513,7 +513,7 @@ class TestPretrainLoop:
         monkeypatch.setattr(tok, "canonicalize", counting_canonicalize)
         monkeypatch.setattr(tok, "wordpiece", counting_wordpiece)
         state = pt.pretrain(sentence_corpus(sentences), vocab, cfg,
-                            pt.PretrainConfig(epochs=3, batch_size=4, seed=3, max_len=12))
+                            pt.PretrainConfig(epochs=3, batch_size=4), max_len=12, seed=3)
         assert state.step == 6
         assert texts == sentences
         assert sorted(words) == sorted({w for s in sentences for w in s.split()})
@@ -522,8 +522,8 @@ class TestPretrainLoop:
         vocab = tok.build_vocab(synth_corpora[:1], 120)
         cfg = enc.ModelConfig(layers=1, hidden=16, heads=2, intermediate=32,
                               vocab_size=len(vocab), max_positions=24)
-        hyper = pt.PretrainConfig(epochs=1, batch_size=32, seed=1, max_len=16)
-        state = pt.pretrain(synth_corpora[0], vocab, cfg, hyper)
+        hyper = pt.PretrainConfig(epochs=1, batch_size=32)
+        state = pt.pretrain(synth_corpora[0], vocab, cfg, hyper, max_len=16, seed=1)
         steps = [s for s, _, _ in state.loss_history]
         assert steps == sorted(steps) and len(set(steps)) == len(steps)
         assert state.step == steps[-1]
