@@ -8,15 +8,21 @@ float32 throughout. Sums, softmax, layer norm and the fused loss accumulate
 their reductions in float64 (``dtype=np.float64``) but make no full-size
 float64 copies: every full-size array stays in the input's dtype. Dropout
 keeps a unit where a 16-bit draw, four to each raw 64-bit word of the
-generator, is at least ``round(p * 65536)``.
+generator, is at least ``round(p * 65536)``. Its mask is boolean, 1 byte a
+unit, and the ``1/(1-p)`` scale is a scalar multiply after it.
 
-Three fused ops carry the encoder, each one tape node with a hand-written
-backward: ``linear`` (one GEMM plus an in-place bias), ``add_layer_norm``
-(the residual add fused into layer norm) and ``attention`` (head split,
-scores, key mask, softmax, probability dropout, context and head merge),
-which also takes fewer queries than keys.
-Each computes what the composition of the generic ops computes, in the same
-order, so only gradient sums may differ in the last bits.
+Three fused ops carry each encoder block, each one tape node with a
+hand-written backward that saves only what it reads: ``attention`` (head
+split, scores, key mask, softmax, probability dropout, context and head
+merge), which also takes fewer queries than keys; ``residual_linear``,
+``layer_norm(x + dropout(c @ w + b))``; and ``residual_feed_forward``,
+``layer_norm(x + dropout(gelu(x @ w1 + b1) @ w2 + b2))``, which recomputes
+the GELU output in its backward. ``linear`` (one GEMM plus an in-place bias)
+and ``add_layer_norm`` (the residual add fused into layer norm) serve the
+embeddings, pooler and heads. Each computes what the composition of the
+generic ops computes, in the same order, so only gradient sums may differ
+in the last bits; the two residual ops give exactly the bits of ``linear``,
+``dropout``, ``add_layer_norm`` and ``gelu`` composed.
 
 The ops take only the forms the encoder, its heads and the gradient checks
 use: ``matmul`` multiplies by a 2-D weight or by a batch of the same leading
@@ -62,6 +68,8 @@ __all__ = [
     "layer_norm",
     "add_layer_norm",
     "dropout",
+    "residual_linear",
+    "residual_feed_forward",
     "attention",
     "embedding_lookup",
     "index_select",
@@ -365,41 +373,63 @@ def tanh(a):
 _GELU_C = math.sqrt(2.0 / math.pi)
 
 
-def gelu(a):
-    """Pointwise GELU, tanh approximation, computed in reused buffers."""
-    a = _as_tensor(a)
-    x = a.data
-    # ``out=`` keeps 0-d inputs as arrays: ``x * x`` on a 0-d array is a numpy
-    # scalar, which in-place ops cannot write into. The cube is x * x * x, not
-    # x**3: float32 ``**`` goes through pow, many times slower.
+def _gelu_tanh(x):
+    """``tanh(C (x + 0.044715 x^3))``, GELU's tanh term, in a buffer of its own.
+
+    ``out=`` keeps 0-d inputs as arrays: ``x * x`` on a 0-d array is a numpy
+    scalar, which in-place ops cannot write into. The cube is x * x * x, not
+    x**3: float32 ``**`` goes through pow, many times slower.
+    """
     t = np.multiply(x, x, out=np.empty_like(x))
     t *= x
     t *= 0.044715
     t += x
     t *= _GELU_C
     np.tanh(t, out=t)
-    out_data = np.add(t, 1.0, out=np.empty_like(x))
-    out_data *= x
-    out_data *= 0.5
+    return t
+
+
+def _gelu_from_tanh(x, t):
+    """GELU's output ``0.5 x (1 + t)`` in a new buffer."""
+    out = np.add(t, 1.0, out=np.empty_like(x))
+    out *= x
+    out *= 0.5
+    return out
+
+
+def _gelu_backward(g, x, t, d, s):
+    """``g`` times GELU's derivative at ``x``, formed in buffer ``d``.
+
+    d/dx = 0.5 (1 + t) + u (1 - t^2), with u = 0.5 C x (1 + 3 * 0.044715 x^2).
+    ``s`` may be ``x``'s own buffer, which is last read before ``s`` is
+    written; ``t`` is overwritten.
+    """
+    np.multiply(x, x, out=d)
+    d *= 3 * 0.044715
+    d += 1.0
+    d *= 0.5 * _GELU_C
+    d *= x
+    np.multiply(t, t, out=s)
+    np.subtract(1.0, s, out=s)
+    d *= s
+    np.add(t, 1.0, out=t)
+    np.multiply(t, 0.5, out=t)
+    d += t
+    d *= g
+    return d
+
+
+def gelu(a):
+    """Pointwise GELU, tanh approximation, computed in reused buffers."""
+    a = _as_tensor(a)
+    x = a.data
+    t = _gelu_tanh(x)
 
     def bw(g):
-        # d/dx = 0.5 (1 + t) + u (1 - t^2), with u = 0.5 C x (1 + 3 * 0.044715 x^2)
-        d = np.multiply(x, x, out=np.empty_like(x))
-        d *= 3 * 0.044715
-        d += 1.0
-        d *= 0.5 * _GELU_C
-        d *= x
-        s = np.multiply(t, t, out=np.empty_like(x))
-        np.subtract(1.0, s, out=s)
-        d *= s
         # the closure runs once, so t's buffer is free to reuse
-        np.add(t, 1.0, out=t)
-        np.multiply(t, 0.5, out=t)
-        d += t
-        d *= g
-        _accumulate(a, d)
+        _accumulate(a, _gelu_backward(g, x, t, np.empty_like(x), np.empty_like(x)))
 
-    return _make(out_data, (a,), bw)
+    return _make(_gelu_from_tanh(x, t), (a,), bw)
 
 
 def _exp_normalise(y):
@@ -519,8 +549,8 @@ def add_layer_norm(x, r, gain, bias):
     return _make(out_data, (x, r, gain, bias), bw)
 
 
-def _dropout_mask(shape, p, training, rng, dtype):
-    """Inverted dropout's keep mask, scaled by 1/(1-p), or None when inactive.
+def _dropout_mask(shape, p, training, rng):
+    """Inverted dropout's boolean keep mask, or None when inactive.
 
     Each unit takes one 16-bit draw, four to each raw 64-bit word of the
     generator, and is kept when the draw is at least ``round(p * 65536)``,
@@ -534,26 +564,119 @@ def _dropout_mask(shape, p, training, rng, dtype):
         raise ValueError("dropout in training mode requires an rng")
     n = math.prod(shape)
     draws = rng.bit_generator.random_raw(-(-n // 4)).view(np.uint16)[:n].reshape(shape)
-    keep = draws >= np.uint16(min(round(p * 65536), 65535))
-    return np.multiply(keep, 1.0 / (1.0 - p), dtype=dtype)
+    return draws >= np.uint16(min(round(p * 65536), 65535))
+
+
+def _drop(a, keep, p, out=None):
+    """``(a * keep) * (1 / (1 - p))`` with the scale in ``a``'s dtype, into
+    ``out`` if given: the bits of ``a`` times the scaled float mask, signed
+    zeros and NaNs included."""
+    out = np.multiply(a, keep, out=out)
+    out *= a.dtype.type(1.0 / (1.0 - p))
+    return out
 
 
 def dropout(x, p, training, rng=None):
     """Inverted dropout: train-time survivors scaled by 1/(1-p).
 
-    Forward and backward each multiply by one mask, already scaled, in
-    ``x``'s dtype. When inactive (inference, or ``p == 0``) it returns ``x``
-    itself and records nothing on the tape.
+    Forward and backward each multiply by the boolean keep mask, 1 byte a
+    unit, and then by the scale. When inactive (inference, or ``p == 0``)
+    it returns ``x`` itself and records nothing on the tape.
     """
     x = _as_tensor(x)
-    mask = _dropout_mask(x.data.shape, p, training, rng, x.data.dtype)
-    if mask is None:
+    keep = _dropout_mask(x.data.shape, p, training, rng)
+    if keep is None:
         return x
 
     def bw(g):
-        _accumulate(x, g * mask)
+        _accumulate(x, _drop(g, keep, p))
 
-    return _make(x.data * mask, (x,), bw)
+    return _make(_drop(x.data, keep, p), (x,), bw)
+
+
+def _residual_tail(x, y2, w, b, gain, bias, p, training, rng):
+    """Forward of ``layer_norm(x + dropout(y2 @ w + b))``, ``y2`` being the
+    (N, k) rows of a branch beside ``x`` (..., H).
+
+    The GEMM's output buffer becomes the centred sum, so the projection is
+    never held. Returns the output and ``bw(g, y2)``, which accumulates the
+    gradients of ``x``, ``w``, ``b``, ``gain`` and ``bias`` and returns
+    ``y2``'s, given ``y2`` again: the caller may have let it go.
+    """
+    shape = x.data.shape
+    if w.data.shape != (y2.shape[1], shape[-1]) or b.data.shape != shape[-1:]:
+        raise ShapeMismatchError(
+            f"residual branch: {y2.shape} @ {w.data.shape} + {b.data.shape} beside {shape}")
+    _check_affine("residual layer norm", shape[-1], gain, bias)
+    xhat = y2 @ w.data
+    xhat += b.data
+    xhat = xhat.reshape(shape)
+    keep = _dropout_mask(shape, p, training, rng)
+    if keep is not None:
+        _drop(xhat, keep, p, out=xhat)
+    xhat += x.data
+    xhat -= _row_mean(xhat)
+    out, inv = _normalise(xhat, gain, bias)
+
+    def bw(g, y2):
+        dx = _normalise_backward(g, xhat, inv, gain, bias)
+        _accumulate(x, dx)
+        g2 = (dx if keep is None else _drop(dx, keep, p)).reshape(-1, shape[-1])
+        _accumulate(w, y2.T @ g2)
+        _accumulate(b, g2.sum(axis=0))
+        return g2 @ w.data.T
+
+    return out, bw
+
+
+def residual_linear(x, c, w, b, gain, bias, p, training, rng=None):
+    """``layer_norm(x + dropout(c @ w + b), gain, bias)``, one tape node.
+
+    ``c`` is (..., k) with ``x``'s leading shape: the attention context
+    and its output projection. Saved: the centred sum, the row scales and
+    the keep mask.
+    """
+    x, c, w, b, gain, bias = (_as_tensor(t) for t in (x, c, w, b, gain, bias))
+    if c.data.shape[:-1] != x.data.shape[:-1]:
+        raise ShapeMismatchError(f"residual_linear: {c.data.shape} beside {x.data.shape}")
+    c2 = c.data.reshape(-1, c.data.shape[-1])
+    out, tail_bw = _residual_tail(x, c2, w, b, gain, bias, p, training, rng)
+
+    def bw(g):
+        _accumulate(c, tail_bw(g, c2).reshape(c.data.shape))
+
+    return _make(out, (x, c, w, b, gain, bias), bw)
+
+
+def residual_feed_forward(x, w1, b1, w2, b2, gain, bias, p, training, rng=None):
+    """``layer_norm(x + dropout(gelu(x @ w1 + b1) @ w2 + b2), gain, bias)``,
+    one tape node.
+
+    Saved: the pre-activation, GELU's tanh term, the centred sum, the row
+    scales and the keep mask. The backward recomputes the activation, with
+    the forward's ops, for ``w2``'s gradient, and then forms GELU's
+    derivative in that buffer and the pre-activation's.
+    """
+    x, w1, b1, w2, b2, gain, bias = (_as_tensor(t) for t in (x, w1, b1, w2, b2, gain, bias))
+    h = x.data.shape[-1]
+    if w1.data.ndim != 2 or w1.data.shape[0] != h or b1.data.shape != w1.data.shape[1:]:
+        raise ShapeMismatchError(
+            f"residual_feed_forward: {x.data.shape} @ {w1.data.shape} + {b1.data.shape}")
+    x2 = x.data.reshape(-1, h)
+    pre = x2 @ w1.data
+    pre += b1.data
+    t = _gelu_tanh(pre)
+    out, tail_bw = _residual_tail(x, _gelu_from_tanh(pre, t), w2, b2, gain, bias,
+                                  p, training, rng)
+
+    def bw(g):
+        a = _gelu_from_tanh(pre, t)  # the activation again, for w2's gradient
+        d = _gelu_backward(tail_bw(g, a), pre, t, d=a, s=pre)
+        _accumulate(x, (d @ w1.data.T).reshape(x.data.shape))
+        _accumulate(w1, x2.T @ d)
+        _accumulate(b1, d.sum(axis=0))
+
+    return _make(out, (x, w1, b1, w2, b2, gain, bias), bw)
 
 
 def attention(q, k, v, key_bias, heads, p, training, rng=None):
@@ -567,7 +690,8 @@ def attention(q, k, v, key_bias, heads, p, training, rng=None):
     key, a large negative value for a padded one. The head split,
     ``q k^T / sqrt(H / heads)``, key bias, row softmax, inverted dropout on
     the ``(..., heads, m, n)`` probabilities, context and head merge are one
-    tape node; its backward reuses the saved probabilities and mask.
+    tape node. It saves the probabilities and the keep mask; the backward
+    forms the dropped-out probabilities again rather than hold them.
     """
     q, k, v = _as_tensor(q), _as_tensor(k), _as_tensor(v)
     qs, ks = q.data.shape, k.data.shape
@@ -592,22 +716,24 @@ def attention(q, k, v, key_bias, heads, p, training, rng=None):
     probs += np.asarray(key_bias).reshape(lead + (1, 1, n))
     probs -= probs.max(axis=-1, keepdims=True)
     _exp_normalise(probs)
-    mask = _dropout_mask(probs.shape, p, training, rng, probs.dtype)
-    kept = probs if mask is None else probs * mask
+    keep = _dropout_mask(probs.shape, p, training, rng)
+
+    def dropped():  # the probabilities after dropout, formed anew for each use
+        return probs if keep is None else _drop(probs, keep, p)
 
     def bw(g):
         gc = split(g)
-        dv = np.swapaxes(kept, -1, -2) @ gc
+        dv = np.swapaxes(dropped(), -1, -2) @ gc
         dp = gc @ np.swapaxes(vh, -1, -2)
-        if mask is not None:
-            dp *= mask
+        if keep is not None:
+            _drop(dp, keep, p, out=dp)
         ds = _softmax_backward(dp, probs)
         ds *= scale
         _accumulate(q, merge(ds @ kh))
         _accumulate(k, merge(np.swapaxes(ds, -1, -2) @ qh))
         _accumulate(v, merge(dv))
 
-    return _make(merge(kept @ vh), (q, k, v), bw)
+    return _make(merge(dropped() @ vh), (q, k, v), bw)
 
 
 # Axes up to this many slices take a gather's gradient as one dense one-hot

@@ -151,8 +151,9 @@ def attention_block(x, params, layer: int, config: ModelConfig, mask,
     """One Transformer block over (..., n, H) with a per-key {0,1} mask.
 
     Multi-head scaled dot-product attention (padded keys get a large
-    negative additive bias before softmax), residual + layer-norm, then a
-    GELU feed-forward with its own residual + layer-norm.
+    negative additive bias before softmax), then two residual sublayers,
+    each one tape node: the output projection with dropout, residual and
+    layer norm, then a GELU feed-forward with its own.
 
     With ``rows`` (B, m), for a (B, n, H) ``x``, keys and values still come
     from every position, but the queries and everything after attention
@@ -171,13 +172,12 @@ def attention_block(x, params, layer: int, config: ModelConfig, mask,
                        _linear(x, params, f"{prefix}.attn.k"),
                        _linear(x, params, f"{prefix}.attn.v"),
                        key_bias, config.heads, config.dropout_p, training, rng)
-    attn_out = ad.dropout(_linear(ctx, params, f"{prefix}.attn.o"),
-                          config.dropout_p, training, rng)
-    x = ad.add_layer_norm(resid, attn_out, params[f"{prefix}.ln1.g"], params[f"{prefix}.ln1.b"])
-
-    ff = _linear(ad.gelu(_linear(x, params, f"{prefix}.ffn.in")), params, f"{prefix}.ffn.out")
-    ff = ad.dropout(ff, config.dropout_p, training, rng)
-    return ad.add_layer_norm(x, ff, params[f"{prefix}.ln2.g"], params[f"{prefix}.ln2.b"])
+    x = ad.residual_linear(resid, ctx, params[f"{prefix}.attn.o.w"], params[f"{prefix}.attn.o.b"],
+                           params[f"{prefix}.ln1.g"], params[f"{prefix}.ln1.b"],
+                           config.dropout_p, training, rng)
+    ffn = (params[f"{prefix}.{name}"] for name in
+           ("ffn.in.w", "ffn.in.b", "ffn.out.w", "ffn.out.b", "ln2.g", "ln2.b"))
+    return ad.residual_feed_forward(x, *ffn, config.dropout_p, training, rng)
 
 
 def _check_rows(rows, b, n):

@@ -14,6 +14,8 @@ BETAS = (0.9, 0.999)
 EPS = 1e-8
 WEIGHT_DECAY = 0.01
 
+STEP_BLOCK = 1 << 15  # elements per block of AdamW.step's passes: 128 KiB of float32
+
 # glibc's mallopt parameters (malloc.h) and the values set_malloc_policy sets
 M_TRIM_THRESHOLD = -1
 M_MMAP_THRESHOLD = -3
@@ -76,12 +78,13 @@ class AdamW:
     therefore has a gradient: one the loss does not reach stays zero, and
     the step still decays it and updates its ``m`` and ``v``. ``step`` raises
     if a ``p.grad`` is None and copies in one a caller assigned as a fresh
-    array. The update is a dozen in-place ufunc passes over the whole arena,
-    not a dozen small ones for each of the model's 41-47 tensors, in the
-    operation order and dtypes of the per-tensor update, so the results are
-    bitwise the same. It works in two scratch buffers and leaves the
-    gradients as they were, so ``p.grad`` still reads the gradient after a
-    step.
+    array. The update is 16 in-place elementwise ufunc passes, not 16 for
+    each of the model's 41-47 tensors, in the operation order and dtypes of
+    the per-tensor update, so the results are bitwise the same. The passes
+    run over one ``STEP_BLOCK``-element block of the arena at a time, in a
+    scratch pair of block size rather than two arena-sized buffers. The
+    gradients are left as they were, so ``p.grad`` still reads the gradient
+    after a step.
 
     Code that replaces a trained parameter's values must write into its
     view (``p.data[...] = x``): ``step`` raises if a ``p.data`` is no longer
@@ -105,7 +108,7 @@ class AdamW:
         self._m = np.zeros(n, dtype=dtype)
         self._v = np.zeros(n, dtype=dtype)
         self._grad = np.zeros(n, dtype=dtype)
-        self._scratch = (np.empty(n, dtype=dtype), np.empty(n, dtype=dtype))
+        self._scratch = np.empty((2, min(n, STEP_BLOCK)), dtype=dtype)
 
         def views(flat):
             return [flat[lo:hi].reshape(p.data.shape)
@@ -144,26 +147,28 @@ class AdamW:
         b1, b2 = BETAS
         bc1 = 1.0 - b1**self.t
         bc2 = 1.0 - b2**self.t
-        p, g, m, v = self.arena, self._grad, self._m, self._v
-        s, d = self._scratch
-        # m = b1 m + (1 - b1) g;  v = b2 v + (1 - b2) g g
-        m *= b1
-        np.multiply(g, 1 - b1, out=s)
-        m += s
-        v *= b2
-        np.multiply(g, 1 - b2, out=s)
-        s *= g
-        v += s
-        # update = (m / bc1) / (sqrt(v / bc2) + eps) + wd p;  p -= lr update
-        np.divide(m, bc1, out=s)
-        np.divide(v, bc2, out=d)
-        np.sqrt(d, out=d)
-        d += EPS
-        s /= d
-        np.multiply(p, WEIGHT_DECAY, out=d)
-        s += d
-        s *= lr
-        p -= s
+        for lo in range(0, self.arena.size, STEP_BLOCK):
+            hi = lo + STEP_BLOCK
+            p, g, m, v = self.arena[lo:hi], self._grad[lo:hi], self._m[lo:hi], self._v[lo:hi]
+            s, d = self._scratch[:, :p.size]
+            # m = b1 m + (1 - b1) g;  v = b2 v + (1 - b2) g g
+            m *= b1
+            np.multiply(g, 1 - b1, out=s)
+            m += s
+            v *= b2
+            np.multiply(g, 1 - b2, out=s)
+            s *= g
+            v += s
+            # update = (m / bc1) / (sqrt(v / bc2) + eps) + wd p;  p -= lr update
+            np.divide(m, bc1, out=s)
+            np.divide(v, bc2, out=d)
+            np.sqrt(d, out=d)
+            d += EPS
+            s /= d
+            np.multiply(p, WEIGHT_DECAY, out=d)
+            s += d
+            s *= lr
+            p -= s
 
     def minimize(self, loss, step_number):
         """Refuse a NaN or infinite ``loss`` (NumPy only warns), then zero_grad, backward, step."""

@@ -183,6 +183,80 @@ class TestFusedBlock:
                                        err_msg=name)
 
 
+def composed_block(x, params, layer, config, mask, training=False, rng=None, rows=None):
+    """``attention_block`` with each residual sublayer composed from
+    ``linear``, ``dropout``, ``add_layer_norm`` and ``gelu``: the float32
+    reference whose operation order the two sublayer ops keep."""
+    prefix = f"layer.{layer}"
+
+    def linear(t, name):
+        return ad.linear(t, params[f"{prefix}.{name}.w"], params[f"{prefix}.{name}.b"])
+
+    def add_ln(t, r, name):
+        r = ad.dropout(r, config.dropout_p, training, rng)
+        return ad.add_layer_norm(t, r, params[f"{prefix}.{name}.g"], params[f"{prefix}.{name}.b"])
+
+    key_bias = np.where(mask, np.float32(0.0), np.float32(enc.NEG_INF))
+    resid = x if rows is None else enc._gather_rows(x, rows)
+    ctx = ad.attention(linear(resid, "attn.q"), linear(x, "attn.k"), linear(x, "attn.v"),
+                       key_bias, config.heads, config.dropout_p, training, rng)
+    x = add_ln(resid, linear(ctx, "attn.o"), "ln1")
+    return add_ln(x, linear(ad.gelu(linear(x, "ffn.in")), "ffn.out"), "ln2")
+
+
+class TestSublayerOps:
+    MASK = np.array([[1, 1, 1, 1, 1, 0, 0], [1, 1, 1, 1, 1, 1, 1]])
+
+    @pytest.mark.parametrize("rows", [None, np.array([[0, 2, 6], [0, 1, 5]])],
+                             ids=["every-row", "rows"])
+    def test_block_bit_identical_to_composition(self, rows):
+        # same float32 bits as the composed ops, dropout on, gradients included
+        x0 = make_rng(13).normal(size=(2, 7, 16)).astype(np.float32)
+        m = 7 if rows is None else rows.shape[1]
+        w = Tensor(make_rng(14).normal(size=(2, m, 16)).astype(np.float32))
+        results = []
+        for block in (enc.attention_block, composed_block):
+            params = tiny_params()
+            x = Tensor(x0, requires_grad=True)
+            out = block(x, params, 1, TINY, self.MASK, training=True, rng=make_rng(15),
+                        rows=rows)
+            ad.backward(ad.tensor_sum(ad.mul(out, w)))
+            grads = {n: p.grad for n, p in params.items() if n.startswith("layer.1.")}
+            results.append((out.data, x.grad, grads))
+        (out, gx, grads), (want, want_gx, want_grads) = results
+        assert TINY.dropout_p > 0 and out.dtype == np.float32
+        np.testing.assert_array_equal(out, want)
+        np.testing.assert_array_equal(gx, want_gx)
+        assert grads.keys() == want_grads.keys() and len(grads) == 16
+        for name in grads:
+            np.testing.assert_array_equal(grads[name], want_grads[name], err_msg=name)
+
+    def test_dropout_keeps_signed_zeros_and_nans(self):
+        # (x * keep) * scale is x times the scaled float mask, bit for bit
+        x = np.array([-0.0, 0.0, -1.5, np.nan, np.inf, -np.inf, 3.0, -2.0] * 64, np.float32)
+        keep = ad._dropout_mask(x.shape, 0.5, True, make_rng(16))
+        assert keep.dtype == bool and 0 < keep.sum() < keep.size
+        with np.errstate(invalid="ignore"):  # inf * 0
+            want = x * np.multiply(keep, 1.0 / (1.0 - 0.5), dtype=np.float32)
+            got = ad.dropout(Tensor(x), 0.5, True, make_rng(16)).data
+        np.testing.assert_array_equal(got.view(np.uint32), want.view(np.uint32))
+
+    def test_shapes_checked(self):
+        params = tiny_params()
+        x = Tensor(np.zeros((2, 3, 16), dtype=np.float32))
+        o = [params[f"layer.0.{n}"] for n in ("attn.o.w", "attn.o.b", "ln1.g", "ln1.b")]
+        with pytest.raises(ad.ShapeMismatchError):
+            ad.residual_linear(x, Tensor(np.zeros((2, 4, 16), np.float32)), *o, 0.0, False)
+        with pytest.raises(ad.ShapeMismatchError):
+            ad.residual_linear(x, x, *o[:3], Tensor(np.zeros(8, np.float32)), 0.0, False)
+        ffn = [params[f"layer.0.{n}"] for n in ("ffn.in.w", "ffn.in.b", "ffn.out.w",
+                                                 "ffn.out.b", "ln2.g", "ln2.b")]
+        with pytest.raises(ad.ShapeMismatchError):
+            ad.residual_feed_forward(x, ffn[2], *ffn[1:], 0.0, False)
+        with pytest.raises(ad.ShapeMismatchError):
+            ad.residual_feed_forward(x, ffn[0], ffn[1], ffn[0], *ffn[3:], 0.0, False)
+
+
 def encode_one(seq, params, config=TINY, training=False, rng=None):
     """Encode one TokenSequence as a one-row batch."""
     return enc.encode_batch(*tok.stack_batch([seq]), params, config,

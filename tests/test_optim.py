@@ -1,3 +1,5 @@
+import math
+
 import numpy as np
 import pytest
 from test_classify import tiny_setup
@@ -6,6 +8,7 @@ from test_pretrain import batch_from, letter_vocab, sentence_corpus
 from treesent import autodiff as ad
 from treesent import classify as cl
 from treesent import encoder as enc
+from treesent import optim
 from treesent import pretrain as pt
 from treesent import tokenizer as tok
 from treesent.autodiff import Tensor
@@ -123,6 +126,18 @@ def test_step_refuses_a_missing_gradient():
 
 @pytest.mark.parametrize("total_steps", [None, 12])
 def test_arena_matches_per_tensor_reference(total_steps):
+    check_against_reference(total_steps)
+
+
+def test_blocked_step_matches_per_tensor_reference(monkeypatch):
+    # 16-element blocks split tensors, and the 218-element arena ends in a
+    # partial block
+    monkeypatch.setattr(optim, "STEP_BLOCK", 16)
+    assert sum(math.prod(shape) for shape in SHAPES.values()) % 16
+    check_against_reference(12)
+
+
+def check_against_reference(total_steps):
     mine, theirs = twin_params(5)
     opt = AdamW(mine, 3e-2, total_steps=total_steps)
     ref = ReferenceAdamW(theirs, 3e-2, total_steps=total_steps)
