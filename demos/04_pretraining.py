@@ -25,7 +25,7 @@ sentences = [tree.span_text for tree in train.trees]
 pieces = tokenizer.piece_ids(sentences, vocab)
 rng = make_rng(7)
 pairs = pretrain.make_nsp_pairs(sentences, pieces, vocab, max_len=20, rng=rng)
-ex = pretrain.mask_tokens(pairs[0].seq, 0.15, rng, vocab)
+ex = pretrain.mask_tokens(pairs[0].seq, pretrain.MASK_RATE, rng, vocab)
 print("\nsample pair (label =", pairs[0].label, "):")
 print("  A:", pairs[0].a_text)
 print("  B:", pairs[0].b_text)

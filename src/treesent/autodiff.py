@@ -17,12 +17,15 @@ split, scores, key mask, softmax, probability dropout, context and head
 merge), which also takes fewer queries than keys; ``residual_linear``,
 ``layer_norm(x + dropout(c @ w + b))``; and ``residual_feed_forward``,
 ``layer_norm(x + dropout(gelu(x @ w1 + b1) @ w2 + b2))``, which recomputes
-the GELU output in its backward. ``linear`` (one GEMM plus an in-place bias)
-and ``add_layer_norm`` (the residual add fused into layer norm) serve the
-embeddings, pooler and heads. Each computes what the composition of the
-generic ops computes, in the same order, so only gradient sums may differ
-in the last bits; the two residual ops give exactly the bits of ``linear``,
-``dropout``, ``add_layer_norm`` and ``gelu`` composed.
+the GELU output in its backward. ``linear`` and ``add_layer_norm`` (the
+residual add fused into layer norm) serve the embeddings, pooler and heads.
+``linear`` and both residual ops run their GEMMs through ``_dense``, one
+GEMM plus an in-place bias with one backward, and every layer norm centres
+and scales its rows in ``_normalise``. Each op computes what the
+composition of the generic ops computes, in the same order, so only
+gradient sums may differ in the last bits; the two residual ops give
+exactly the bits of ``linear``, ``dropout``, ``add_layer_norm`` and
+``gelu`` composed.
 
 The ops take only the forms the encoder, its heads and the gradient checks
 use: ``matmul`` multiplies by a 2-D weight or by a batch of the same leading
@@ -288,28 +291,36 @@ def matmul(a, b):
     return _make(out_data, (a, b), bw)
 
 
-def linear(x, w, b):
-    """``x @ w + b`` for a 2-D weight ``(k, m)`` and a bias ``(m,)``.
+def _dense(name, x, w, b):
+    """``x @ w + b`` for ``x`` (..., k), a 2-D weight (k, m) and a bias (m,):
+    one GEMM over the rows of ``x``, the bias added in place.
 
-    One GEMM over the flattened leading dimensions of ``x``, the bias added
-    in place; the backward is ``g2 @ w.T``, ``x2.T @ g2`` and ``g2.sum(0)``.
+    Returns the (..., m) result and ``bw(g, x)``, which accumulates the
+    gradients of ``w`` and ``b`` and returns ``x``'s, given ``x`` again: the
+    caller may have let it go. The backward is ``x2.T @ g2``, ``g2.sum(0)``
+    and ``g2 @ w.T``.
     """
-    x, w, b = _as_tensor(x), _as_tensor(w), _as_tensor(b)
-    shape = x.data.shape
+    shape = x.shape
     if w.data.ndim != 2 or shape[-1:] != w.data.shape[:1] or b.data.shape != w.data.shape[1:]:
-        raise ShapeMismatchError(f"linear: {shape} @ {w.data.shape} + {b.data.shape}")
+        raise ShapeMismatchError(f"{name}: {shape} @ {w.data.shape} + {b.data.shape}")
     k, m = w.data.shape
-    x2 = x.data.reshape(-1, k)
-    out_data = x2 @ w.data
-    out_data += b.data
+    out = x.reshape(-1, k) @ w.data
+    out += b.data
 
-    def bw(g):
+    def bw(g, x):
         g2 = g.reshape(-1, m)
-        _accumulate(x, (g2 @ w.data.T).reshape(shape))
-        _accumulate(w, x2.T @ g2)
+        _accumulate(w, x.reshape(-1, k).T @ g2)
         _accumulate(b, g2.sum(axis=0))
+        return (g2 @ w.data.T).reshape(shape)
 
-    return _make(out_data.reshape(shape[:-1] + (m,)), (x, w, b), bw)
+    return out.reshape(shape[:-1] + (m,)), bw
+
+
+def linear(x, w, b):
+    """``x @ w + b`` for a 2-D weight ``(k, m)`` and a bias ``(m,)``: ``_dense``."""
+    x, w, b = _as_tensor(x), _as_tensor(w), _as_tensor(b)
+    out, dense_bw = _dense("linear", x.data, w, b)
+    return _make(out, (x, w, b), lambda g: _accumulate(x, dense_bw(g, x.data)))
 
 
 def reshape(a, shape):
@@ -469,19 +480,18 @@ def _row_mean(a):
     return a.mean(axis=-1, keepdims=True, dtype=np.float64).astype(a.dtype)
 
 
-def _check_affine(name, h, gain, bias):
-    if gain.data.shape != (h,) or bias.data.shape != (h,):
-        raise ShapeMismatchError(
-            f"{name}: x last dim {h}, gain {gain.data.shape}, bias {bias.data.shape}"
-        )
+def _normalise(name, xhat, gain, bias):
+    """Layer norm of the rows ``xhat``, which it centres and scales in place.
 
-
-def _normalise(xhat, gain, bias):
-    """Layer norm of the centred rows ``xhat``, which it scales in place.
-
-    Returns the output and the per-row ``1 / std``. Variances accumulate in
+    Checks the gain and bias against the rows' width, then returns the
+    output and the per-row ``1 / std``. Means and variances accumulate in
     float64; the variance floor is BERT's 1e-12.
     """
+    h = xhat.shape[-1]
+    if gain.data.shape != (h,) or bias.data.shape != (h,):
+        raise ShapeMismatchError(
+            f"{name}: x last dim {h}, gain {gain.data.shape}, bias {bias.data.shape}")
+    xhat -= _row_mean(xhat)
     out = np.square(xhat)  # the squares first, then the output
     var = out.mean(axis=-1, keepdims=True, dtype=np.float64)
     inv = (1.0 / np.sqrt(var + 1e-12)).astype(xhat.dtype)
@@ -517,9 +527,8 @@ def layer_norm(x, gain, bias):
     in the input's dtype. The variance floor is BERT's 1e-12.
     """
     x, gain, bias = _as_tensor(x), _as_tensor(gain), _as_tensor(bias)
-    _check_affine("layer_norm", x.data.shape[-1], gain, bias)
-    xhat = x.data - _row_mean(x.data)
-    out_data, inv = _normalise(xhat, gain, bias)
+    xhat = x.data.copy()
+    out_data, inv = _normalise("layer_norm", xhat, gain, bias)
 
     def bw(g):
         _accumulate(x, _normalise_backward(g, xhat, inv, gain, bias))
@@ -536,10 +545,8 @@ def add_layer_norm(x, r, gain, bias):
     x, r, gain, bias = _as_tensor(x), _as_tensor(r), _as_tensor(gain), _as_tensor(bias)
     if r.data.shape != x.data.shape:
         raise ShapeMismatchError(f"add_layer_norm: {x.data.shape} + {r.data.shape}")
-    _check_affine("add_layer_norm", x.data.shape[-1], gain, bias)
     xhat = x.data + r.data
-    xhat -= _row_mean(xhat)
-    out_data, inv = _normalise(xhat, gain, bias)
+    out_data, inv = _normalise("add_layer_norm", xhat, gain, bias)
 
     def bw(g):
         dx = _normalise_backward(g, xhat, inv, gain, bias)
@@ -594,37 +601,28 @@ def dropout(x, p, training, rng=None):
     return _make(_drop(x.data, keep, p), (x,), bw)
 
 
-def _residual_tail(x, y2, w, b, gain, bias, p, training, rng):
-    """Forward of ``layer_norm(x + dropout(y2 @ w + b))``, ``y2`` being the
-    (N, k) rows of a branch beside ``x`` (..., H).
+def _residual_tail(name, x, y, w, b, gain, bias, p, training, rng):
+    """Forward of ``layer_norm(x + dropout(y @ w + b))``, ``y`` being a
+    branch (..., k) whose projection has ``x``'s shape.
 
     The GEMM's output buffer becomes the centred sum, so the projection is
-    never held. Returns the output and ``bw(g, y2)``, which accumulates the
+    never held. Returns the output and ``bw(g, y)``, which accumulates the
     gradients of ``x``, ``w``, ``b``, ``gain`` and ``bias`` and returns
-    ``y2``'s, given ``y2`` again: the caller may have let it go.
+    ``y``'s, given ``y`` again: the caller may have let it go.
     """
-    shape = x.data.shape
-    if w.data.shape != (y2.shape[1], shape[-1]) or b.data.shape != shape[-1:]:
-        raise ShapeMismatchError(
-            f"residual branch: {y2.shape} @ {w.data.shape} + {b.data.shape} beside {shape}")
-    _check_affine("residual layer norm", shape[-1], gain, bias)
-    xhat = y2 @ w.data
-    xhat += b.data
-    xhat = xhat.reshape(shape)
-    keep = _dropout_mask(shape, p, training, rng)
+    xhat, dense_bw = _dense(name, y, w, b)
+    if xhat.shape != x.data.shape:
+        raise ShapeMismatchError(f"{name}: branch {xhat.shape} beside {x.data.shape}")
+    keep = _dropout_mask(xhat.shape, p, training, rng)
     if keep is not None:
         _drop(xhat, keep, p, out=xhat)
     xhat += x.data
-    xhat -= _row_mean(xhat)
-    out, inv = _normalise(xhat, gain, bias)
+    out, inv = _normalise(name, xhat, gain, bias)
 
-    def bw(g, y2):
+    def bw(g, y):
         dx = _normalise_backward(g, xhat, inv, gain, bias)
         _accumulate(x, dx)
-        g2 = (dx if keep is None else _drop(dx, keep, p)).reshape(-1, shape[-1])
-        _accumulate(w, y2.T @ g2)
-        _accumulate(b, g2.sum(axis=0))
-        return g2 @ w.data.T
+        return dense_bw(dx if keep is None else _drop(dx, keep, p), y)
 
     return out, bw
 
@@ -637,15 +635,9 @@ def residual_linear(x, c, w, b, gain, bias, p, training, rng=None):
     the keep mask.
     """
     x, c, w, b, gain, bias = (_as_tensor(t) for t in (x, c, w, b, gain, bias))
-    if c.data.shape[:-1] != x.data.shape[:-1]:
-        raise ShapeMismatchError(f"residual_linear: {c.data.shape} beside {x.data.shape}")
-    c2 = c.data.reshape(-1, c.data.shape[-1])
-    out, tail_bw = _residual_tail(x, c2, w, b, gain, bias, p, training, rng)
-
-    def bw(g):
-        _accumulate(c, tail_bw(g, c2).reshape(c.data.shape))
-
-    return _make(out, (x, c, w, b, gain, bias), bw)
+    out, tail_bw = _residual_tail("residual_linear", x, c.data, w, b, gain, bias,
+                                  p, training, rng)
+    return _make(out, (x, c, w, b, gain, bias), lambda g: _accumulate(c, tail_bw(g, c.data)))
 
 
 def residual_feed_forward(x, w1, b1, w2, b2, gain, bias, p, training, rng=None):
@@ -658,23 +650,16 @@ def residual_feed_forward(x, w1, b1, w2, b2, gain, bias, p, training, rng=None):
     derivative in that buffer and the pre-activation's.
     """
     x, w1, b1, w2, b2, gain, bias = (_as_tensor(t) for t in (x, w1, b1, w2, b2, gain, bias))
-    h = x.data.shape[-1]
-    if w1.data.ndim != 2 or w1.data.shape[0] != h or b1.data.shape != w1.data.shape[1:]:
-        raise ShapeMismatchError(
-            f"residual_feed_forward: {x.data.shape} @ {w1.data.shape} + {b1.data.shape}")
-    x2 = x.data.reshape(-1, h)
-    pre = x2 @ w1.data
-    pre += b1.data
+    name = "residual_feed_forward"
+    pre, first_bw = _dense(name, x.data, w1, b1)
     t = _gelu_tanh(pre)
-    out, tail_bw = _residual_tail(x, _gelu_from_tanh(pre, t), w2, b2, gain, bias,
+    out, tail_bw = _residual_tail(name, x, _gelu_from_tanh(pre, t), w2, b2, gain, bias,
                                   p, training, rng)
 
     def bw(g):
         a = _gelu_from_tanh(pre, t)  # the activation again, for w2's gradient
         d = _gelu_backward(tail_bw(g, a), pre, t, d=a, s=pre)
-        _accumulate(x, (d @ w1.data.T).reshape(x.data.shape))
-        _accumulate(w1, x2.T @ d)
-        _accumulate(b1, d.sum(axis=0))
+        _accumulate(x, first_bw(d, x.data))
 
     return _make(out, (x, w1, b1, w2, b2, gain, bias), bw)
 
@@ -873,7 +858,8 @@ def finite_diff_check(f, x, epsilon=None, indices=None):
     """Max relative error between autodiff and central finite differences.
 
     ``f`` maps a Tensor to a scalar Tensor. ``indices`` optionally restricts
-    the check to a sample of flat coordinates (for large tensors).
+    the check to a sample of flat coordinates (for large tensors). A NaN
+    error at any coordinate makes the result NaN, which fails every ``< tol``.
     """
     base = x.data.copy()
     probe = Tensor(base.copy(), requires_grad=True, dtype=base.dtype)
@@ -886,24 +872,21 @@ def finite_diff_check(f, x, epsilon=None, indices=None):
     if indices is None:
         indices = range(base.size)
     flat = base.reshape(-1)
+
+    def value_at(i, step):  # f with flat coordinate i moved by step
+        pert = flat.copy()
+        pert[i] += step
+        with no_grad():
+            return float(f(Tensor(pert.reshape(base.shape), dtype=base.dtype)).data)
+
     worst = 0.0
     for i in indices:
         if epsilon is None:
             eps = (1e-5 if base.dtype == np.float64 else 1e-2) * max(1.0, abs(float(flat[i])))
         else:
             eps = epsilon
-        for sign, store in ((1.0, "hi"), (-1.0, "lo")):
-            pert = flat.copy()
-            pert[i] += sign * eps
-            with no_grad():
-                val = f(Tensor(pert.reshape(base.shape), dtype=base.dtype)).data
-            if store == "hi":
-                hi = float(val)
-            else:
-                lo = float(val)
-        g_fd = (hi - lo) / (2.0 * eps)
+        g_fd = (value_at(i, eps) - value_at(i, -eps)) / (2.0 * eps)
         g_a = float(g_ad.reshape(-1)[i])
         err = abs(g_a - g_fd) / max(abs(g_a), abs(g_fd), 1.0)
-        if err > worst:
-            worst = err
+        worst = float(np.maximum(worst, err))
     return worst

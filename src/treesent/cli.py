@@ -90,8 +90,7 @@ PARSERS = {
     "model": {"preset": _choice(*encoder.PRESETS), "vocab_size": _number(int, 0),
               "max_len": _number(int, 2)},
     "pretrain": {"epochs": _number(int, -1), "batch_size": _number(int, 0),
-                 "lr": _number(float, 0), "mask_rate": _number(float, 0, 1),
-                 "max_steps": _number(int, -1)},
+                 "lr": _number(float, 0), "max_steps": _number(int, -1)},
     "finetune": {"epochs": _number(int, -1), "batch_size": _number(int, 0),
                  "lr": _number(float, 0), "head_lr": _number(float, 0),
                  "freeze_encoder": _bool},

@@ -22,6 +22,7 @@ from .tokenizer import TokenSequence, assemble, length_batches, piece_ids, stack
 __all__ = [
     "IS_NEXT",
     "NOT_NEXT",
+    "MASK_RATE",
     "MaskedExample",
     "NspPair",
     "PretrainState",
@@ -37,6 +38,7 @@ __all__ = [
 
 IS_NEXT = 1
 NOT_NEXT = 0
+MASK_RATE = 0.15  # BERT's share of words selected for masked-word prediction
 
 
 class NoMaskablePositionsError(ValueError):
@@ -78,7 +80,6 @@ class PretrainConfig:
     epochs: int = 3
     batch_size: int = 16
     lr: float = 1e-4
-    mask_rate: float = 0.15
     max_steps: int | None = None
 
 
@@ -246,7 +247,7 @@ def pretrain(corpus, vocab, config, hyper: PretrainConfig, *, max_len, seed,
         examples = []
         for pair in pairs:
             try:
-                ex = mask_tokens(pair.seq, hyper.mask_rate, rng, vocab)
+                ex = mask_tokens(pair.seq, MASK_RATE, rng, vocab)
             except NoMaskablePositionsError:
                 continue
             examples.append((ex, pair.label))

@@ -535,6 +535,37 @@ def _attention_case(fn, lead, p):
     return lambda q, k, v: fn(q, k, v, key_bias, 2, p, p > 0, make_rng(21))
 
 
+def unfused_residual_linear(x, c, w, b, gain, bias, p, training, rng):
+    return ad.add_layer_norm(x, ad.dropout(ad.linear(c, w, b), p, training, rng), gain, bias)
+
+
+def unfused_residual_feed_forward(x, w1, b1, w2, b2, gain, bias, p, training, rng):
+    branch = ad.linear(ad.gelu(ad.linear(x, w1, b1)), w2, b2)
+    return ad.add_layer_norm(x, ad.dropout(branch, p, training, rng), gain, bias)
+
+
+def _residual_case(fn, p):
+    # a fresh generator per call draws the same dropout mask every time
+    return lambda *args: fn(*args, p, p > 0, make_rng(22))
+
+
+def residual_cases():
+    """The residual ops on (n, H) and (B, n, H) inputs, with and without dropout."""
+    cases = {}
+    for lead in ((3,), (2, 3)):
+        for p in (0.0, 0.3):
+            tag = f"{len(lead) + 1}d_p{p}"
+            cases[f"residual_linear_{tag}"] = (
+                _residual_case(ad.residual_linear, p),
+                _residual_case(unfused_residual_linear, p),
+                [lead + (8,), lead + (4,), (4, 8), (8,), (8,), (8,)])
+            cases[f"residual_feed_forward_{tag}"] = (
+                _residual_case(ad.residual_feed_forward, p),
+                _residual_case(unfused_residual_feed_forward, p),
+                [lead + (8,), (8, 6), (6,), (6, 8), (8,), (8,), (8,)])
+    return cases
+
+
 # name -> (fused, unfused, input shapes); every input is a gradient leaf
 FUSED_OPS = {
     "linear": (ad.linear, lambda x, w, b: ad.matmul(x, w) + b, [(2, 3, 4), (4, 5), (5,)]),
@@ -547,6 +578,7 @@ FUSED_OPS = {
                              _attention_case(unfused_attention, (2,), 0.0), [(2, 5, 8)] * 3),
     "attention_unbatched": (_attention_case(ad.attention, (), 0.3),
                             _attention_case(unfused_attention, (), 0.3), [(5, 8)] * 3),
+    **residual_cases(),
 }
 
 
@@ -628,6 +660,12 @@ class TestFusedOps:
         (ad.linear, [(2, 4), (4,), (4,)]),
         (ad.add_layer_norm, [(2, 4), (2, 3), (3,), (3,)]),
         (ad.add_layer_norm, [(2, 4), (2, 4), (3,), (4,)]),
+        (_residual_case(ad.residual_feed_forward, 0.0),  # w1 not (4, ...)
+         [(2, 4), (3, 5), (5,), (5, 4), (4,), (4,), (4,)]),
+        (_residual_case(ad.residual_feed_forward, 0.0),  # b2 not (4,)
+         [(2, 4), (4, 5), (5,), (5, 4), (3,), (4,), (4,)]),
+        (_residual_case(ad.residual_linear, 0.0),  # 3 branch rows beside 2
+         [(2, 4), (3, 4), (4, 4), (4,), (4,), (4,)]),
         (lambda q, k, v: ad.attention(q, k, v, np.zeros(3), 2, 0.0, False), [(3, 4), (3, 4), (2, 4)]),
         (lambda q, k, v: ad.attention(q, k, v, np.zeros(3), 3, 0.0, False), [(3, 4)] * 3),
         (lambda q, k, v: ad.attention(q, k, v, np.zeros(3), 2, 0.0, False),
@@ -782,6 +820,12 @@ class TestFiniteDiffCheck:
 
         err = ad.finite_diff_check(f, t64([1e-9, -1e-9]))
         assert math.isfinite(err)
+
+    def test_nan_gradient_is_reported(self):
+        # coordinate 0's error is NaN, coordinate 1's is 0: NaN must win
+        err = ad.finite_diff_check(lambda t: ad.tensor_sum(ad.mul(t, t64([math.nan, 1.0]))),
+                                   t64([1.0, 2.0]))
+        assert math.isnan(err)
 
 
 def test_all_primitives_randomized_fd(rng):

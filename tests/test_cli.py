@@ -658,7 +658,6 @@ max_len = 16
 epochs = 1
 batch_size = 16
 lr = 0.001
-mask_rate = 0.15
 max_steps = 3
 
 [finetune]
@@ -683,7 +682,6 @@ class TestConfigTable:
         ("finetune", "finetune", "batch_size", "0"),
         ("pretrain", "model", "max_len", "2"),
         ("pretrain", "model", "max_len", "4"),  # a sentence pair needs 5
-        ("pretrain", "pretrain", "mask_rate", "0"),
         ("pretrain", "run", "scope", ""),
         ("pretrain", "run", "scope", ","),
     ])
@@ -699,6 +697,7 @@ class TestConfigTable:
     @pytest.mark.parametrize("section, key, value", [
         ("pretrain", "mask_rte", "0.5"), ("finetune", "lr_head", "5"),
         ("bogus", "x", "1"), ("DEFAULT", "seed", "4"),
+        ("pretrain", "mask_rate", "0.15"),  # a constant, pretrain.MASK_RATE
     ])
     def test_unknown_key_exits_1_naming_it(self, pipeline, tmp_path, capsys,
                                            section, key, value):
@@ -768,7 +767,17 @@ class TestConfigTable:
             assert [f.name for f in fields(sections[section])] == list(keys)
         assert sections["pretrain"] is pt.PretrainConfig
         assert sections["finetune"] is classify.FinetuneConfig
-        assert sum(len(keys) for keys in cli.PARSERS.values()) == 19
+        assert sum(len(keys) for keys in cli.PARSERS.values()) == 18
+
+    def test_readme_table_lists_exactly_the_parsers(self):
+        readme = os.path.join(os.path.dirname(__file__), os.pardir, "README.md")
+        with open(readme, encoding="utf-8") as fh:
+            text = fh.read().split("### Config reference", 1)[1]
+        table = text[text.index("\n|"):].split("\n\n", 1)[0]
+        rows = table.strip().splitlines()[2:]  # past the header and its rule
+        pairs = [tuple(cell.strip(" `[]") for cell in row.split("|")[1:3]) for row in rows]
+        assert pairs == [(section, key) for section, keys in cli.PARSERS.items()
+                         for key in keys]
 
     def test_paths_alone_give_the_library_defaults(self, tmp_path):
         path = tmp_path / "c.ini"
